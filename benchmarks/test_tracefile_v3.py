@@ -252,17 +252,14 @@ def test_v3_decode_throughput_and_regression_gate(trace_files):
 
 
 def test_v3_windowed_paths_agree(trace_files):
-    """Windowed access: indexed columnar seeks equal the linear filter,
-    and the parallel loader equals the serial one."""
+    """Windowed access: indexed columnar seeks equal the linear filter."""
     records, _, p3, _, _ = trace_files
     reader = TraceFileReader(p3)
     assert reader.has_index
     t_lo, t_hi = 500.0, 600.0
     indexed = reader.seek_window(t_lo, t_hi)
     linear = reader.seek_window(t_lo, t_hi, use_index=False)
-    parallel = reader.seek_window(t_lo, t_hi, parallel=True)
-    serial = reader.seek_window(t_lo, t_hi, parallel=False)
-    assert indexed == linear == parallel == serial
+    assert indexed == linear
     assert indexed == [r for r in records if r.t1 >= t_lo and r.t0 <= t_hi]
     cols = reader.read_columns(t_lo=t_lo, t_hi=t_hi)
     assert cols.to_records() == indexed

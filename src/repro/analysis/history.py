@@ -133,10 +133,6 @@ class IndexStats:
     generation: int = 0
     engine: str = "numpy"
     records: int = 0
-    #: shard/chunk decode tasks fanned out by a parallel from_file build
-    parallel_shards: int = 0
-    #: worker processes those tasks ran on (0 = the build was serial)
-    parallel_workers: int = 0
     clock_builds: int = 0
     clock_extends: int = 0
     clock_seconds: float = 0.0
@@ -167,8 +163,6 @@ class IndexStats:
             generation=self.generation,
             engine=self.engine,
             records=self.records,
-            parallel_shards=self.parallel_shards,
-            parallel_workers=self.parallel_workers,
             clock_builds=self.clock_builds,
             clock_extends=self.clock_extends,
             clock_seconds=self.clock_seconds,
@@ -189,13 +183,6 @@ class IndexStats:
         lines = [
             f"history index stats (generation {self.generation}, "
             f"{self.records} records, engine={self.engine})",
-        ]
-        if self.parallel_shards:
-            lines.append(
-                f"  parallel build: {self.parallel_shards} shard task(s) "
-                f"across {self.parallel_workers} worker process(es)"
-            )
-        lines += [
             f"  vector clocks : {self.clock_builds} build(s), "
             f"{self.clock_extends} record(s) folded, "
             f"{self.clock_seconds * 1e3:.2f} ms",
@@ -343,23 +330,15 @@ class HistoryIndex:
         cache_blocks: Optional[int] = None,
         cache_bytes: Optional[int] = None,
         prefetch_blocks: Optional[int] = None,
-        parallel: "int | bool | None" = None,
     ) -> "HistoryIndex | OutOfCoreIndex":
         """Index a trace file through the bulk columnar path.
 
         Uses :meth:`TraceFileReader.read_columns`, so a v3 file is
         ingested column-wise (no per-record JSON parsing); v1/v2 files
-        bridge through the record path transparently.
-
-        ``parallel=N`` fans block decode + column ingest across a pool
-        of ``N`` worker processes (``True`` = one per CPU): each worker
-        decodes one shard (or one contiguous chunk of a single file's
-        blocks) with the threaded block loader and ships columns back;
-        the parent merges the partial stores by global record index and
-        ingests them with record materialization *deferred* -- record
-        objects appear on first record-level access.  Falls back to the
-        serial path when the file has too few shards/blocks to split or
-        the platform cannot fork.
+        bridge through the record path transparently.  The blocks are
+        decoded serially, in file order, and ingested through
+        :meth:`extend_columns`, which defers record-object creation to
+        the first record-level access.
 
         ``paged=True`` returns an
         :class:`~repro.analysis.paged.OutOfCoreIndex` instead: only
@@ -374,11 +353,6 @@ class HistoryIndex:
         if paged:
             from .paged import OutOfCoreIndex
 
-            if parallel not in (None, False):
-                raise ValueError(
-                    "parallel= applies to the in-memory build; a paged "
-                    "index never bulk-decodes (it pages blocks per query)"
-                )
             kwargs: dict = {}
             if cache_blocks is not None:
                 kwargs["cache_blocks"] = cache_blocks
@@ -393,20 +367,6 @@ class HistoryIndex:
             )
         if prefetch_blocks is not None:
             raise ValueError("prefetch_blocks applies to paged=True only")
-        if parallel not in (None, False):
-            from repro.trace.tracefile import read_columns_parallel
-
-            result = read_columns_parallel(reader, parallel)
-            if result is not None:
-                block, ntasks, nworkers = result
-                index = cls(
-                    nprocs=reader.nprocs, generation=generation, engine=engine
-                )
-                index.extend_columns(block, defer_records=True)
-                index._stats.parallel_shards = ntasks
-                index._stats.parallel_workers = nworkers
-                return index
-            # fall through: the serial path is exact and always works
         index = cls(nprocs=reader.nprocs, generation=generation, engine=engine)
         index.extend_columns(reader.read_columns())
         return index
@@ -467,38 +427,33 @@ class HistoryIndex:
         return {name: self._cols[name][:n] for name, _ in STORE_SPEC}
 
     # ------------------------------------------------------------------
-    # deferred record materialization (the parallel-build fast path)
+    # deferred record materialization (every column ingest)
     # ------------------------------------------------------------------
-    def _ingest_block_records(self, block: "ColumnBlock") -> None:
-        """Materialize one block's TraceRecord objects and fold them
-        into the record list, per-proc rows, and marker table."""
-        records = block.to_records()
-        pos = len(self._records)
-        rows = self._rows
-        marker_first = self._marker_first
-        for rec in records:
-            if rec.index != pos:
-                rec.index = pos  # to_records() objects are ours to mutate
-            pos += 1
-            rows[rec.proc].append(rec)
-            marker_first.setdefault((rec.proc, rec.marker), rec)
-        self._records.extend(records)
-
     def _ensure_records(self) -> None:
         """Catch the record list up to the column store.
 
-        A build through ``extend_columns(..., defer_records=True)`` (the
-        ``from_file(parallel=N)`` path) ingests columns only -- record
-        objects, per-proc rows, and the marker table are materialized
-        here, on first record-level access.  Columnar consumers (window
-        index, race masks, the matching/clock key columns) never pay for
-        objects they do not touch.
+        :meth:`extend_columns` (and so every :meth:`from_file` build)
+        ingests columns only -- record objects, per-proc rows, and the
+        marker table are materialized here, on first record-level
+        access.  Columnar consumers (window index, race masks, the
+        matching/clock key columns) never pay for objects they do not
+        touch.
         """
         if not self._pending_blocks:
             return
         pending, self._pending_blocks = self._pending_blocks, []
+        rows = self._rows
+        marker_first = self._marker_first
         for block in pending:
-            self._ingest_block_records(block)
+            records = block.to_records()
+            pos = len(self._records)
+            for rec in records:
+                if rec.index != pos:
+                    rec.index = pos  # to_records() objects are ours to mutate
+                pos += 1
+                rows[rec.proc].append(rec)
+                marker_first.setdefault((rec.proc, rec.marker), rec)
+            self._records.extend(records)
 
     # ------------------------------------------------------------------
     # extension (the IndexSink feed)
@@ -555,24 +510,18 @@ class HistoryIndex:
             n += 1
         return n
 
-    def extend_columns(
-        self, block: "ColumnBlock", *, defer_records: bool = False
-    ) -> int:
+    def extend_columns(self, block: "ColumnBlock") -> int:
         """Bulk-ingest one decoded columnar block (the
         :meth:`TraceFileReader.read_columns` feed).
 
         Equivalent to ``extend_many(block.to_records())`` but feeds the
         column store with vectorized slice copies straight from the
-        block's arrays (no per-record field stores), updates the span
-        from the block's time columns in one step, and re-indexes
-        positionally by mutating the freshly materialized records in
-        place instead of copying each one.
-
-        ``defer_records=True`` skips the record-object materialization
-        (the dominant cost of a bulk build): the block is stashed and
-        its TraceRecords, per-proc rows, and marker entries appear
-        lazily on first record-level access.  Columnar state is
-        complete either way -- the two modes are observably identical.
+        block's arrays (no per-record field stores) and updates the span
+        from the block's time columns in one step.  Record-object
+        creation, the dominant cost of a bulk build, is deferred: the
+        block is stashed and its TraceRecords, per-proc rows, and marker
+        entries appear on first record-level access
+        (:meth:`_ensure_records`), re-indexed positionally in place.
         """
         self._check_live()
         n = len(block)
@@ -603,12 +552,13 @@ class HistoryIndex:
                      "marker", "size"):
             cols[name][sl] = bcols[name]
         self._n = pos + n
-        # records, rows, marker table -------------------------------------
-        if defer_records:
-            self._pending_blocks.append(block)
-        else:
-            self._ensure_records()  # keep materialization in ingest order
-            self._ingest_block_records(block)
+        if not all(col.flags.owndata for col in bcols.values()):
+            # a decoded block may view its file's mapping; the stash must
+            # not change if that file is rewritten before materialization
+            block = replace(
+                block, columns={k: col.copy() for k, col in bcols.items()}
+            )
+        self._pending_blocks.append(block)
         t_lo = float(bcols["t0"].min())
         t_hi = float(bcols["t1"].max())
         if self._t_lo is None or t_lo < self._t_lo:
@@ -623,6 +573,7 @@ class HistoryIndex:
 
     @property
     def records(self) -> Sequence[TraceRecord]:
+        self._check_live()
         self._ensure_records()
         return self._records
 

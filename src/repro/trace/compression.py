@@ -8,8 +8,8 @@ a message-passing trace are extremely regular -- monotone times, small
 integer ranges, repeating proc/kind cycles -- which makes them very
 compressible.  This module puts a general-purpose codec *behind* the
 existing per-block ``encoding`` tag so compression composes with every
-other v3 mechanism (index footer, parallel loader, footerless linear
-walk) and never changes the decoded bytes:
+other v3 mechanism (index footer, indexed block decode, footerless
+linear walk) and never changes the decoded bytes:
 
 * ``"columnar"``        -- a raw ``RTB3`` block, byte-identical to what
   pre-compression writers produced (the default; old readers keep

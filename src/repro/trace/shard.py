@@ -1,12 +1,11 @@
 """Sharded trace stores: many shard files behind one small manifest.
 
 A single v3 trace file already decodes fast, but it is still *one*
-file decoded on *one* machine -- the trace-volume wall the MAD line of
-work calls out as the limiting factor for trace-based debugging.  This
-module splits a recording across shard files so that writing scales
-with processes, reading fans out across files (each with its own block
-index), and consumers that only want a window of a few processes never
-touch the other shards' bytes.
+file -- the trace-volume wall the MAD line of work calls out as the
+limiting factor for trace-based debugging.  This module splits a
+recording across shard files so that writing scales with processes,
+each shard carries its own block index, and consumers that only want a
+window of a few processes never touch the other shards' bytes.
 
 Layout::
 
@@ -26,13 +25,13 @@ Routing: ``by="proc"`` writes one shard per process rank (the paper's
 per-process trace shape); ``by="hash"`` buckets ranks into a fixed
 number of shards (``rank % nshards``) for very wide runs.  Either way
 a record's global ``index`` (assigned at recording time) rides along,
-and the reader's fan-out *merges streams by that index*, so a sharded
+and the reader *merges the shard streams by that index*, so a sharded
 read is record-for-record identical to the single-file read.
 
 :class:`TraceFileReader` consumes manifests transparently: pass the
 manifest path and ``read_all`` / ``read_columns`` / ``seek_window``
-fan out (reusing each shard's parallel block loader) with an ordered
-merge.  Shard files are opened lazily -- a degenerate window, an empty
+read each selected shard in turn and merge the results by record
+index.  Shard files are opened lazily -- a degenerate window, an empty
 shard, or a proc filter that excludes a shard short-circuits without
 opening that file (``reader.shards_opened`` observes this).
 """
@@ -41,9 +40,7 @@ from __future__ import annotations
 
 import heapq
 import json
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -423,7 +420,7 @@ class TraceShardWriter:
 
 
 class ShardSet:
-    """Reader-side fan-out over a manifest's shard files.
+    """Reader-side view of a manifest's shard files.
 
     Owned by a manifest-mode :class:`~repro.trace.tracefile.
     TraceFileReader`, which delegates every record access here.  Shard
@@ -507,28 +504,6 @@ class ShardSet:
             if s.overlaps(t_lo, t_hi, procs)
         ]
 
-    def _fan_out(
-        self,
-        shard_ids: Sequence[int],
-        job: Callable,
-        parallel: Optional[bool],
-    ) -> list:
-        """Run ``job(reader, inner_parallel)`` per shard, threaded when
-        it pays; results come back in ``shard_ids`` order."""
-        tracefile = _tracefile()
-        readers = [self._reader(k) for k in shard_ids]
-        use_pool = len(readers) >= 2 and (
-            parallel is True
-            or (parallel is None and (os.cpu_count() or 1) > 1)
-        )
-        if use_pool:
-            # the pool parallelizes across shards; inner per-shard reads
-            # stay serial so workers do not multiply
-            workers = min(tracefile.MAX_PARALLEL_WORKERS, len(readers))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(lambda r: job(r, False), readers))
-        return [job(r, parallel) for r in readers]
-
     # ------------------------------------------------------------------
     def iter_records(
         self,
@@ -542,15 +517,12 @@ class ShardSet:
         ]
         return heapq.merge(*streams, key=attrgetter("index"))
 
-    def read_all(
-        self, tolerant: bool, parallel: Optional[bool]
-    ) -> list[TraceRecord]:
+    def read_all(self, tolerant: bool) -> list[TraceRecord]:
         self._require_shards("read records")
-        parts = self._fan_out(
-            self._populated(),
-            lambda r, inner: r.read_all(tolerant=tolerant, parallel=inner),
-            parallel,
-        )
+        parts = [
+            self._reader(k).read_all(tolerant=tolerant)
+            for k in self._populated()
+        ]
         return list(heapq.merge(*parts, key=attrgetter("index")))
 
     def seek_window(
@@ -558,17 +530,12 @@ class ShardSet:
         t_lo: float,
         t_hi: float,
         procs: Optional[set[int]],
-        parallel: Optional[bool],
     ) -> list[TraceRecord]:
         self._require_shards("seek a window")
-        shard_ids = self._select(t_lo, t_hi, procs)
-        if not shard_ids:
-            return []
-        parts = self._fan_out(
-            shard_ids,
-            lambda r, inner: r.seek_window(t_lo, t_hi, procs, parallel=inner),
-            parallel,
-        )
+        parts = [
+            self._reader(k).seek_window(t_lo, t_hi, procs)
+            for k in self._select(t_lo, t_hi, procs)
+        ]
         return list(heapq.merge(*parts, key=attrgetter("index")))
 
     def read_columns(
@@ -577,7 +544,6 @@ class ShardSet:
         t_hi: float,
         procs: Optional[set[int]],
         windowed: bool,
-        parallel: Optional[bool],
         tolerant: bool,
     ) -> ColumnBlock:
         self._require_shards("read columns")
@@ -589,14 +555,12 @@ class ShardSet:
             return ColumnBlock.empty()
         lo = None if not windowed else t_lo
         hi = None if not windowed else t_hi
-        parts = self._fan_out(
-            shard_ids,
-            lambda r, inner: r.read_columns(
-                t_lo=lo, t_hi=hi, procs=procs, parallel=inner,
-                tolerant=tolerant,
-            ),
-            parallel,
-        )
+        parts = [
+            self._reader(k).read_columns(
+                t_lo=lo, t_hi=hi, procs=procs, tolerant=tolerant
+            )
+            for k in shard_ids
+        ]
         merged = ColumnBlock.concat(parts)
         index_col = merged.columns["index"]
         if index_col.size and np.any(index_col[1:] < index_col[:-1]):

@@ -32,11 +32,11 @@ side table per block for variable-length payloads.  The footer's block
 entries grow a seventh element recording the segment encoding
 (``"columnar"``); v2 footers are unchanged byte-for-byte.  On top of
 the columnar decode the reader offers :meth:`TraceFileReader.read_columns`
-(bulk column ingest for ``HistoryIndex``/graph/viz consumers) and a
-parallel block loader (``concurrent.futures`` over index-selected
-blocks with an ordered merge) engaged automatically by
-:meth:`~TraceFileReader.read_all` and
-:meth:`~TraceFileReader.seek_window` when enough blocks are selected.
+(bulk column ingest for ``HistoryIndex``/graph/viz consumers).  Every
+indexed read -- :meth:`~TraceFileReader.read_all`,
+:meth:`~TraceFileReader.read_columns`,
+:meth:`~TraceFileReader.seek_window` -- decodes the footer-selected
+blocks serially, in file order.
 
 Compatibility: v1 files, v2 files, and *footerless* files of either
 (writer crashed before close) keep working through the linear path; v3
@@ -54,7 +54,6 @@ import math
 import mmap
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, Union
@@ -96,10 +95,6 @@ INDEX_KEY = "__trace_index__"
 #: records per index block (granularity of seek_window byte ranges; in
 #: v3 also the records-per-columnar-block encoding granularity)
 DEFAULT_INDEX_BLOCK = 512
-#: minimum index-selected blocks before the parallel loader engages
-PARALLEL_BLOCK_THRESHOLD = 4
-#: cap on parallel decode workers
-MAX_PARALLEL_WORKERS = 8
 
 
 class TraceFileError(Exception):
@@ -739,34 +734,18 @@ class TraceFileReader:
             yield offset, nxt - offset, block
             offset = nxt
 
-    def _use_parallel(self, n_blocks: int, parallel: Optional[bool]) -> bool:
-        if parallel is False or n_blocks < 2:
-            return False
-        if parallel is True:
-            return True
-        return (
-            n_blocks >= PARALLEL_BLOCK_THRESHOLD
-            and (os.cpu_count() or 1) > 1
-        )
-
     def _decode_index_blocks(
-        self,
-        entries: Sequence[IndexBlock],
-        parallel: Optional[bool] = None,
+        self, entries: Sequence[IndexBlock]
     ) -> list[ColumnBlock]:
-        """Decode footer-selected blocks, in file order.
-
-        With enough blocks the decode fans out over a thread pool (the
-        parallel block loader); ``executor.map`` preserves submission
-        order, so the merge is simply the ordered result list.
-        """
+        """Decode footer-selected blocks, in file order."""
         if not entries:
             return []
         buf = self._map()
         kind_table = self._kind_table
         self.bytes_read += sum(b.nbytes for b in entries)
 
-        def job(entry: IndexBlock) -> ColumnBlock:
+        out: list[ColumnBlock] = []
+        for entry in entries:
             if entry.encoding not in KNOWN_ENCODINGS:
                 raise TraceFileError(
                     f"{self.path}: block at offset {entry.offset} has "
@@ -778,21 +757,16 @@ class TraceFileReader:
                     buf, entry.offset
                 ):
                     raw, _, _ = decompress_frame(buf, entry.offset)
-                    return decode_block(raw, 0, kind_table)[0]
-                return decode_block(buf, entry.offset, kind_table)[0]
+                    block = decode_block(raw, 0, kind_table)[0]
+                else:
+                    block = decode_block(buf, entry.offset, kind_table)[0]
             except ColumnDecodeError as exc:
                 raise TraceFileError(
                     f"{self.path}: malformed record data in indexed block "
                     f"at offset {entry.offset}: {exc}"
                 ) from exc
-
-        if self._use_parallel(len(entries), parallel):
-            workers = min(
-                MAX_PARALLEL_WORKERS, os.cpu_count() or 1, len(entries)
-            )
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(job, entries))
-        return [job(e) for e in entries]
+            out.append(block)
+        return out
 
     # ------------------------------------------------------------------
     # block-granular access (the out-of-core paging substrate)
@@ -829,7 +803,7 @@ class TraceFileReader:
             block = self._shards.load_block(ref)
             self._sync_shard_counters()
             return block
-        return self._decode_index_blocks([ref.entry], parallel=False)[0]
+        return self._decode_index_blocks([ref.entry])[0]
 
     # ------------------------------------------------------------------
     # linear streaming
@@ -895,23 +869,17 @@ class TraceFileReader:
                 if rec is not None and (where is None or where(rec)):
                     yield rec
 
-    def read_all(
-        self,
-        tolerant: bool = False,
-        parallel: Optional[bool] = None,
-    ) -> list[TraceRecord]:
+    def read_all(self, tolerant: bool = False) -> list[TraceRecord]:
         """Every record in the file, as a list.
 
-        On an indexed v3 file with at least :data:`PARALLEL_BLOCK_THRESHOLD`
-        blocks the columnar blocks are decoded by the parallel loader
-        and merged in file order; footerless v3 files and v1/v2 files
-        use the linear path.  ``parallel`` forces the choice (None =
-        automatic).  On a shard manifest every shard is read and the
-        streams are merged in global record order (record-for-record
-        identical to the single-file layout).
+        On an indexed v3 file the footer's blocks are decoded in file
+        order; footerless v3 files and v1/v2 files use the linear path.
+        On a shard manifest every shard is read and the streams are
+        merged in global record order (record-for-record identical to
+        the single-file layout).
         """
         if self._shards is not None:
-            out = self._shards.read_all(tolerant, parallel)
+            out = self._shards.read_all(tolerant)
             self._sync_shard_counters()
             return out
         if self.version < 3:
@@ -919,7 +887,7 @@ class TraceFileReader:
         self.last_skipped_lines = 0
         out: list[TraceRecord] = []
         if self.index is not None:
-            for block in self._decode_index_blocks(self.index.blocks, parallel):
+            for block in self._decode_index_blocks(self.index.blocks):
                 out.extend(block.to_records())
             return out
         for _, _, block in self._iter_v3_blocks(tolerant):
@@ -945,7 +913,6 @@ class TraceFileReader:
         t_lo: Optional[float] = None,
         t_hi: Optional[float] = None,
         procs: Optional[set[int]] = None,
-        parallel: Optional[bool] = None,
         tolerant: bool = True,
     ) -> ColumnBlock:
         """Load the file (or one window of it) as a single
@@ -954,8 +921,8 @@ class TraceFileReader:
         This is the bulk-ingest entry point: ``HistoryIndex.extend_columns``,
         ``TraceGraph.from_columns`` and the viz builders consume the
         returned columns without per-record parsing.  On a v3 file the
-        columns are concatenated zero-copy decodes (parallel across
-        blocks when many are selected); v1/v2 files are bridged through
+        columns are concatenated zero-copy decodes of the selected
+        blocks; v1/v2 files are bridged through
         the record path so every consumer sees one API.
         """
         windowed = t_lo is not None or t_hi is not None or procs is not None
@@ -965,7 +932,7 @@ class TraceFileReader:
             return ColumnBlock.empty()
         if self._shards is not None:
             block = self._shards.read_columns(
-                lo, hi, procs, windowed, parallel, tolerant
+                lo, hi, procs, windowed, tolerant
             )
             self._sync_shard_counters()
             return block
@@ -982,7 +949,7 @@ class TraceFileReader:
                 if windowed
                 else list(self.index.blocks)
             )
-            blocks = self._decode_index_blocks(entries, parallel)
+            blocks = self._decode_index_blocks(entries)
         else:
             blocks = [b for _, _, b in self._iter_v3_blocks(tolerant)]
         if windowed:
@@ -1002,7 +969,6 @@ class TraceFileReader:
         t_hi: float,
         procs: Optional[set[int]] = None,
         use_index: bool = True,
-        parallel: Optional[bool] = None,
     ) -> list[TraceRecord]:
         """Records overlapping [t_lo, t_hi] (optionally only some procs).
 
@@ -1012,8 +978,7 @@ class TraceFileReader:
         records immediately, without touching the file.
 
         On an indexed file only the byte ranges of blocks touching the
-        window are read (decoded in parallel on v3 when many blocks are
-        selected); v1 / unindexed files fall back to a linear scan with
+        window are read; v1 / unindexed files fall back to a linear scan with
         the same result.  ``use_index=False`` forces the linear path
         (benchmarks use it to compare the two).
 
@@ -1025,12 +990,12 @@ class TraceFileReader:
             return []
 
         if self._shards is not None:
-            out = self._shards.seek_window(t_lo, t_hi, procs, parallel)
+            out = self._shards.seek_window(t_lo, t_hi, procs)
             self._sync_shard_counters()
             return out
 
         if self.version >= 3:
-            return self._seek_window_v3(t_lo, t_hi, procs, use_index, parallel)
+            return self._seek_window_v3(t_lo, t_hi, procs, use_index)
 
         def wanted(r: TraceRecord) -> bool:
             return (
@@ -1064,12 +1029,11 @@ class TraceFileReader:
         t_hi: float,
         procs: Optional[set[int]],
         use_index: bool,
-        parallel: Optional[bool],
     ) -> list[TraceRecord]:
         self.last_skipped_lines = 0
         if self.index is not None and use_index:
             blocks = self._decode_index_blocks(
-                self.index.select(t_lo, t_hi, procs), parallel
+                self.index.select(t_lo, t_hi, procs)
             )
         else:
             blocks = [b for _, _, b in self._iter_v3_blocks(tolerant=True)]
@@ -1137,81 +1101,6 @@ def save_trace(
 def load_trace(path: Union[str, Path]) -> Trace:
     """Read a trace file into memory."""
     return TraceFileReader(path).read()
-
-
-# ----------------------------------------------------------------------
-# process-parallel bulk decode (the HistoryIndex.from_file(parallel=N)
-# substrate)
-# ----------------------------------------------------------------------
-def _read_columns_job(job: tuple) -> ColumnBlock:
-    """One worker's decode task, re-opening the file by path (nothing
-    unpicklable crosses the fork): a whole shard file, or a contiguous
-    chunk ``[start, stop)`` of a single v3 file's footer blocks.  The
-    per-reader *threaded* block loader is reused inside the worker."""
-    path, start, stop = job
-    reader = TraceFileReader(path)
-    if start is None:
-        return reader.read_columns(parallel=True)
-    entries = reader.index.blocks[start:stop]
-    return ColumnBlock.concat(reader._decode_index_blocks(entries, parallel=True))
-
-
-def read_columns_parallel(
-    reader: TraceFileReader,
-    parallel: Union[int, bool],
-) -> Optional[tuple[ColumnBlock, int, int]]:
-    """Decode ``reader``'s whole record data across a process pool.
-
-    Fans one task per shard (manifest readers) or per contiguous block
-    chunk (single indexed v3 files) across forked workers; each task
-    ships its decoded :class:`ColumnBlock` back and the parent
-    re-merges by global record ``index`` -- the same ordered-merge
-    contract as the shard fan-out, so the result is row-for-row
-    identical to :meth:`TraceFileReader.read_columns`.
-
-    Returns ``(merged_block, n_tasks, n_workers)``, or None when
-    process parallelism cannot help (one shard / too few blocks,
-    v1/v2 or footerless files, no ``fork`` start method) -- callers
-    then take the serial path.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    workers = (os.cpu_count() or 1) if parallel is True else int(parallel)
-    if workers < 2:
-        return None
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None  # spawn-only platforms: fall back to the threaded path
-    jobs: list[tuple] = []
-    if reader.sharded:
-        shard_set = reader._shards
-        shard_set._require_shards("read columns")
-        base = shard_set.path.parent
-        jobs = [
-            (str(base / shard_set.manifest.shards[k].path), None, None)
-            for k in shard_set._populated()
-        ]
-    elif reader.version >= 3 and reader.index is not None:
-        nblocks = len(reader.index.blocks)
-        if nblocks >= PARALLEL_BLOCK_THRESHOLD:
-            ntasks = min(workers, nblocks)
-            bounds = np.linspace(0, nblocks, ntasks + 1).astype(int)
-            jobs = [
-                (str(reader.path), int(bounds[i]), int(bounds[i + 1]))
-                for i in range(ntasks)
-                if bounds[i] < bounds[i + 1]
-            ]
-    if len(jobs) < 2:
-        return None
-    nworkers = min(workers, len(jobs))
-    ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=nworkers, mp_context=ctx) as pool:
-        parts = list(pool.map(_read_columns_job, jobs))
-    merged = ColumnBlock.concat(parts)
-    index_col = merged.columns["index"]
-    if index_col.size and np.any(index_col[1:] < index_col[:-1]):
-        merged = merged.filter(np.argsort(index_col, kind="stable"))
-    return merged, len(jobs), nworkers
 
 
 # ----------------------------------------------------------------------

@@ -197,6 +197,8 @@ def test_stale_index_refuses_queries(ring_trace):
         _ = index.order
     with pytest.raises(StaleIndexError):
         index.extend(ring_trace[0])
+    with pytest.raises(StaleIndexError):
+        _ = index.records
     # a fresh ensure_index call replaces the stale memoized one
     fresh = ensure_index(ring_trace)
     assert fresh is not index
