@@ -6,15 +6,8 @@ the *shape* (who wins, what pattern holds -- absolute numbers differ by
 construction: the substrate is a simulator, not an SGI cluster), and
 writes the artifact under ``benchmarks/results/`` for inspection.
 
-Runtimes built here (``traced_run`` and the fixtures) deliberately do
-not pin an execution backend, so the whole benchmark suite runs on the
-same knob the test suite uses::
-
-    REPRO_BACKEND=simtime pytest benchmarks/
-
-(:data:`repro.mp.BACKEND_ENV_VAR`; default ``threaded``).  The
-backend-comparison benchmark pins its backends explicitly, since the
-comparison *is* the point there.
+Runtimes built here (``traced_run`` and the fixtures) run on the
+default ``simtime`` execution backend, the one the debugger drives.
 """
 
 from __future__ import annotations

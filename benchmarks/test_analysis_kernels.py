@@ -1,10 +1,10 @@
-"""Vectorized analysis kernels vs the scalar reference engine.
+"""Vectorized analysis kernels vs the scalar reference oracles.
 
 The tentpole claim behind the columnar HistoryIndex core: on a
 200k-event trace, the numpy kernels (segment-broadcast vector clocks,
 lexsort matching, searchsorted windows, mask-based race detection,
-cumsum critical-path DP) beat the per-record Python reference
-(``engine="python"``) by a wide margin *while producing identical
+cumsum critical-path DP) beat the per-record Python references in
+``tests/oracles.py`` by a wide margin *while producing identical
 output* -- the equality is asserted here record-for-record, then the
 speedups are gated:
 
@@ -37,6 +37,7 @@ from repro.analysis.critical_path import critical_path
 from repro.analysis.races import detect_races
 from repro.mp.datatypes import ANY_SOURCE, SourceLocation
 from repro.trace import EventKind, TraceRecord
+from tests import oracles
 
 N_EVENTS = 200_000
 NPROCS = 8
@@ -46,7 +47,7 @@ BASELINE = RESULTS_DIR / "analysis_kernels_baseline.json"
 #: CI regression gate: fail when a measured speedup drops below
 #: baseline/REGRESSION_FACTOR (i.e. a >2x regression).
 REGRESSION_FACTOR = 2.0
-#: absolute floors from the issue: the vectorized engine must clear
+#: absolute floors: the vectorized kernels must clear
 #: these regardless of what the baseline file says.
 MIN_CLOCKS_MATCHING_SPEEDUP = 5.0
 MIN_RACES_SPEEDUP = 10.0
@@ -56,7 +57,7 @@ def synthesize_records(n: int = N_EVENTS):
     """A deterministic compute-heavy stream: per 80-event stride one
     ring send and one (matching, FIFO) receive, the rest compute.
     Every 100th receive is posted with a wildcard source, so race
-    detection has real work on both engines."""
+    detection has real work on both sides."""
     records = []
     seqs = [0] * NPROCS
     outstanding: deque[TraceRecord] = deque()
@@ -96,69 +97,73 @@ def test_vectorized_kernels_speedup_and_regression_gate():
     records = synthesize_records()
     n = len(records)
 
-    indexes = {}
-    kernel_walls = {}
-    cm_seconds = {}
-    for engine in ("python", "numpy"):
-        best = float("inf")
-        for _rep in range(2):  # min-of-2: shields the gate from CI noise
-            idx = HistoryIndex(nprocs=NPROCS, engine=engine)
-            idx.extend_many(records)
-            idx.message_pairs()  # forces (and times) the matching kernel
-            _ = idx.clocks  # forces (and times) the clock kernel
-            stats = idx.stats()
-            best = min(best, stats.clock_seconds + stats.matching_seconds)
-        cm_seconds[engine] = best
-        indexes[engine] = idx
-    py, vec = indexes["python"], indexes["numpy"]
+    # -- clocks + matching: oracle loops vs the index's kernels --------
+    py_cm = float("inf")
+    for _rep in range(2):  # min-of-2: shields the gate from CI noise
+        start = time.perf_counter()
+        ref = oracles.match(records)
+        ref_clocks = oracles.clocks(records, NPROCS, ref.send_of_recv)
+        py_cm = min(py_cm, time.perf_counter() - start)
+    vec_cm = float("inf")
+    for _rep in range(2):
+        idx = HistoryIndex(nprocs=NPROCS)
+        idx.extend_many(records)
+        idx.message_pairs()  # forces (and times) the matching kernel
+        _ = idx.clocks  # forces (and times) the clock kernel
+        stats = idx.stats()
+        vec_cm = min(vec_cm, stats.clock_seconds + stats.matching_seconds)
 
     # -- equality first: speed means nothing on different answers ------
-    np.testing.assert_array_equal(py.clocks, vec.clocks)
-    assert [(p.send.index, p.recv.index) for p in py.message_pairs()] == [
-        (p.send.index, p.recv.index) for p in vec.message_pairs()
-    ]
-    assert [r.index for r in py.unmatched_sends()] == [
-        r.index for r in vec.unmatched_sends()
-    ]
+    np.testing.assert_array_equal(ref_clocks, idx.clocks)
+    assert ref.pairs == [(p.send.index, p.recv.index) for p in idx.message_pairs()]
+    assert ref.unmatched_sends == [r.index for r in idx.unmatched_sends()]
 
-    t_lo, t_hi = py.span
+    t_lo, t_hi = idx.span
     windows = [
         (t_lo + k * (t_hi - t_lo) / 64, t_lo + (k + 2) * (t_hi - t_lo) / 64)
         for k in range(32)
     ]
     window_walls = {}
-    for engine, idx in indexes.items():
-        start = time.perf_counter()
-        win_out = [len(idx.window(lo, hi)) for lo, hi in windows]
-        window_walls[engine] = time.perf_counter() - start
-        kernel_walls.setdefault("window_counts", win_out)
-        assert kernel_walls["window_counts"] == win_out  # engines agree
+    start = time.perf_counter()
+    ref_windows = [len(oracles.window(records, lo, hi)) for lo, hi in windows]
+    window_walls["python"] = time.perf_counter() - start
+    start = time.perf_counter()
+    vec_windows = [len(idx.window(lo, hi)) for lo, hi in windows]
+    window_walls["numpy"] = time.perf_counter() - start
+    assert ref_windows == vec_windows
 
-    race_results = {}
-    for engine, idx in indexes.items():
-        wall = float("inf")
-        for _rep in range(2):  # min-of-2, as above: the 10x floor is gated
-            start = time.perf_counter()
-            races = detect_races(idx.trace, index=idx, engine=engine)
-            wall = min(wall, time.perf_counter() - start)
-        kernel_walls[f"races_{engine}"] = wall
-        race_results[engine] = [
+    def race_key(races):
+        return [
             (r.recv.index, r.matched_send.index, [a.index for a in r.alternatives])
             for r in races
         ]
+
+    kernel_walls = {"races_python": float("inf"), "races_numpy": float("inf")}
+    for _rep in range(2):  # min-of-2, as above: the 10x floor is gated
+        start = time.perf_counter()
+        ref_races = oracles.detect_races(records, ref.send_of_recv, ref_clocks)
+        kernel_walls["races_python"] = min(
+            kernel_walls["races_python"], time.perf_counter() - start
+        )
+        start = time.perf_counter()
+        races = detect_races(idx.trace, index=idx)
+        kernel_walls["races_numpy"] = min(
+            kernel_walls["races_numpy"], time.perf_counter() - start
+        )
+    race_results = {"python": race_key(ref_races), "numpy": race_key(races)}
     assert race_results["python"] == race_results["numpy"]
     assert len(race_results["numpy"]) > 0  # wildcards produced real races
 
-    path_results = {}
-    for engine, idx in indexes.items():
-        start = time.perf_counter()
-        cp = critical_path(idx.trace, index=idx, engine=engine)
-        kernel_walls[f"path_{engine}"] = time.perf_counter() - start
-        path_results[engine] = ([r.index for r in cp.records], cp.length)
-    assert path_results["python"] == path_results["numpy"]
+    start = time.perf_counter()
+    ref_path = oracles.critical_path(records, ref.send_of_recv)
+    kernel_walls["path_python"] = time.perf_counter() - start
+    start = time.perf_counter()
+    path = critical_path(idx.trace, index=idx)
+    kernel_walls["path_numpy"] = time.perf_counter() - start
+    assert [r.index for r in ref_path.records] == [r.index for r in path.records]
+    assert ref_path.length == path.length
 
     # -- speedups ------------------------------------------------------
-    py_cm, vec_cm = cm_seconds["python"], cm_seconds["numpy"]
     cm_speedup = py_cm / vec_cm if vec_cm > 0 else float("inf")
     races_speedup = (
         kernel_walls["races_python"] / kernel_walls["races_numpy"]
@@ -221,7 +226,7 @@ def test_vectorized_kernels_speedup_and_regression_gate():
             [
                 "Vectorized analysis kernels vs scalar reference",
                 f"trace: {n} events, {NPROCS} procs, "
-                f"{len(py.message_pairs())} pairs, "
+                f"{len(ref.pairs)} pairs, "
                 f"{len(race_results['numpy'])} racing receives",
                 "",
                 f"  clocks+matching : python {py_cm * 1e3:8.1f} ms | "
@@ -240,7 +245,7 @@ def test_vectorized_kernels_speedup_and_regression_gate():
                 f"{kernel_walls['path_numpy'] * 1e3:8.1f} ms | "
                 f"{path_speedup:6.1f}x",
                 "  equality: clocks, pairs, unmatched, windows, races,",
-                "            critical path identical across engines",
+                "            critical path identical to tests/oracles.py",
                 *[f"  {line}" for line in gate_lines],
             ]
         ),

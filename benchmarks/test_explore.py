@@ -1,13 +1,12 @@
 """Schedule-space exploration throughput: serial vs the forked pool.
 
 The explorer's batch path exists for one reason: replaying dozens of
-steered schedules through the debugger-grade threaded engine is the
-slow way to sweep a schedule space.  The mproc executor forks a
-persistent worker pool that replays on the lean ``simtime`` engine, so
-replaying one candidate wave through it must be **>= 2x** faster than
-the serial threaded sweep (the issue's floor), at identical
+steered schedules one at a time in-process is the slow way to sweep a
+schedule space.  The mproc executor forks a persistent worker pool so
+replays overlap across OS processes; replaying one candidate wave
+through it must be **>= 2x** faster than the serial sweep, at identical
 classifications (asserted -- the speed is worthless if the verdicts
-differ).  Both executors replay the same candidates of the same
+differ).  Both sides replay on the ``simtime`` engine.  Both executors replay the same candidates of the same
 recorded base run, so the comparison isolates exactly what the batch
 knob changes.
 
@@ -40,8 +39,7 @@ BASELINE = RESULTS_DIR / "explore_baseline.json"
 #: CI regression gate: fail when measured throughput metrics drop below
 #: baseline/REGRESSION_FACTOR.
 REGRESSION_FACTOR = 2.0
-#: absolute floor from the issue: batched replays must beat the serial
-#: sweep by >2x.
+#: absolute floor: batched replays must beat the serial sweep by >= 2x.
 MIN_SPEEDUP = 2.0
 
 
@@ -68,7 +66,6 @@ def test_batched_replay_speedup():
     ctx = ExploreContext(
         program=master_worker_program(n_tasks=N_TASKS, task_cost=1.0),
         nprocs=NPROCS,
-        backend="threaded",
     )
     base = run_base(ctx)
     candidates = schedule_candidates(base, ctx)[:MAX_SCHEDULES]
@@ -81,10 +78,10 @@ def test_batched_replay_speedup():
         for i, c in enumerate(candidates)
     ]
 
-    # serial = the debugger-default path: every replay on the threaded
-    # engine, one at a time, in-process.
+    # serial = the debugger-default path: one replay at a time,
+    # in-process.
     serial_wall, serial_statuses = replay_wave("serial", ctx, base, jobs)
-    # mproc = the throughput path: forked pool, simtime replays.
+    # mproc = the throughput path: forked pool, overlapping replays.
     mproc_wall, mproc_statuses = replay_wave("mproc", ctx, base, jobs, reps=2)
 
     # Same candidates, same verdicts (results return in job order).
@@ -142,9 +139,9 @@ def test_batched_replay_speedup():
                 f"Steered-replay throughput on master_worker@{NPROCS} "
                 f"({N_TASKS} tasks, {MAX_SCHEDULES} schedules)",
                 "",
-                f"  serial (threaded replays)    : {serial_wall:6.2f} s "
+                f"  serial                       : {serial_wall:6.2f} s "
                 f"({len(jobs) / serial_wall:5.1f} schedules/s)",
-                f"  mproc x{WORKERS} (simtime replays) : {mproc_wall:6.2f} s "
+                f"  mproc x{WORKERS}                     : {mproc_wall:6.2f} s "
                 f"({len(jobs) / mproc_wall:5.1f} schedules/s)",
                 f"  speedup                      : {speedup:5.1f}x "
                 f"(floor {MIN_SPEEDUP}x)",

@@ -5,9 +5,10 @@ A self-scheduling master hands tasks to workers and collects results
 with ``MPI_ANY_SOURCE`` -- the canonical message race.  This example:
 
 1. detects the races statically from one trace (§4.4 race detection);
-2. shows empirically that different schedules produce different
-   matchings, and that a recorded CommLog *forces* any schedule back to
-   the original matching (§4.2 nondeterminism control);
+2. steers replays down the other side of each race (``repro.explore``)
+   to show that different schedules produce different matchings, and
+   that a recorded CommLog *forces* any schedule back to the original
+   matching (§4.2 nondeterminism control);
 3. drives the same investigation through the text command interpreter,
    the way a p2d2 user would click through it.
 
@@ -17,9 +18,10 @@ Run:  python examples/race_hunt.py
 from __future__ import annotations
 
 from repro import mp
-from repro.analysis import detect_races, explore_schedules, matching_fingerprint
+from repro.analysis import detect_races, matching_fingerprint
 from repro.apps import master_worker_program
 from repro.debugger import CommandInterpreter, DebugSession
+from repro.explore import explore
 
 N_TASKS = 10
 NPROCS = 5
@@ -41,8 +43,10 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     print("\n=== 2. schedules change the matching; replay pins it ===")
-    outcomes = explore_schedules(program, NPROCS, seeds=range(12))
-    print(f"12 random schedules produced {len(outcomes)} distinct matchings")
+    report = explore(program, NPROCS, depth=1, program_name="master_worker")
+    print(f"{report.explored} steered schedules each realized a matching "
+          f"the base run did not ({report.counts['clean']} with the same "
+          "results)")
 
     rt_orig = mp.Runtime(NPROCS, policy="random", seed=3)
     rt_orig.run(program)

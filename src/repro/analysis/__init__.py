@@ -16,7 +16,6 @@
 
 from .causality import CausalOrder, check_trace_causality, compute_causal_order
 from .history import (
-    ENGINES,
     HistoryIndex,
     IndexSink,
     IndexStats,
@@ -62,7 +61,6 @@ from .profile import (
 from .races import (
     MessageRace,
     detect_races,
-    explore_schedules,
     is_wildcard_recv,
     matching_fingerprint,
     steer_to_alternative,
@@ -72,7 +70,6 @@ __all__ = [
     "CausalOrder",
     "CommMatrix",
     "CriticalPath",
-    "ENGINES",
     "HistoryIndex",
     "IndexSink",
     "IndexStats",
@@ -106,7 +103,6 @@ __all__ = [
     "compute_causal_order",
     "detect_races",
     "diagnose_missed_messages",
-    "explore_schedules",
     "find_cycles",
     "find_intertwined",
     "cut_of_frontier",

@@ -94,7 +94,6 @@ class CriticalPath:
 def critical_path(
     trace: "Trace | Iterable[TraceRecord]",
     index: "Optional[HistoryIndex]" = None,
-    engine: Optional[str] = None,
 ) -> CriticalPath:
     """Longest path through the happens-before DAG of the trace.
 
@@ -103,97 +102,21 @@ def critical_path(
     send-of-recv map and span come from the shared
     :class:`~repro.analysis.history.HistoryIndex`.
 
-    ``engine`` defaults to the index's engine.  The numpy kernel runs
-    the longest-path DP as per-process cumulative-sum segments delimited
-    by receive joins (Python touches only the joins); the python kernel
-    is the per-record reference.  Both report wall-clock into the
-    index's per-kernel stats (``critical_path[<engine>]``).
+    The DP runs as per-process cumulative-sum segments delimited by
+    receive joins (Python touches only the joins).  Wall-clock goes into
+    the index's per-kernel stats (``critical_path``).
     """
-    from .history import ENGINES, ensure_index
+    from .history import ensure_index
 
     idx = ensure_index(trace, index=index)
-    eng = engine if engine is not None else idx.engine
-    if eng not in ENGINES:
-        raise ValueError(f"unknown engine {eng!r}; expected one of {ENGINES}")
     start = time.perf_counter()
     try:
-        if eng == "python":
-            result = _critical_path_python(idx)
-        else:
-            result = _critical_path_numpy(idx)
+        return _critical_path(idx)
     finally:
-        idx.record_kernel(f"critical_path[{eng}]", time.perf_counter() - start)
-    return result
+        idx.record_kernel("critical_path", time.perf_counter() - start)
 
 
-def _critical_path_python(idx: "HistoryIndex") -> CriticalPath:
-    """Reference kernel: one Python DP step per record."""
-    trace = idx.trace
-    n = len(trace)
-    if n == 0:
-        return CriticalPath([], 0.0, 0.0, [])
-
-    dist = [0.0] * n  # longest path ENDING at record i (inclusive)
-    pred = [-1] * n
-    send_of_recv = idx.send_of_recv
-    last_on_proc: dict[int, int] = {}
-
-    def work(rec: TraceRecord) -> float:
-        """The record's weight as path work.
-
-        A blocking receive's bar includes time spent *waiting* for the
-        message; that waiting is not work on this chain (the message
-        edge carries it), so only the portion after the send completed
-        counts.  Unmatched receives (deadlocked) contribute nothing.
-        """
-        if rec.is_recv:
-            s = send_of_recv.get(rec.index)
-            if s is None:
-                return 0.0
-            return max(0.0, rec.t1 - max(trace[s].t1, rec.t0))
-        if rec.kind in ZERO_WEIGHT_KINDS:
-            return 0.0
-        return rec.duration
-
-    for rec in trace:  # trace order is a topological order
-        i = rec.index
-        w = work(rec)
-        best = w
-        best_pred = -1
-        # program-order edge
-        j = last_on_proc.get(rec.proc, -1)
-        if j >= 0:
-            cand = dist[j] + w
-            if cand > best:
-                best, best_pred = cand, j
-        # message edge: send completion -> receive completion
-        s = send_of_recv.get(i)
-        if s is not None:
-            transfer = max(0.0, rec.t1 - max(trace[s].t1, rec.t0))
-            cand = dist[s] + transfer
-            if cand > best:
-                best, best_pred = cand, s
-        dist[i] = best
-        pred[i] = best_pred
-        last_on_proc[rec.proc] = i
-
-    end = max(range(n), key=lambda i: dist[i])
-    path = []
-    i = end
-    while i >= 0:
-        path.append(trace[i])
-        i = pred[i]
-    path.reverse()
-    t_lo, t_hi = idx.span
-    return CriticalPath(
-        records=path,
-        length=dist[end],
-        span=t_hi - t_lo,
-        weights=[work(rec) for rec in path],
-    )
-
-
-def _critical_path_numpy(idx: "HistoryIndex") -> CriticalPath:
+def _critical_path(idx: "HistoryIndex") -> CriticalPath:
     """Vectorized kernel over the index's column store.
 
     Between receive joins, a process's DP is a pure running sum (every
@@ -201,10 +124,10 @@ def _critical_path_numpy(idx: "HistoryIndex") -> CriticalPath:
     always wins or ties the fresh-start one), so each process's rows
     split into segments delimited by its matched receives and a segment
     is one chained ``np.cumsum`` flush -- sequential additions, hence
-    bitwise-identical to the scalar loop.  Python touches only the
+    bitwise-identical to a per-record loop.  Python touches only the
     joins (O(messages) iterations), where the send edge competes with
-    the program edge under the scalar tie-break (program first, send
-    wins only strictly).
+    the program edge under a fixed tie-break (program first, send wins
+    only strictly).
     """
     trace = idx.trace
     n = len(trace)
@@ -264,7 +187,7 @@ def _critical_path_numpy(idx: "HistoryIndex") -> CriticalPath:
             prev_i[0] = idxs_by_proc[p][a - 1] if a > 0 else -1
             prev_i[1:] = rows[:-1]
             # the program edge is taken only when strictly better than a
-            # fresh start (same `cand > best` test as the scalar loop)
+            # fresh start
             pred[rows] = np.where(seg > wseg, prev_i, -1)
             tail[p] = float(seg[-1])
             flushed[p] = upto
@@ -308,7 +231,7 @@ def _critical_path_numpy(idx: "HistoryIndex") -> CriticalPath:
     for p in range(nprocs):
         flush(p, idxs_by_proc[p].size)
 
-    end = int(np.argmax(dist))  # first maximum, same as the scalar max()
+    end = int(np.argmax(dist))  # first maximum
     path = []
     i = end
     while i >= 0:

@@ -25,10 +25,10 @@ The hot kernels run on these columns as batched array operations:
 * :meth:`window` -- a sorted-t0 interval index answered with
   ``searchsorted`` instead of a full list scan.
 
-The scalar per-record implementations remain as *reference kernels*,
-selectable with ``engine="python"`` and property-tested equal to the
-vectorized defaults (``tests/property/test_analysis_kernels_properties``);
-``benchmarks/test_analysis_kernels.py`` gates the speedup.
+Scalar per-record reference implementations live in ``tests/oracles.py``;
+the property suite (``tests/property/test_analysis_kernels_properties``)
+checks these kernels equal to them, and
+``benchmarks/test_analysis_kernels.py`` gates the speedup over them.
 
 Maintenance is incremental with a lazy catch-up discipline:
 
@@ -38,7 +38,7 @@ Maintenance is incremental with a lazy catch-up discipline:
 * the expensive components -- vector clocks, message matching, the
   window index -- keep a high-water mark and, on first access after new
   records arrived, fold in only the suffix.  They are never rebuilt
-  from scratch once built (in either engine), which is what
+  from scratch once built, which is what
   ``stats().clock_builds == 1`` asserts.
 
 Generation discipline: an index belongs to one execution.  When
@@ -113,8 +113,6 @@ RECV_CODES: np.ndarray = np.array(
 )
 _RECV_CODE = int(RECV_CODES[0])  # RECV is the single receive-side kind
 
-ENGINES = ("numpy", "python")
-
 
 @dataclass
 class IndexStats:
@@ -127,11 +125,10 @@ class IndexStats:
     count memoized-component lookups per component name.
     ``kernel_calls``/``kernel_seconds`` count the analysis kernels that
     consume the index without owning state in it (race detection,
-    critical path), keyed by ``"name[engine]"``.
+    critical path), keyed by kernel name.
     """
 
     generation: int = 0
-    engine: str = "numpy"
     records: int = 0
     clock_builds: int = 0
     clock_extends: int = 0
@@ -161,7 +158,6 @@ class IndexStats:
     def snapshot(self) -> "IndexStats":
         return IndexStats(
             generation=self.generation,
-            engine=self.engine,
             records=self.records,
             clock_builds=self.clock_builds,
             clock_extends=self.clock_extends,
@@ -182,7 +178,7 @@ class IndexStats:
     def as_text(self) -> str:
         lines = [
             f"history index stats (generation {self.generation}, "
-            f"{self.records} records, engine={self.engine})",
+            f"{self.records} records)",
             f"  vector clocks : {self.clock_builds} build(s), "
             f"{self.clock_extends} record(s) folded, "
             f"{self.clock_seconds * 1e3:.2f} ms",
@@ -224,10 +220,8 @@ class HistoryIndex:
       DP) run on;
     * ``blocked`` -- the runtime's blocked-wait snapshot, when supplied.
 
-    ``engine`` selects the kernel implementations: ``"numpy"`` (default)
-    runs the vectorized clock/matching/window kernels over the column
-    store; ``"python"`` runs the scalar per-record reference kernels.
-    Both are incremental and produce identical state.
+    The clock, matching and window kernels are vectorized over the
+    column store and incremental.
 
     ``trace`` materializes (and memoizes) an immutable
     :class:`~repro.trace.trace.Trace` view over the indexed records for
@@ -239,10 +233,7 @@ class HistoryIndex:
         records: Optional[Iterable[TraceRecord]] = None,
         nprocs: Optional[int] = None,
         generation: int = 0,
-        engine: str = "numpy",
     ) -> None:
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
         if nprocs is None:
             if records is None:
                 raise ValueError("need nprocs when starting from an empty stream")
@@ -252,7 +243,6 @@ class HistoryIndex:
                 nprocs = max(nprocs, rec.proc + 1, rec.src + 1, rec.dst + 1)
         self.nprocs = max(1, nprocs)
         self.generation = generation
-        self.engine = engine
         self._stale = False
         self._records: list[TraceRecord] = []
         # indexed rows; >= len(self._records) while column blocks await
@@ -289,7 +279,7 @@ class HistoryIndex:
         self._trace: Optional[Trace] = None
         self._order: Optional[CausalOrder] = None
         self._blocked: Optional[list["WaitInfo"]] = None
-        self._stats = IndexStats(generation=generation, engine=engine)
+        self._stats = IndexStats(generation=generation)
         if records is not None:
             self.extend_many(records)
 
@@ -297,9 +287,7 @@ class HistoryIndex:
     # construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def from_trace(
-        cls, trace: Trace, generation: int = 0, engine: str = "numpy"
-    ) -> "HistoryIndex":
+    def from_trace(cls, trace: Trace, generation: int = 0) -> "HistoryIndex":
         """Index an existing immutable trace (the batch entry point).
 
         When the trace's record indexes are already positional the trace
@@ -308,7 +296,7 @@ class HistoryIndex:
         than duplicated.  The positional check rides along the single
         ingest pass.
         """
-        index = cls(nprocs=trace.nprocs, generation=generation, engine=engine)
+        index = cls(nprocs=trace.nprocs, generation=generation)
         positional = True
         for pos, rec in enumerate(trace):
             if positional and rec.index != pos:
@@ -324,7 +312,6 @@ class HistoryIndex:
         cls,
         reader: "TraceFileReader",
         generation: int = 0,
-        engine: str = "numpy",
         *,
         paged: bool = False,
         cache_blocks: Optional[int] = None,
@@ -367,7 +354,7 @@ class HistoryIndex:
             )
         if prefetch_blocks is not None:
             raise ValueError("prefetch_blocks applies to paged=True only")
-        index = cls(nprocs=reader.nprocs, generation=generation, engine=engine)
+        index = cls(nprocs=reader.nprocs, generation=generation)
         index.extend_columns(reader.read_columns())
         return index
 
@@ -637,15 +624,12 @@ class HistoryIndex:
     def window(self, t_lo: float, t_hi: float) -> list[TraceRecord]:
         """Records overlapping [t_lo, t_hi], in trace order.
 
-        The numpy engine serves this from a sorted-t0 interval index:
-        ``searchsorted`` bounds the candidates with ``t0 <= t_hi``, one
-        vectorized compare keeps those with ``t1 >= t_lo``.  The python
-        engine is the reference full scan.
+        Served from a sorted-t0 interval index: ``searchsorted`` bounds
+        the candidates with ``t0 <= t_hi``, one vectorized compare keeps
+        those with ``t1 >= t_lo``.
         """
         self._check_live()
         self._ensure_records()  # results are record objects
-        if self.engine == "python":
-            return [r for r in self._records if r.t1 >= t_lo and r.t0 <= t_hi]
         self._ensure_window_index()
         n = self._n
         if n == 0:
@@ -665,34 +649,18 @@ class HistoryIndex:
         if self._matched_upto >= n:
             self._stats.hit("matching")
             return
-        self._ensure_records()  # both kernels pair record objects
+        self._ensure_records()  # the kernel pairs record objects
         self._stats.miss("matching")
         start = time.perf_counter()
         if self._matched_upto == 0:
             self._stats.matching_builds += 1
         lo = self._matched_upto
-        if self.engine == "python":
-            self._match_suffix_python(lo, n)
-        else:
-            self._match_suffix_numpy(lo, n)
+        self._match_suffix(lo, n)
         self._matched_upto = n
         self._stats.matching_extends += n - lo
         self._stats.matching_seconds += time.perf_counter() - start
 
-    def _match_suffix_python(self, lo: int, n: int) -> None:
-        """Reference kernel: the per-record dict loop."""
-        for rec in self._records[lo:n]:
-            if rec.is_send:
-                self._open_sends[rec.message_key()] = rec
-            elif rec.is_recv:
-                send = self._open_sends.pop(rec.message_key(), None)
-                if send is None:
-                    self._unmatched_recvs.append(rec)
-                else:
-                    self._pairs.append(MessagePair(send, rec))
-                    self._send_of_recv[rec.index] = send.index
-
-    def _match_suffix_numpy(self, lo: int, n: int) -> None:
+    def _match_suffix(self, lo: int, n: int) -> None:
         """Vectorized kernel: lexsort-group the (src, dst, tag, seq) key
         columns, pair each group's send with its receive.
 
@@ -701,7 +669,8 @@ class HistoryIndex:
         incremental state is exact.  Groups with at most one send and
         one receive -- every key under MPI non-overtaking -- are paired
         by pure array ops; pathological duplicate-key groups fall back
-        to the reference slot walk per group.
+        to a per-group slot walk (the last open send with the key takes
+        the next receive).
         """
         cols = self._cols
         kind = cols["kind"][lo:n]
@@ -750,7 +719,7 @@ class HistoryIndex:
         unmatched = r_of[simple & (r_of >= 0) & ~paired].tolist()
         opened = s_of[simple & (s_of >= 0) & ~paired].tolist()
         consumed: list[int] = [s for s, _ in new_pairs if s < lo]
-        # duplicate-key groups: reference slot semantics, per group ----
+        # duplicate-key groups: slot semantics, per group ---------------
         cplx = np.nonzero(~simple)[0]
         if cplx.size:
             corder = np.lexsort((evt, gid))
@@ -840,29 +809,12 @@ class HistoryIndex:
             grown[: self._clocks.shape[0]] = self._clocks
             self._clocks = grown
         lo = self._clocked_upto
-        if self.engine == "python":
-            self._clocks_suffix_python(lo, n)
-        else:
-            self._clocks_suffix_numpy(lo, n)
+        self._clocks_suffix(lo, n)
         self._clocked_upto = n
         self._stats.clock_extends += n - lo
         self._stats.clock_seconds += time.perf_counter() - start
 
-    def _clocks_suffix_python(self, lo: int, n: int) -> None:
-        """Reference kernel: one Python iteration per record."""
-        clocks = self._clocks
-        current = self._current
-        send_of_recv = self._send_of_recv
-        for rec in self._records[lo:n]:
-            p = rec.proc
-            row = current[p]
-            row[p] += 1
-            s = send_of_recv.get(rec.index)
-            if s is not None:
-                np.maximum(row, clocks[s], out=row)
-            clocks[rec.index] = row
-
-    def _clocks_suffix_numpy(self, lo: int, n: int) -> None:
+    def _clocks_suffix(self, lo: int, n: int) -> None:
         """Vectorized kernel: Python touches only receive-join events.
 
         A process's clock changes its *own* component at every event but
@@ -877,9 +829,8 @@ class HistoryIndex:
         -- one ``B[segment_id]`` gather for the inter-join broadcasts,
         one global scatter for the own-component counters.
 
-        ``self._current`` keeps the scalar kernel's invariant between
-        catch-ups -- row p is the clock after p's last indexed event --
-        so the two engines' persistent state is interchangeable.
+        ``self._current`` carries the state between catch-ups: row p is
+        the clock after p's last indexed event.
         """
         from bisect import bisect_right
 
@@ -1068,7 +1019,6 @@ def ensure_index(
     source: "HistoryIndex | Trace | Iterable[TraceRecord]",
     nprocs: Optional[int] = None,
     index: Optional[HistoryIndex] = None,
-    engine: str = "numpy",
 ) -> HistoryIndex:
     """Coerce anything history-shaped into a shared :class:`HistoryIndex`.
 
@@ -1076,7 +1026,6 @@ def ensure_index(
     passes through; a :class:`Trace` gets an index memoized *on the
     trace object*, so repeated analyses over the same trace share one
     derivation; any other record iterable is materialized first.
-    ``engine`` applies only when a new index is built here.
     """
     if index is not None:
         return index
@@ -1087,6 +1036,6 @@ def ensure_index(
     cached = getattr(source, "_history_index", None)
     if cached is not None and not cached.stale:
         return cached
-    built = HistoryIndex.from_trace(source, engine=engine)
+    built = HistoryIndex.from_trace(source)
     bind_trace_index(source, built)
     return built

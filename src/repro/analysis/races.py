@@ -7,16 +7,15 @@
 In this runtime the only admissible nondeterminism is wildcard matching
 (``ANY_SOURCE``/``ANY_TAG``) -- single-threaded processes, as the paper
 assumes -- so a *message race* is: a wildcard receive for which some
-other send could have been delivered instead.  Two detectors:
+other send could have been delivered instead.
 
-* :func:`detect_races` -- static, from one trace + its causal order: a
-  send races with a receive if it matches the receive's posted pattern
-  and is not causally after the receive (so some schedule could deliver
-  it there).  The posted pattern is captured by the wrapper library in
-  each receive record's ``extra``.
-* :func:`explore_schedules` -- empirical: rerun the program under many
-  seeded random schedules and report how many distinct matchings occur
-  (1 means no schedule-visible race for the seeds tried).
+:func:`detect_races` finds them from one trace + its causal order: a
+send races with a receive if it matches the receive's posted pattern
+and is not causally after the receive (so some schedule could deliver
+it there).  The posted pattern is captured by the wrapper library in
+each receive record's ``extra``.  :func:`steer_to_alternative` builds
+the forcing log that replays the other side of a race, which is what
+:mod:`repro.explore` drives to search the schedule space.
 """
 
 from __future__ import annotations
@@ -82,7 +81,6 @@ def detect_races(
     order: Optional[CausalOrder] = None,
     include_tag_wildcards: bool = True,
     index: "Optional[HistoryIndex]" = None,
-    engine: Optional[str] = None,
 ) -> list[MessageRace]:
     """All wildcard receives with at least one racing alternative.
 
@@ -99,69 +97,22 @@ def detect_races(
     a precomputed ``order=``) when a caller already holds one; a bare
     trace memoizes the index so nothing is derived twice either way.
 
-    ``engine`` defaults to the index's engine.  The numpy kernel builds
-    one candidate mask over the send (dst, src, tag) columns per
-    wildcard receive and evaluates happens-before for *all* sends at
-    once against the clock matrix; the python kernel is the O(receives
-    x sends) per-pair reference.  Both report wall-clock into the
-    index's per-kernel stats (``races[<engine>]``).
+    One candidate mask over the send (dst, src, tag) columns per
+    wildcard receive; happens-before for *all* sends at once against the
+    clock matrix.  Wall-clock goes into the index's per-kernel stats
+    (``races``).
     """
-    from .history import ENGINES, ensure_index
+    from .history import ensure_index
 
     idx = ensure_index(trace, index=index)
-    eng = engine if engine is not None else idx.engine
-    if eng not in ENGINES:
-        raise ValueError(f"unknown engine {eng!r}; expected one of {ENGINES}")
     start = time.perf_counter()
     try:
-        if eng == "python":
-            races = _detect_races_python(idx, order, include_tag_wildcards)
-        else:
-            races = _detect_races_numpy(idx, order, include_tag_wildcards)
+        return _detect_races(idx, order, include_tag_wildcards)
     finally:
-        idx.record_kernel(f"races[{eng}]", time.perf_counter() - start)
-    return races
+        idx.record_kernel("races", time.perf_counter() - start)
 
 
-def _detect_races_python(
-    idx: "HistoryIndex",
-    order: Optional[CausalOrder],
-    include_tag_wildcards: bool,
-) -> list[MessageRace]:
-    """Reference kernel: per-pair ``happens_before`` calls."""
-    trace = idx.trace
-    if order is None:
-        order = idx.order
-    pairs = {p.recv.index: p.send for p in idx.message_pairs()}
-    sends = [r for r in trace if r.is_send]
-    races: list[MessageRace] = []
-    for rec in trace:
-        if not rec.is_recv or not is_wildcard_recv(rec):
-            continue
-        psrc, ptag = _posted_pattern(rec)
-        if psrc != ANY_SOURCE and not include_tag_wildcards:
-            continue
-        matched = pairs.get(rec.index)
-        if matched is None:
-            continue
-        alternatives = []
-        for s2 in sends:
-            if s2.index == matched.index or s2.dst != rec.proc:
-                continue
-            if psrc not in (ANY_SOURCE, s2.src):
-                continue
-            if ptag not in (ANY_TAG, s2.tag):
-                continue
-            if not order.happens_before(rec.index, s2.index):
-                alternatives.append(s2)
-        if alternatives:
-            races.append(
-                MessageRace(recv=rec, matched_send=matched, alternatives=alternatives)
-            )
-    return races
-
-
-def _detect_races_numpy(
+def _detect_races(
     idx: "HistoryIndex",
     order: Optional[CausalOrder],
     include_tag_wildcards: bool,
@@ -338,33 +289,3 @@ def matching_fingerprint(comm_log, markers=None) -> tuple:
         fp = fp + (("markers",) + tuple(sorted(markers.items())),)
     return fp
 
-
-def explore_schedules(
-    program,
-    nprocs: int,
-    seeds=range(8),
-    *,
-    backend=None,
-    policy: str = "random",
-) -> dict[tuple, int]:
-    """Run under several random schedules; map matching fingerprints to
-    occurrence counts.  More than one key = schedule-sensitive matching
-    (an observed race).
-
-    ``backend`` / ``policy`` pass through to the runtime, so the sweep
-    can run on the fast deterministic engines (``backend="simtime"``);
-    the runtime is shut down even when a schedule crashes or deadlocks,
-    so no execution threads outlive a failed sweep.
-    """
-    from repro.mp.runtime import Runtime
-
-    seen: dict[tuple, int] = {}
-    for seed in seeds:
-        rt = Runtime(nprocs, backend=backend, policy=policy, seed=seed)
-        try:
-            rt.run(program)
-            fp = matching_fingerprint(rt.comm_log)
-        finally:
-            rt.shutdown()
-        seen[fp] = seen.get(fp, 0) + 1
-    return seen

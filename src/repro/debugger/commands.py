@@ -29,7 +29,7 @@ Commands::
     critical                critical-path analysis of the trace
     races                   wildcard message races in the trace
     stats                   history-index build/extend counters and
-                            per-kernel engine timings
+                            per-kernel timings
     save-trace <file>       write the history to a trace file
     export-svg <file>       render the time-space diagram as SVG
     help                    this text

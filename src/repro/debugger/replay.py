@@ -47,9 +47,9 @@ class ReplaySpec:
     nprocs: int
     policy: str = "run_to_block"
     seed: int = 0
-    #: execution backend name (``None`` -> environment default); must be
-    #: a cooperative backend, since replay drives the debugger surface
-    backend: Optional[str] = None
+    #: execution backend name; must be cooperative, since replay drives
+    #: the debugger surface
+    backend: str = "simtime"
     cost_model: Optional[CostModel] = None
     #: functions / modules to instrument with uinst (function entries)
     uinst_functions: Sequence[Callable] = ()

@@ -82,7 +82,7 @@ class DebugSession:
         *,
         policy: str = "run_to_block",
         seed: int = 0,
-        backend: Optional[str] = None,
+        backend: str = "simtime",
         cost_model: Optional[CostModel] = None,
         uinst_functions: Sequence[Callable] = (),
         uinst_modules: Sequence[Any] = (),

@@ -2,7 +2,7 @@
 
 Examples::
 
-    # certify the safe demo app (exit 0)
+    # explore the safe demo app: a qualified clean verdict (exit 0)
     python -m repro.explore --app schedbug:safe --nprocs 5
 
     # hunt the seeded ordering bug (exit 1, prints the forcing log)
@@ -77,11 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="pool size for --batch mproc (default: 4)")
     parser.add_argument("--policy", default="run_to_block")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--backend", default=None,
-                        help="base-run engine (cooperative; default: env)")
-    parser.add_argument("--replay-backend", default=None,
-                        help="steered-replay engine (default: base engine "
-                        "under serial, simtime under mproc)")
     parser.add_argument("--no-tag-wildcards", action="store_true",
                         help="only steer ANY_SOURCE races")
     parser.add_argument("--json", type=Path, default=None, metavar="PATH",
@@ -103,8 +98,6 @@ def main(argv=None) -> int:
         workers=args.workers,
         policy=args.policy,
         seed=args.seed,
-        backend=args.backend,
-        replay_backend=args.replay_backend,
         include_tag_wildcards=not args.no_tag_wildcards,
         program_name=name,
     )

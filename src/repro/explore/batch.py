@@ -4,21 +4,20 @@ The driver hands both the same JSON-able job dicts; they differ only in
 *where* :func:`~repro.explore.context.run_schedule_job` runs:
 
 * :class:`SerialReplayExecutor` -- in the calling process, one job at a
-  time, on the context's configured (debugger-grade) replay engine.
+  time.
 * :class:`MprocReplayExecutor` -- a persistent pool of ``fork``-ed
   worker processes (the same start method and queue transport as the
   ``mproc`` execution backend).  Workers inherit the program, base
   trace, and context at fork time, so only forcing logs and outcome
-  summaries cross the queues.  Each worker replays on the lean
-  ``simtime`` engine by default -- the batch path exists for
-  throughput -- and multiple replays overlap across OS processes.
+  summaries cross the queues, and multiple replays overlap across OS
+  processes.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import queue as queue_mod
-from typing import Any, Optional
+from typing import Any
 
 from repro.mp.errors import MPError
 
@@ -75,6 +74,8 @@ def _pool_worker(
                 "events": 0,
                 "wall": 0.0,
                 "candidates": [],
+                "unsteerable": 0,
+                "truncated": 0,
             }
         result_q.put(result)
 
@@ -89,7 +90,6 @@ class MprocReplayExecutor:
         ctx: ExploreContext,
         base: TracedRun,
         workers: int = 4,
-        replay_backend: Optional[str] = "simtime",
     ) -> None:
         if workers < 1:
             raise ValueError(f"need >= 1 worker, got {workers}")
@@ -100,7 +100,7 @@ class MprocReplayExecutor:
                 "the mproc replay executor requires the 'fork' start "
                 "method (unavailable on this platform); use batch='serial'"
             ) from None
-        self.ctx = ctx.with_backend(replay_backend)
+        self.ctx = ctx
         self.base = base
         self.workers = workers
         self.wave_size = 2 * workers
@@ -177,13 +177,10 @@ def make_executor(
     ctx: ExploreContext,
     base: TracedRun,
     workers: int = 4,
-    replay_backend: Optional[str] = None,
 ):
     """Executor factory: ``batch`` is ``"serial"`` or ``"mproc"``."""
     if batch == "serial":
-        return SerialReplayExecutor(ctx.with_backend(replay_backend), base)
+        return SerialReplayExecutor(ctx, base)
     if batch == "mproc":
-        return MprocReplayExecutor(
-            ctx, base, workers=workers, replay_backend=replay_backend or "simtime"
-        )
+        return MprocReplayExecutor(ctx, base, workers=workers)
     raise ValueError(f"unknown batch mode {batch!r}; expected 'serial' or 'mproc'")

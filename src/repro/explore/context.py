@@ -12,7 +12,7 @@ candidates out), never traces.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.analysis.history import ensure_index
@@ -45,16 +45,13 @@ class ExploreContext:
     nprocs: int
     policy: str = "run_to_block"
     seed: int = 0
-    #: replay engine; must be cooperative (wrappers record the trace)
-    backend: Optional[str] = None
+    #: execution backend; must be cooperative (wrappers record the trace)
+    backend: str = "simtime"
     include_tag_wildcards: bool = True
     #: cap on alternatives steered per race point (None = all)
     max_alternatives: Optional[int] = None
     rtol: float = 1e-9
     atol: float = 1e-12
-
-    def with_backend(self, backend: Optional[str]) -> "ExploreContext":
-        return replace(self, backend=backend) if backend else self
 
 
 @dataclass
@@ -128,7 +125,20 @@ def run_base(ctx: ExploreContext) -> TracedRun:
 # ----------------------------------------------------------------------
 # candidate generation
 # ----------------------------------------------------------------------
-def schedule_candidates(run: TracedRun, ctx: ExploreContext) -> list[dict]:
+class Candidates(list):
+    """Candidate dicts, plus counts of the alternatives left out.
+
+    ``unsteerable`` counts alternatives whose steer raised
+    :class:`~repro.analysis.races.UnsteerableAlternativeError`;
+    ``truncated`` counts those cut by ``max_alternatives``.  Either one
+    nonzero means the explored space is smaller than the race space.
+    """
+
+    unsteerable = 0
+    truncated = 0
+
+
+def schedule_candidates(run: TracedRun, ctx: ExploreContext) -> Candidates:
     """All steered forcing logs one run's races admit, as JSON-able
     candidate dicts ``{fingerprint, log, steer}``.
 
@@ -144,10 +154,11 @@ def schedule_candidates(run: TracedRun, ctx: ExploreContext) -> list[dict]:
         index=idx,
         include_tag_wildcards=ctx.include_tag_wildcards,
     )
-    candidates: list[dict] = []
+    candidates = Candidates()
     for race in races:
         alternatives = race.alternatives
         if ctx.max_alternatives is not None:
+            candidates.truncated += max(0, len(alternatives) - ctx.max_alternatives)
             alternatives = alternatives[: ctx.max_alternatives]
         for alt in alternatives:
             try:
@@ -158,6 +169,7 @@ def schedule_candidates(run: TracedRun, ctx: ExploreContext) -> list[dict]:
                 # Consumed by a forced-prefix receive: reaching that
                 # matching needs a multi-receive exchange, outside the
                 # single-steer space this driver enumerates.
+                candidates.unsteerable += 1
                 continue
             fp = matching_fingerprint(
                 steered, markers={race.recv.proc: race.recv.marker}
@@ -200,7 +212,7 @@ def run_schedule_job(ctx: ExploreContext, base: TracedRun, job: dict) -> dict:
     the classification, divergence locations vs the base trace, the
     realized full-matching fingerprint (for convergence dedup), and --
     when ``expand`` -- the next depth's candidates derived from the
-    replayed trace.
+    replayed trace, with the counts of alternatives they left out.
     """
     t0 = time.perf_counter()
     steered = CommLog.from_jsonable(job["log"])
@@ -209,7 +221,7 @@ def run_schedule_job(ctx: ExploreContext, base: TracedRun, job: dict) -> dict:
     divergences: list[dict] = []
     if status is not ScheduleStatus.CLEAN:
         divergences = first_divergence_locations(diff_traces(base.trace, run.trace))
-    candidates: list[dict] = []
+    candidates = Candidates()
     if job.get("expand") and status in (
         ScheduleStatus.CLEAN,
         ScheduleStatus.DIVERGENT,
@@ -228,5 +240,7 @@ def run_schedule_job(ctx: ExploreContext, base: TracedRun, job: dict) -> dict:
         "blocked": run.blocked,
         "events": len(run.trace),
         "wall": time.perf_counter() - t0,
-        "candidates": candidates,
+        "candidates": list(candidates),
+        "unsteerable": candidates.unsteerable,
+        "truncated": candidates.truncated,
     }

@@ -50,8 +50,7 @@ def explore(
     workers: int = 4,
     policy: str = "run_to_block",
     seed: int = 0,
-    backend: Optional[str] = None,
-    replay_backend: Optional[str] = None,
+    backend: str = "simtime",
     include_tag_wildcards: bool = True,
     max_alternatives: Optional[int] = None,
     rtol: float = 1e-9,
@@ -71,11 +70,13 @@ def explore(
     batch, workers:
         ``"serial"`` replays in-process; ``"mproc"`` fans replays out
         over ``workers`` forked processes.
-    backend / replay_backend:
-        Engine for the base run / for the steered replays.  Both must
-        be cooperative (the trace wrappers need in-process execution).
-        ``replay_backend=None`` keeps the base engine under ``serial``
-        and selects ``"simtime"`` under ``"mproc"``.
+    backend:
+        Execution backend for the base run and every replay; it must be
+        cooperative (the trace wrappers need in-process execution).
+    max_alternatives:
+        Cap on alternatives steered per race point.  Cut alternatives
+        are counted in the report's ``truncated``; alternatives that
+        cannot be steered by one forced receive in ``unsteerable``.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -104,6 +105,8 @@ def explore(
         batch=batch,
         races_at_root=len({c["race_key"] for c in root}),
         base_events=len(base.trace),
+        unsteerable=root.unsteerable,
+        truncated=root.truncated,
     )
 
     #: forced-prefix fingerprints already scheduled (pre-replay dedup)
@@ -116,9 +119,7 @@ def explore(
     stack: list[tuple[dict, int]] = [(c, 1) for c in reversed(root)]
     next_id = 0
 
-    with make_executor(
-        batch, ctx, base, workers=workers, replay_backend=replay_backend
-    ) as executor:
+    with make_executor(batch, ctx, base, workers=workers) as executor:
         while stack and next_id < max_schedules:
             wave_budget = min(executor.wave_size, max_schedules - next_id)
             wave: list[tuple[dict, int]] = []
@@ -159,6 +160,8 @@ def explore(
                         wall=result["wall"],
                     )
                 )
+                report.unsteerable += result["unsteerable"]
+                report.truncated += result["truncated"]
                 for child in reversed(result["candidates"]):
                     if child["fingerprint"] in visited:
                         report.deduped += 1

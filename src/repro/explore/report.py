@@ -126,6 +126,10 @@ class ExplorationReport:
     converged: int = 0
     #: candidates left unexplored when the schedule budget ran out
     pending: int = 0
+    #: alternatives dropped because one forced receive cannot reach them
+    unsteerable: int = 0
+    #: alternatives dropped by the ``max_alternatives`` cap
+    truncated: int = 0
     wall: float = 0.0
     base_events: int = 0
 
@@ -172,6 +176,8 @@ class ExplorationReport:
             f"  races at root: {self.races_at_root}; prefix-deduped: "
             f"{self.deduped}; converged replays: {self.converged}; "
             f"pending (budget): {self.pending}",
+            f"  alternatives not explored: {self.unsteerable} unsteerable, "
+            f"{self.truncated} truncated (max_alternatives)",
             f"  wall: {self.wall:.2f}s ({self.schedules_per_sec:.1f} "
             "schedules/sec)",
         ]
@@ -180,6 +186,12 @@ class ExplorationReport:
                 "  verdict: no schedule-dependent behaviour found -- the "
                 "program looks schedule-insensitive over the explored space"
             )
+            if self.unsteerable or self.truncated:
+                lines.append(
+                    f"  (qualified: {self.unsteerable + self.truncated} "
+                    "alternative(s) of the detected races were not "
+                    "explored, so this does not cover every matching)"
+                )
         else:
             lines.append("  verdict: SCHEDULE-SENSITIVE")
             shown = self.bad_schedules() if verbose else [self.worst()]
@@ -201,6 +213,8 @@ class ExplorationReport:
             "deduped": self.deduped,
             "converged": self.converged,
             "pending": self.pending,
+            "unsteerable": self.unsteerable,
+            "truncated": self.truncated,
             "wall": self.wall,
             "schedules_per_sec": self.schedules_per_sec,
             "base_events": self.base_events,

@@ -3,9 +3,9 @@
 A deterministic, single-machine stand-in for the MPI/PVM layer the paper
 runs on (see DESIGN.md, "Substitutions").  Public surface:
 
-* :class:`Runtime` / :func:`run_program` / :func:`create_runtime` --
-  build and execute programs on a named execution backend
-  (``threaded`` / ``simtime`` / ``mproc``; see :mod:`repro.mp.backends`);
+* :class:`Runtime` / :func:`run_program` -- build and execute programs
+  on the deterministic ``simtime`` engine (default) or the forked
+  ``mproc`` workers (see :mod:`repro.mp.backends`);
 * :class:`Comm` -- the per-rank communicator (mpi4py-flavoured API);
 * wildcards and constants (:data:`ANY_SOURCE`, :data:`ANY_TAG`, ...);
 * :class:`CostModel` -- virtual-time tuning;
@@ -14,16 +14,11 @@ runs on (see DESIGN.md, "Substitutions").  Public surface:
 """
 
 from .backends import (
-    BACKEND_ENV_VAR,
-    CooperativeBackend,
     ExecutionBackend,
     MprocBackend,
     SimtimeBackend,
-    ThreadedBackend,
     available_backends,
-    default_backend,
     make_backend,
-    register_backend,
 )
 from .channel import Mailbox, PendingRecv
 from .clock import CostModel, VirtualClock
@@ -52,14 +47,13 @@ from .pmpi import INTERPOSABLE_OPS, PMPILayer
 from .process import ProcState, Process, StopReason, WaitInfo, WaitKind
 from .record import CommLog
 from .requests import RecvRequest, Request, SendRequest
-from .runtime import ProgramSpec, Runtime, Target, create_runtime, run_program
+from .runtime import ProgramSpec, Runtime, Target, run_program
 from .scheduler import (
     RandomPolicy,
     RoundRobinPolicy,
     RunOutcome,
     RunReport,
     RunToBlockPolicy,
-    Scheduler,
     SchedulingPolicy,
     VirtualTimePolicy,
     make_policy,
@@ -69,16 +63,13 @@ from .status import Status
 __all__ = [
     "ANY_SOURCE",
     "ANY_TAG",
-    "BACKEND_ENV_VAR",
     "PROC_NULL",
     "TAG_UB",
     "CollectiveTag",
     "Comm",
-    "CooperativeBackend",
     "ExecutionBackend",
     "MprocBackend",
     "SimtimeBackend",
-    "ThreadedBackend",
     "CommLog",
     "CostModel",
     "DeadlockError",
@@ -106,7 +97,6 @@ __all__ = [
     "RunReport",
     "RunToBlockPolicy",
     "Runtime",
-    "Scheduler",
     "SchedulingPolicy",
     "SendMode",
     "SendRequest",
@@ -120,11 +110,8 @@ __all__ = [
     "WaitInfo",
     "WaitKind",
     "available_backends",
-    "create_runtime",
-    "default_backend",
     "make_backend",
     "make_policy",
     "payload_size",
-    "register_backend",
     "run_program",
 ]

@@ -1,76 +1,44 @@
-"""Execution backends and the named-backend registry.
+"""Execution backends, selected by name.
 
-Backends are selected by name, chainermn-``create_communicator`` style::
+::
 
-    from repro.mp import Runtime, create_runtime
+    from repro.mp import Runtime
 
-    rt = Runtime(8, backend="simtime")
-    rt = create_runtime("simtime", 8, policy="random", seed=3)
+    rt = Runtime(8)                      # simtime, the default
+    rt = Runtime(8, backend="mproc")
 
-Built-in backends:
-
-``threaded``
-    One OS thread per rank, cooperative token scheduling (the reference
-    model; default).
 ``simtime``
-    Same deterministic engine with lazy carriers and O(1) handoffs --
-    the cheap way to 1000+-rank traces.
+    The deterministic cooperative engine: one rank runs at a time, lazy
+    carriers and O(1) handoffs.  Full capability set (debugger,
+    wrappers, replay); the only backend the debugger and the explorer
+    drive.
 ``mproc``
     One forked worker process per rank -- true parallelism, reduced
     capability set (no debugger surface, no determinism).
-
-The default comes from the ``REPRO_BACKEND`` environment variable so an
-entire test/benchmark run can be switched without touching call sites.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from ..errors import MPError
 from .base import ExecutionBackend
-from .engine import CooperativeBackend
 from .mproc import MprocBackend
 from .simtime import SimtimeBackend
-from .threaded import ThreadedBackend
 
 #: value accepted wherever a backend is selected
 BackendSpec = Union[str, ExecutionBackend]
 
-_REGISTRY: dict[str, Callable[..., ExecutionBackend]] = {}
-
-#: convenience spellings -> canonical names
-_ALIASES = {
-    "thread": "threaded",
-    "threads": "threaded",
-    "sim": "simtime",
-    "simulated": "simtime",
-    "mp": "mproc",
-    "multiprocessing": "mproc",
-}
-
-#: environment variable naming the default backend
-BACKEND_ENV_VAR = "REPRO_BACKEND"
-
-
-def register_backend(name: str, factory: Callable[..., ExecutionBackend]) -> None:
-    """Register a backend factory under ``name`` (extension point)."""
-    _REGISTRY[name] = factory
+_BACKENDS = {"simtime": SimtimeBackend, "mproc": MprocBackend}
 
 
 def available_backends() -> list[str]:
-    """Canonical names of all registered backends, sorted."""
-    return sorted(_REGISTRY)
-
-
-def default_backend() -> str:
-    """The session-wide default: ``$REPRO_BACKEND``, else ``threaded``."""
-    return os.environ.get(BACKEND_ENV_VAR, "threaded")
+    """Names of the built-in backends, sorted."""
+    return sorted(_BACKENDS)
 
 
 def make_backend(
-    spec: Optional[BackendSpec] = None,
+    spec: BackendSpec = "simtime",
     *,
     policy: object = "run_to_block",
     seed: int = 0,
@@ -78,16 +46,13 @@ def make_backend(
 ) -> ExecutionBackend:
     """Resolve a backend name (or pass an instance through).
 
-    ``None`` means "the session default" (:func:`default_backend`).
     Unknown names raise :class:`~repro.mp.errors.MPError` listing the
-    registered backends.
+    available backends.
     """
     if isinstance(spec, ExecutionBackend):
         return spec
-    name = default_backend() if spec is None else spec
-    name = _ALIASES.get(name, name)
     try:
-        factory = _REGISTRY[name]
+        factory = _BACKENDS[spec]
     except KeyError:
         raise MPError(
             f"unknown execution backend {spec!r}; "
@@ -96,21 +61,11 @@ def make_backend(
     return factory(policy=policy, seed=seed, max_grants=max_grants)
 
 
-register_backend("threaded", ThreadedBackend)
-register_backend("simtime", SimtimeBackend)
-register_backend("mproc", MprocBackend)
-
-
 __all__ = [
     "ExecutionBackend",
-    "CooperativeBackend",
-    "ThreadedBackend",
     "SimtimeBackend",
     "MprocBackend",
     "BackendSpec",
-    "BACKEND_ENV_VAR",
-    "register_backend",
     "available_backends",
-    "default_backend",
     "make_backend",
 ]

@@ -6,8 +6,8 @@ The runtime layer is split in two (DESIGN.md, "Execution backends"):
   replay forcing, marker thresholds, and the debugger control surface.
   This lives in :class:`~repro.mp.runtime.Runtime` and is identical no
   matter how ranks execute.
-* **backend-owned execution** -- how rank code actually runs (OS threads,
-  a simulated-time engine, real worker processes), who holds the
+* **backend-owned execution** -- how rank code actually runs (a
+  simulated-time engine, real worker processes), who holds the
   execution token, how a blocked rank is suspended and resumed, and how
   ``current_proc`` attribution works.
 
@@ -22,8 +22,8 @@ thresholds, interrupts, single-step) needs cooperative in-process
 execution, which the ``mproc`` backend deliberately trades away for real
 parallelism.
 
-Backends are selected by name through the registry in
-:mod:`repro.mp.backends` (``Runtime(nprocs, backend="simtime")``).
+Backends are selected by name in :mod:`repro.mp.backends`
+(``Runtime(nprocs, backend="mproc")``; the default is ``simtime``).
 """
 
 from __future__ import annotations
@@ -142,8 +142,8 @@ class ExecutionBackend(ABC):
     # ------------------------------------------------------------------
     def _debugger_unsupported(self, what: str) -> "MPError":
         return MPError(
-            f"{what} requires a cooperative execution backend "
-            f"(threaded/simtime); backend {self.name!r} does not support "
+            f"{what} requires the cooperative simtime backend; "
+            f"backend {self.name!r} does not support "
             "the debugger control surface"
         )
 

@@ -32,7 +32,7 @@ from .datatypes import SourceLocation
 from .errors import ProcessKilled
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .backends.engine import CooperativeBackend
+    from .backends.simtime import SimtimeBackend
     from .comm import Comm
 
 
@@ -131,7 +131,7 @@ class Process:
     """One rank: clock, marker counter, and stop control.
 
     The execution backend (``self.scheduler``, a
-    :class:`~repro.mp.backends.engine.CooperativeBackend`) drives the
+    :class:`~repro.mp.backends.simtime.SimtimeBackend`) drives the
     process through :meth:`run_target` and the grant handshakes.  User
     code never sees this class directly -- it receives a
     :class:`~repro.mp.comm.Comm` bound to it.
@@ -140,7 +140,7 @@ class Process:
     def __init__(
         self,
         rank: int,
-        scheduler: "CooperativeBackend",
+        scheduler: "SimtimeBackend",
         target: Callable[["Comm"], Any],
         name: Optional[str] = None,
     ) -> None:

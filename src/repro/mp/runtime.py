@@ -14,9 +14,9 @@ debugger (:mod:`repro.debugger`) drives:
 
 The runtime owns the *backend-neutral protocol* (mailboxes, matching,
 sequence numbers, the CommLog, replay forcing); *how ranks execute* is
-delegated to a pluggable :class:`~repro.mp.backends.ExecutionBackend`
-selected by name -- ``Runtime(n, backend="simtime")`` -- with the
-default taken from the ``REPRO_BACKEND`` environment variable.  See
+delegated to an :class:`~repro.mp.backends.ExecutionBackend` selected
+by name: the deterministic ``simtime`` engine (the default) or the
+forked ``mproc`` workers -- ``Runtime(n, backend="mproc")``.  See
 DESIGN.md, "Execution backends".
 """
 
@@ -49,10 +49,8 @@ class Runtime:
     nprocs:
         Number of ranks.
     backend:
-        Execution backend -- a registered name (``"threaded"``,
-        ``"simtime"``, ``"mproc"``), an :class:`ExecutionBackend`
-        instance, or None for the session default
-        (``$REPRO_BACKEND``, else ``"threaded"``).
+        Execution backend -- ``"simtime"`` (default) or ``"mproc"``, or
+        an :class:`ExecutionBackend` instance.
     policy, seed:
         Scheduling policy name/instance and seed (see
         :mod:`repro.mp.scheduler`).  Everything downstream -- traces,
@@ -72,7 +70,7 @@ class Runtime:
         self,
         nprocs: int,
         *,
-        backend: Optional[BackendSpec] = None,
+        backend: BackendSpec = "simtime",
         policy: "str | SchedulingPolicy" = "run_to_block",
         seed: int = 0,
         cost_model: Optional[CostModel] = None,
@@ -380,37 +378,11 @@ class Runtime:
         return None
 
 
-def create_runtime(
-    backend: Optional[BackendSpec],
-    nprocs: int,
-    *,
-    policy: "str | SchedulingPolicy" = "run_to_block",
-    seed: int = 0,
-    cost_model: Optional[CostModel] = None,
-    replay_log: Optional[CommLog] = None,
-    max_grants: Optional[int] = None,
-) -> Runtime:
-    """Named-backend factory: ``create_runtime("simtime", 1024)``.
-
-    Equivalent to ``Runtime(nprocs, backend=backend, ...)`` with the
-    backend name up front; ``None`` selects the session default.
-    """
-    return Runtime(
-        nprocs,
-        backend=backend,
-        policy=policy,
-        seed=seed,
-        cost_model=cost_model,
-        replay_log=replay_log,
-        max_grants=max_grants,
-    )
-
-
 def run_program(
     program: ProgramSpec,
     nprocs: int,
     *,
-    backend: Optional[BackendSpec] = None,
+    backend: BackendSpec = "simtime",
     policy: "str | SchedulingPolicy" = "run_to_block",
     seed: int = 0,
     cost_model: Optional[CostModel] = None,
@@ -438,7 +410,6 @@ def run_program(
 
 __all__ = [
     "Runtime",
-    "create_runtime",
     "run_program",
     "ProgramSpec",
     "Target",

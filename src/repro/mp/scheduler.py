@@ -1,8 +1,8 @@
 """Scheduling policies and run-outcome reporting.
 
 At most one simulated process executes at any instant under the
-cooperative backends; the engine
-(:class:`~repro.mp.backends.engine.CooperativeBackend`) grants an
+cooperative engine (:class:`~repro.mp.backends.simtime.SimtimeBackend`),
+which grants an
 execution *token* to one READY process, waits for it to yield (block,
 stop, finish, or volunteer preemption), and picks the next.  All
 interleaving decisions flow through a pluggable
@@ -13,9 +13,7 @@ sufficient for p2d2 to perform a replay").
 
 This module owns the *decisions* (policies) and the *verdicts*
 (:class:`RunOutcome` / :class:`RunReport`); the token machinery itself
-lives in :mod:`repro.mp.backends`.  The historical ``Scheduler`` name
-still resolves -- to the threaded backend, which is the same engine the
-old class implemented.
+lives in :mod:`repro.mp.backends`.
 """
 
 from __future__ import annotations
@@ -191,12 +189,3 @@ def make_policy(spec: "str | SchedulingPolicy", seed: int = 0) -> SchedulingPoli
         return factory(seed)
     return factory()
 
-
-def __getattr__(name: str):
-    # Historical alias: the pre-backend Scheduler class was the threaded
-    # engine; keep the name importable for downstream code.
-    if name == "Scheduler":
-        from .backends.threaded import ThreadedBackend
-
-        return ThreadedBackend
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,7 +9,6 @@ from repro.analysis import (
     analyze_matching,
     build_wait_graph,
     detect_races,
-    explore_schedules,
     find_cycles,
     find_intertwined,
     matching_fingerprint,
@@ -17,6 +16,7 @@ from repro.analysis import (
 )
 from repro.apps import master_worker_program
 from repro.apps import strassen as st
+from repro.explore import explore
 from repro.instrument import WrapperLibrary
 from repro.trace import TraceRecorder
 from tests.conftest import traced_run
@@ -171,18 +171,21 @@ class TestRaceDetection:
         _, tr = traced_run(prog, 3)
         assert detect_races(tr) == []
 
-    def test_explore_schedules_sees_alternative_matchings(self):
-        """Under random schedules, the master/worker matching varies."""
-        outcomes = explore_schedules(
-            master_worker_program(n_tasks=8), 4, seeds=range(10)
-        )
-        assert sum(outcomes.values()) == 10
-        assert len(outcomes) >= 2  # at least two distinct matchings seen
+    def test_explore_sees_alternative_matchings(self):
+        """Steered replays realize master/worker matchings the base run
+        did not: more than one matching in total."""
+        report = explore(master_worker_program(n_tasks=8), 4, depth=1)
+        assert report.races_at_root > 0
+        # every reported outcome realized a matching distinct from the
+        # base run's and from each other's (converged replays are folded)
+        assert report.explored >= 1
 
-    def test_explore_schedules_deterministic_program(self):
+    def test_explore_deterministic_program(self):
         cfg = st.StrassenConfig(n=8, nprocs=4)
-        outcomes = explore_schedules(st.strassen_program(cfg), 4, seeds=range(5))
-        assert len(outcomes) == 1
+        report = explore(st.strassen_program(cfg), 4, depth=1)
+        assert report.races_at_root == 0
+        assert report.explored == 0
+        assert not report.schedule_sensitive
 
     def test_fingerprint_stability(self):
         rt = mp.Runtime(4)

@@ -253,19 +253,6 @@ def test_column_store_mirrors_records(ring_trace):
     assert cols["seq"].tolist() == [r.seq for r in ring_trace]
 
 
-def test_engine_validation_and_selection(ring_trace):
-    with pytest.raises(ValueError, match="engine"):
-        HistoryIndex(nprocs=2, engine="fortran")
-    py = HistoryIndex.from_trace(ring_trace, engine="python")
-    vec = HistoryIndex.from_trace(ring_trace, engine="numpy")
-    assert py.stats().engine == "python"
-    assert vec.stats().engine == "numpy"
-    np.testing.assert_array_equal(py.clocks, vec.clocks)
-    assert [r.index for r in py.unmatched_sends()] == [
-        r.index for r in vec.unmatched_sends()
-    ]
-
-
 def test_window_index_is_incremental(ring_trace):
     index = HistoryIndex(nprocs=ring_trace.nprocs)
     half = len(ring_trace) // 2
@@ -290,7 +277,6 @@ def test_kernel_stats_surfaced(ring_trace):
     detect_races(ring_trace, index=index)
     critical_path(ring_trace, index=index)
     stats = index.stats()
-    assert stats.kernel_calls.get("races[numpy]") == 1
-    assert stats.kernel_calls.get("critical_path[numpy]") == 1
+    assert stats.kernel_calls == {"races": 1, "critical_path": 1}
     text = stats.as_text()
-    assert "races[numpy]" in text and "engine=numpy" in text
+    assert "kernel races" in text and "kernel critical_path" in text

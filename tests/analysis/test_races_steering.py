@@ -1,9 +1,9 @@
-"""Race-engine parity, steering edge cases, and sweep hygiene.
+"""Race-kernel parity, steering edge cases, and exploration hygiene.
 
-Regression tests for the explorer-adjacent bugfixes: python/numpy race
-kernel agreement on tag-only wildcards, the forcing-log misalignment
-check, unsteerable alternatives, the marker-extended fingerprint, and
-``explore_schedules`` backend pass-through / crash-path shutdown.
+Regression tests for the explorer-adjacent bugfixes: race-kernel
+agreement with the scalar oracle on tag-only wildcards, the forcing-log
+misalignment check, unsteerable alternatives, the marker-extended
+fingerprint, and crash-path shutdown of an exploration.
 """
 
 from __future__ import annotations
@@ -14,10 +14,12 @@ import time
 import pytest
 
 from repro import mp
-from repro.analysis import detect_races, explore_schedules, matching_fingerprint
+from repro.analysis import detect_races, matching_fingerprint
 from repro.analysis.races import UnsteerableAlternativeError, steer_to_alternative
 from repro.apps import master_worker_program
+from repro.explore import BaseRunFailed, explore
 from repro.mp.datatypes import ANY_SOURCE, ANY_TAG
+from tests import oracles
 from tests.conftest import traced_run
 
 
@@ -44,7 +46,7 @@ def two_source_program(comm):
 
 
 def race_shape(races):
-    """Engine-comparable summary: (recv, matched, sorted alternatives)."""
+    """Comparable summary: (recv, matched, sorted alternatives)."""
     return [
         (
             r.recv.index,
@@ -55,29 +57,36 @@ def race_shape(races):
     ]
 
 
-class TestEngineParity:
+def oracle_races(tr, include_tag):
+    records = list(tr)
+    sor = oracles.match(records).send_of_recv
+    return oracles.detect_races(
+        records, sor, oracles.clocks(records, tr.nprocs, sor),
+        include_tag_wildcards=include_tag,
+    )
+
+
+class TestOracleParity:
     @pytest.mark.parametrize("include_tag", [True, False])
     def test_tag_only_wildcards(self, include_tag):
         _, tr = traced_run(tag_wildcard_program, 2)
-        py = detect_races(tr, engine="python", include_tag_wildcards=include_tag)
-        np_ = detect_races(tr, engine="numpy", include_tag_wildcards=include_tag)
-        assert race_shape(py) == race_shape(np_)
+        races = detect_races(tr, include_tag_wildcards=include_tag)
+        assert race_shape(races) == race_shape(oracle_races(tr, include_tag))
         if include_tag:
             # Both ANY_TAG receives race: the other tag's send is causally
             # concurrent with each receive.
-            assert len(py) == 2
+            assert len(races) == 2
         else:
             # posted_src is concrete, so excluding tag wildcards must
-            # drop these races entirely -- in BOTH engines.
-            assert py == []
+            # drop these races entirely.
+            assert races == []
 
     @pytest.mark.parametrize("include_tag", [True, False])
     def test_master_worker(self, include_tag):
         _, tr = traced_run(master_worker_program(n_tasks=8), 4)
-        py = detect_races(tr, engine="python", include_tag_wildcards=include_tag)
-        np_ = detect_races(tr, engine="numpy", include_tag_wildcards=include_tag)
-        assert race_shape(py) == race_shape(np_)
-        assert py, "the wildcard master always races"
+        races = detect_races(tr, include_tag_wildcards=include_tag)
+        assert race_shape(races) == race_shape(oracle_races(tr, include_tag))
+        assert races, "the wildcard master always races"
 
 
 class TestSteering:
@@ -133,18 +142,10 @@ class TestSteering:
         assert matching_fingerprint(rt.comm_log, markers={}) == plain
 
 
-class TestExploreSchedules:
-    def test_backend_pass_through(self):
-        outcomes = explore_schedules(
-            master_worker_program(n_tasks=8),
-            4,
-            seeds=range(4),
-            backend="simtime",
-        )
-        assert sum(outcomes.values()) == 4
-
-    def test_crash_still_shuts_down(self):
-        """A schedule that raises must not leak execution threads."""
+class TestExploreHygiene:
+    def test_crashing_base_run_raises_and_shuts_down(self):
+        """A base run that raises is reported as BaseRunFailed and must
+        not leak execution threads."""
 
         def bad(comm):
             if comm.rank == 1:
@@ -152,8 +153,8 @@ class TestExploreSchedules:
             comm.recv(source=1)
 
         before = threading.active_count()
-        with pytest.raises(RuntimeError, match="boom"):
-            explore_schedules(bad, 2, seeds=range(2))
+        with pytest.raises(BaseRunFailed, match="boom"):
+            explore(bad, 2)
         deadline = time.time() + 5.0
         while threading.active_count() > before and time.time() < deadline:
             time.sleep(0.01)

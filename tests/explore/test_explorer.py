@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.apps import reference_result, schedbug_program
+from repro.apps import master_worker_program, reference_result, schedbug_program
 from repro.explore import (
     BaseRunFailed,
     ExploreContext,
@@ -24,6 +24,8 @@ from repro.explore import (
     schedule_candidates,
 )
 from repro.explore.__main__ import main, resolve_app
+from repro.mp.datatypes import ANY_SOURCE
+from tests.analysis.test_races_steering import two_source_program
 
 NPROCS = 4
 N_TASKS = 6
@@ -159,6 +161,62 @@ class TestDriverMechanics:
         assert parsed["schedule_sensitive"] is True
         assert parsed["explored"] == report.explored
         assert parsed["outcomes"][0]["forcing_log"]["recv_matches"]
+
+
+class TestCertificate:
+    """Alternatives the explorer leaves out are counted and qualify the
+    clean verdict instead of vanishing."""
+
+    def test_unsteerable_alternatives_counted(self):
+        # The second ANY_SOURCE receive's alternative is the message the
+        # first one consumed: one forced receive cannot deliver it.
+        report = explore(two_source_program, 3, depth=2)
+        assert report.unsteerable > 0
+        # the replayed schedule's own unsteerable alternatives are added
+        assert report.unsteerable > explore(two_source_program, 3).unsteerable
+        assert report.to_jsonable()["unsteerable"] == report.unsteerable
+        text = report.as_text()
+        assert f"{report.unsteerable} unsteerable" in text
+        if not report.schedule_sensitive:
+            assert "qualified" in text
+
+    def test_max_alternatives_cut_counted(self):
+        prog = master_worker_program(n_tasks=8)
+        capped = explore(prog, 4, depth=1, max_alternatives=1)
+        full = explore(prog, 4, depth=1)
+        assert capped.truncated > 0
+        assert full.truncated == 0
+        assert capped.to_jsonable()["truncated"] == capped.truncated
+        assert not capped.schedule_sensitive
+        assert "qualified" in capped.as_text()
+
+    def test_truncation_counted_at_expanded_depths(self):
+        prog = master_worker_program(n_tasks=8)
+        shallow = explore(prog, 4, depth=1, max_alternatives=1)
+        deep = explore(prog, 4, depth=2, max_alternatives=1)
+        assert deep.truncated > shallow.truncated
+
+    def test_candidates_still_a_list(self):
+        ctx = ExploreContext(program=two_source_program, nprocs=3)
+        candidates = schedule_candidates(run_base(ctx), ctx)
+        assert isinstance(candidates, list)
+        assert len(candidates) >= 1
+        assert candidates.unsteerable > 0
+
+    def test_complete_exploration_is_unqualified(self):
+        def one_wildcard(comm):
+            # one ANY_SOURCE receive, then the other sender by name: every
+            # alternative is steerable and the sum is order-independent
+            if comm.rank == 0:
+                a = comm.recv(source=ANY_SOURCE, tag=7)
+                return a + comm.recv(source=3 - a, tag=7)
+            comm.send(comm.rank, dest=0, tag=7)
+
+        report = explore(one_wildcard, 3, depth=2)
+        assert report.explored == 1
+        assert (report.unsteerable, report.truncated) == (0, 0)
+        assert not report.schedule_sensitive
+        assert "qualified" not in report.as_text()
 
 
 class TestCli:

@@ -1,17 +1,28 @@
 """Shared backend conformance suite.
 
-One contract, every backend: the cooperative backends (``threaded``,
-``simtime``) must produce **record-for-record identical traces** for
-the same (program, policy, seed) -- the determinism the paper's replay
-machinery rests on -- and the multiprocessing backend, which cannot
-promise a schedule, must still produce an equivalent matched
-communication structure and identical numerics on wildcard-free
-programs.  Everything here is parametrized over
-:data:`repro.apps.CONFORMANCE_PROGRAMS`, so a new app or a new backend
+One contract, every backend.  The cooperative ``simtime`` engine must
+reproduce the committed schedule of every (program, seed) bit for bit
+(``golden_schedules.json``) and give identical results when the same
+seed runs twice -- the determinism the paper's replay machinery rests
+on.  The multiprocessing backend, which cannot promise a schedule, must
+still produce an equivalent matched communication structure and
+identical numerics on wildcard-free programs.  Everything here is
+parametrized over :data:`repro.apps.CONFORMANCE_PROGRAMS`, so a new app
 is automatically held to the same bar.
+
+The golden file hashes, per record, ``(i, p, k, src, dst, tag, seq, m,
+t0, t1)`` plus the comm log, markers and final clocks -- not source
+locations or result reprs, so editing an app's line numbers leaves it
+valid.  After an intended schedule change, regenerate it with::
+
+    PYTHONPATH=src:. python -m tests.mp.test_backend_conformance
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -19,29 +30,23 @@ from repro.apps import CONFORMANCE_PROGRAMS, WILDCARD_PROGRAMS, ring_program
 from repro.debugger.replay import ReplaySpec, build_execution
 from repro.mp import DeadlockError, ProcState, Runtime, RunOutcome, run_program
 
-COOPERATIVE = ["threaded", "simtime"]
+GOLDEN = Path(__file__).with_name("golden_schedules.json")
 SEEDS = [0, 1, 2]
 NPROCS = 8
 
 
-def run_traced(app: str, backend: str, seed: int, nprocs: int = NPROCS):
-    """Run one conformance program fully instrumented; return the
+def run_traced(program, nprocs=NPROCS, policy="random", seed=0):
+    """Run one program fully instrumented on simtime; return the
     comparable artifacts: trace records, comm log, results, markers,
     final clocks."""
-    spec = ReplaySpec(
-        program=CONFORMANCE_PROGRAMS[app](nprocs, seed),
-        nprocs=nprocs,
-        policy="random",  # adversarial: preempts at every marker point
-        seed=seed,
-        backend=backend,
-    )
+    spec = ReplaySpec(program=program, nprocs=nprocs, policy=policy, seed=seed)
     execution = build_execution(spec)
     rt = execution.runtime
     try:
         report = rt.run_until_idle()
-        assert report.outcome is RunOutcome.FINISHED, (app, backend, report)
+        assert report.outcome is RunOutcome.FINISHED, report
         return {
-            "records": [r.to_jsonable() for r in execution.recorder.snapshot()],
+            "records": execution.recorder.snapshot().records,
             "comm_log": rt.comm_log.to_jsonable(),
             "results": [repr(p.result) for p in rt.procs],
             "markers": [p.marker for p in rt.procs],
@@ -51,21 +56,58 @@ def run_traced(app: str, backend: str, seed: int, nprocs: int = NPROCS):
         rt.shutdown()
 
 
+def schedule_digest(run) -> str:
+    """sha256 of a run's schedule, without locations or result reprs."""
+    doc = {
+        "records": [
+            [r.index, r.proc, r.kind.value, r.src, r.dst, r.tag, r.seq,
+             r.marker, r.t0, r.t1]
+            for r in run["records"]
+        ],
+        "comm_log": run["comm_log"],
+        "markers": run["markers"],
+        "clocks": run["clocks"],
+    }
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def conformance_run(app, seed):
+    # adversarial: the random policy preempts at every marker point
+    return run_traced(CONFORMANCE_PROGRAMS[app](NPROCS, seed), seed=seed)
+
+
+def ring256_run():
+    return run_traced(ring_program(rounds=1), nprocs=256, policy="run_to_block")
+
+
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
 class TestTraceIdentity:
-    """threaded == simtime, bit for bit, app x seed."""
+    """simtime reproduces the committed schedule, app x seed, and the
+    same seed twice gives the same execution."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("app", sorted(CONFORMANCE_PROGRAMS))
-    def test_cooperative_backends_trace_identical(self, app, seed):
-        base = run_traced(app, "threaded", seed)
-        other = run_traced(app, "simtime", seed)
-        assert other["results"] == base["results"]
-        assert other["markers"] == base["markers"]
-        assert other["clocks"] == base["clocks"]
-        assert other["comm_log"] == base["comm_log"]
-        assert len(other["records"]) == len(base["records"])
-        for i, (a, b) in enumerate(zip(base["records"], other["records"])):
-            assert a == b, f"{app} seed={seed}: trace diverges at record {i}"
+    def test_matches_golden_schedule(self, app, seed):
+        digests = golden()["digests"]
+        assert schedule_digest(conformance_run(app, seed)) == digests[f"{app}/{seed}"]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("app", sorted(CONFORMANCE_PROGRAMS))
+    def test_same_seed_twice_identical(self, app, seed):
+        first = conformance_run(app, seed)
+        second = conformance_run(app, seed)
+        assert second["results"] == first["results"]
+        assert second["markers"] == first["markers"]
+        assert second["clocks"] == first["clocks"]
+        assert second["comm_log"] == first["comm_log"]
+        assert len(second["records"]) == len(first["records"])
+        for i, (a, b) in enumerate(zip(first["records"], second["records"])):
+            assert a.to_jsonable() == b.to_jsonable(), (
+                f"{app} seed={seed}: trace diverges at record {i}"
+            )
 
 
 def comm_structure(rt: Runtime):
@@ -84,7 +126,7 @@ class TestMprocEquivalence:
     @pytest.mark.parametrize(
         "app", sorted(set(CONFORMANCE_PROGRAMS) - WILDCARD_PROGRAMS)
     )
-    def test_results_and_structure_match_threaded(self, app):
+    def test_results_and_structure_match_simtime(self, app):
         rt_t = run_program(CONFORMANCE_PROGRAMS[app](NPROCS, 0), nprocs=NPROCS)
         rt_m = run_program(
             CONFORMANCE_PROGRAMS[app](NPROCS, 0), nprocs=NPROCS, backend="mproc"
@@ -113,7 +155,7 @@ def recv_ring(comm):
 
 
 class TestDeadlockClassification:
-    @pytest.mark.parametrize("backend", COOPERATIVE + ["mproc"])
+    @pytest.mark.parametrize("backend", ["simtime", "mproc"])
     def test_recv_cycle_detected(self, backend):
         rt = Runtime(3, backend=backend)
         report = rt.run(recv_ring, raise_errors=False)
@@ -126,10 +168,9 @@ class TestDeadlockClassification:
         finally:
             rt.shutdown()
 
-    @pytest.mark.parametrize("backend", COOPERATIVE)
-    def test_deadlock_error_raised(self, backend):
+    def test_deadlock_error_raised(self):
         with pytest.raises(DeadlockError):
-            run_program(recv_ring, nprocs=3, backend=backend)
+            run_program(recv_ring, nprocs=3)
 
 
 class TestDebuggerSurfaceOnSimtime:
@@ -221,15 +262,26 @@ class TestScale:
         )
         assert rt.results()[0] == float(sum(range(1024)))
 
-    def test_256_rank_ring_trace_identity(self):
-        # A cheaper cross-backend check at real scale (run_to_block so
-        # the threaded side stays fast enough for the test suite).
-        results = {}
-        for backend in COOPERATIVE:
-            rt = run_program(ring_program(rounds=1), nprocs=256, backend=backend)
-            results[backend] = (
-                [repr(r) for r in rt.results()],
-                rt.comm_log.to_jsonable(),
-                [p.marker for p in rt.procs],
-            )
-        assert results["threaded"] == results["simtime"]
+    def test_256_rank_ring_matches_golden(self):
+        assert schedule_digest(ring256_run()) == golden()["ring256_run_to_block"]
+
+    def test_256_rank_ring_same_twice(self):
+        first, second = ring256_run(), ring256_run()
+        assert schedule_digest(first) == schedule_digest(second)
+        assert first["results"] == second["results"]
+
+
+if __name__ == "__main__":
+    doc = {
+        "nprocs": NPROCS,
+        "policy": "random",
+        "seeds": SEEDS,
+        "digests": {
+            f"{app}/{seed}": schedule_digest(conformance_run(app, seed))
+            for app in sorted(CONFORMANCE_PROGRAMS)
+            for seed in SEEDS
+        },
+        "ring256_run_to_block": schedule_digest(ring256_run()),
+    }
+    GOLDEN.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")

@@ -1,4 +1,4 @@
-"""Backend registry, factory resolution, and capability gating."""
+"""Backend selection by name, and capability gating."""
 
 from __future__ import annotations
 
@@ -6,85 +6,54 @@ import pytest
 
 from repro.apps import ring_program
 from repro.mp import (
-    BACKEND_ENV_VAR,
-    CooperativeBackend,
     MPError,
     MprocBackend,
     Runtime,
-    Scheduler,
     SimtimeBackend,
-    ThreadedBackend,
     available_backends,
-    create_runtime,
-    default_backend,
     make_backend,
     run_program,
 )
 
 
 class TestRegistry:
-    def test_builtins_registered(self):
-        assert {"threaded", "simtime", "mproc"} <= set(available_backends())
+    def test_builtins(self):
+        assert available_backends() == ["mproc", "simtime"]
+        assert isinstance(make_backend("simtime"), SimtimeBackend)
+        assert isinstance(make_backend("mproc"), MprocBackend)
 
     def test_unknown_name_lists_choices(self):
         with pytest.raises(MPError, match="unknown execution backend 'nope'"):
             make_backend("nope")
-        with pytest.raises(MPError, match="threaded"):
+        with pytest.raises(MPError, match="simtime"):
             make_backend("nope")
-
-    @pytest.mark.parametrize(
-        "alias,cls",
-        [
-            ("thread", ThreadedBackend),
-            ("threads", ThreadedBackend),
-            ("sim", SimtimeBackend),
-            ("simulated", SimtimeBackend),
-            ("mp", MprocBackend),
-            ("multiprocessing", MprocBackend),
-        ],
-    )
-    def test_aliases(self, alias, cls):
-        assert isinstance(make_backend(alias), cls)
 
     def test_instance_passthrough(self):
         be = SimtimeBackend()
         assert make_backend(be) is be
 
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert default_backend() == "threaded"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "simtime")
-        assert default_backend() == "simtime"
+    def test_default_is_simtime(self):
         rt = Runtime(2)
-        assert isinstance(rt.backend, SimtimeBackend)
-
-    def test_scheduler_alias_is_threaded_backend(self):
-        # Historical name: the pre-backend Scheduler was the threaded engine.
-        assert Scheduler is ThreadedBackend
-        assert issubclass(Scheduler, CooperativeBackend)
-
-
-class TestRuntimeIntegration:
-    @pytest.mark.parametrize("backend", ["threaded", "simtime"])
-    def test_run_program_backend_kwarg(self, backend):
-        rt = run_program(ring_program(rounds=1), nprocs=3, backend=backend)
-        assert rt.procs[0].result == 1.0 * sum(range(3))
-        assert rt.backend.name == backend
-
-    def test_create_runtime(self):
-        rt = create_runtime("simtime", 2)
         try:
             assert isinstance(rt.backend, SimtimeBackend)
             assert rt.backend.runtime is rt
         finally:
             rt.shutdown()
 
+
+class TestRuntimeIntegration:
+    @pytest.mark.parametrize("backend", ["simtime", "mproc"])
+    def test_run_program_backend_kwarg(self, backend):
+        rt = run_program(ring_program(rounds=1), nprocs=3, backend=backend)
+        assert rt.procs[0].result == 1.0 * sum(range(3))
+        assert rt.backend.name == backend
+
     def test_unknown_backend_at_runtime_construction(self):
         with pytest.raises(MPError, match="unknown execution backend"):
             Runtime(2, backend="bogus")
 
     def test_backend_rebind_rejected(self):
-        rt = create_runtime("simtime", 2)
+        rt = Runtime(2)
         try:
             with pytest.raises(MPError, match="already bound"):
                 Runtime(2, backend=rt.backend)
@@ -124,9 +93,8 @@ class TestCapabilityGating:
         finally:
             rt.shutdown()
 
-    def test_cooperative_backends_support_debugger(self):
-        for name in ("threaded", "simtime"):
-            be = make_backend(name)
-            assert be.supports_debugger and be.supports_wrappers
-            assert be.deterministic
+    def test_simtime_supports_debugger(self):
+        be = make_backend("simtime")
+        assert be.supports_debugger and be.supports_wrappers
+        assert be.deterministic
         assert not MprocBackend().deterministic

@@ -1,0 +1,197 @@
+"""Scalar reference implementations of the analysis kernels.
+
+``repro.analysis`` runs its kernels vectorized over the
+:class:`~repro.analysis.history.HistoryIndex` column store.  The
+functions here are the per-record loops those kernels must agree with:
+the property suite (``tests/property/test_analysis_kernels_properties``)
+checks exact equality on random traces, and
+``benchmarks/test_analysis_kernels.py`` times the kernels against them.
+
+Every function is pure and takes a positional record list
+(``records[i].index == i``), plus whatever derived state it consumes
+(the send-of-receive map, the clock matrix) -- the same inputs the
+production kernel reads from the index.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from repro.analysis.critical_path import ZERO_WEIGHT_KINDS, CriticalPath
+from repro.analysis.races import MessageRace
+from repro.mp.datatypes import ANY_SOURCE, ANY_TAG
+from repro.trace.events import TraceRecord
+
+
+@dataclass
+class Matching:
+    """Send/receive matching by record index."""
+
+    #: (send, recv) pairs in receive order
+    pairs: list[tuple[int, int]]
+    send_of_recv: dict[int, int]
+    #: sends never received, in trace order
+    unmatched_sends: list[int]
+    #: receives with no matching send, in trace order
+    unmatched_recvs: list[int]
+
+
+def match(records: list[TraceRecord]) -> Matching:
+    """The per-record dict loop: a send opens its (src, dst, tag, seq)
+    key (replacing any open send with the same key), a receive takes
+    the open send with its key."""
+    open_sends: dict[tuple[int, int, int, int], int] = {}
+    pairs: list[tuple[int, int]] = []
+    unmatched_recvs: list[int] = []
+    for rec in records:
+        if rec.is_send:
+            open_sends[rec.message_key()] = rec.index
+        elif rec.is_recv:
+            s = open_sends.pop(rec.message_key(), None)
+            if s is None:
+                unmatched_recvs.append(rec.index)
+            else:
+                pairs.append((s, rec.index))
+    return Matching(
+        pairs=pairs,
+        send_of_recv={r: s for s, r in pairs},
+        unmatched_sends=sorted(open_sends.values()),
+        unmatched_recvs=unmatched_recvs,
+    )
+
+
+def clocks(
+    records: list[TraceRecord], nprocs: int, send_of_recv: dict[int, int]
+) -> np.ndarray:
+    """Vector clocks, one Python iteration per record: tick the own
+    component, join the matched send's clock at a receive."""
+    out = np.zeros((len(records), nprocs), dtype=np.int64)
+    current = np.zeros((nprocs, nprocs), dtype=np.int64)
+    for rec in records:
+        p = rec.proc
+        row = current[p]
+        row[p] += 1
+        s = send_of_recv.get(rec.index)
+        if s is not None:
+            np.maximum(row, out[s], out=row)
+        out[rec.index] = row
+    return out
+
+
+def window(
+    records: list[TraceRecord], t_lo: float, t_hi: float
+) -> list[TraceRecord]:
+    """Records overlapping [t_lo, t_hi], by full scan, in trace order."""
+    return [r for r in records if r.t1 >= t_lo and r.t0 <= t_hi]
+
+
+def _posted_pattern(rec: TraceRecord) -> tuple[int, int]:
+    return rec.extra.get("posted_src", rec.src), rec.extra.get("posted_tag", rec.tag)
+
+
+def detect_races(
+    records: list[TraceRecord],
+    send_of_recv: dict[int, int],
+    vclocks: np.ndarray,
+    include_tag_wildcards: bool = True,
+) -> list[MessageRace]:
+    """Per-pair race test: for each matched wildcard receive, every other
+    send to its process that fits the posted pattern and does not
+    causally follow the receive."""
+
+    def happens_before(a: int, b: int) -> bool:
+        if a == b:
+            return False
+        pa = records[a].proc
+        return bool(vclocks[a, pa] <= vclocks[b, pa])
+
+    sends = [r for r in records if r.is_send]
+    races: list[MessageRace] = []
+    for rec in records:
+        if not rec.is_recv:
+            continue
+        psrc, ptag = _posted_pattern(rec)
+        if psrc != ANY_SOURCE and ptag != ANY_TAG:
+            continue
+        if psrc != ANY_SOURCE and not include_tag_wildcards:
+            continue
+        s = send_of_recv.get(rec.index)
+        if s is None:
+            continue
+        alternatives = []
+        for s2 in sends:
+            if s2.index == s or s2.dst != rec.proc:
+                continue
+            if psrc not in (ANY_SOURCE, s2.src):
+                continue
+            if ptag not in (ANY_TAG, s2.tag):
+                continue
+            if not happens_before(rec.index, s2.index):
+                alternatives.append(s2)
+        if alternatives:
+            races.append(
+                MessageRace(
+                    recv=rec, matched_send=records[s], alternatives=alternatives
+                )
+            )
+    return races
+
+
+def critical_path(
+    records: list[TraceRecord], send_of_recv: dict[int, int]
+) -> CriticalPath:
+    """Longest weighted path, one DP step per record in trace order.
+
+    A receive's weight is its time after the matched send completed
+    (waiting is carried by the message edge); unmatched receives and
+    :data:`~repro.analysis.critical_path.ZERO_WEIGHT_KINDS` weigh
+    nothing.  Ties keep the program-order edge; a message edge wins
+    only when strictly longer.
+    """
+    n = len(records)
+    if n == 0:
+        return CriticalPath([], 0.0, 0.0, [])
+
+    def work(rec: TraceRecord) -> float:
+        if rec.is_recv:
+            s = send_of_recv.get(rec.index)
+            if s is None:
+                return 0.0
+            return max(0.0, rec.t1 - max(records[s].t1, rec.t0))
+        if rec.kind in ZERO_WEIGHT_KINDS:
+            return 0.0
+        return rec.duration
+
+    dist = [0.0] * n  # longest path ENDING at record i (inclusive)
+    pred = [-1] * n
+    last_on_proc: dict[int, int] = {}
+    for rec in records:  # trace order is a topological order
+        i = rec.index
+        w = work(rec)
+        best, best_pred = w, -1
+        j = last_on_proc.get(rec.proc, -1)
+        if j >= 0 and dist[j] + w > best:
+            best, best_pred = dist[j] + w, j
+        s = send_of_recv.get(i)
+        if s is not None and dist[s] + w > best:
+            best, best_pred = dist[s] + w, s
+        dist[i] = best
+        pred[i] = best_pred
+        last_on_proc[rec.proc] = i
+
+    end = max(range(n), key=lambda i: dist[i])
+    path = []
+    i = end
+    while i >= 0:
+        path.append(records[i])
+        i = pred[i]
+    path.reverse()
+    span = max(r.t1 for r in records) - min(r.t0 for r in records)
+    return CriticalPath(
+        records=path,
+        length=dist[end],
+        span=span,
+        weights=[work(rec) for rec in path],
+    )

@@ -1,14 +1,14 @@
-"""Property: the vectorized (numpy) analysis kernels equal the scalar
-reference (``engine="python"``) kernels exactly.
+"""Property: the vectorized analysis kernels equal the scalar reference
+implementations in ``tests/oracles.py`` exactly.
 
 Random synthetic traces -- messages with wildcard-receive patterns,
 duplicate message keys, unmatched sends/receives, waits/collectives and
-compute -- are pushed through both engines, batch and incrementally
-(streamed in chunks with catch-up queries between chunks), and every
-derived artifact must be identical: clock matrices (integer-exact),
-matching pairs and unmatched lists, window queries, race reports, and
-critical paths (bitwise float equality: the segment ``cumsum`` DP
-performs the same sequential additions as the scalar loop).
+compute -- are indexed batch and incrementally (streamed in chunks with
+catch-up queries between chunks), and every derived artifact must equal
+the oracle's: clock matrices (integer-exact), matching pairs and
+unmatched lists, window queries, race reports, and critical paths
+(bitwise float equality: the segment ``cumsum`` DP performs the same
+sequential additions as the scalar loop).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.analysis.critical_path import critical_path
 from repro.analysis.races import detect_races
 from repro.mp.datatypes import ANY_SOURCE, ANY_TAG, SourceLocation
 from repro.trace.events import EventKind, TraceRecord
+from tests import oracles
 
 LOC = SourceLocation("prog.py", 1, "main")
 
@@ -94,68 +95,78 @@ def trace_records(draw, max_events=120, max_procs=5):
     return nprocs, records
 
 
-def build_pair(nprocs, records, chunk):
-    """One index per engine, fed identically; ``chunk`` > 0 streams with
-    interleaved catch-up queries (incremental path), 0 builds in batch."""
-    engines = {}
-    for engine in ("python", "numpy"):
-        idx = HistoryIndex(nprocs=nprocs, engine=engine)
-        if chunk:
-            for lo in range(0, len(records), chunk):
-                for rec in records[lo:lo + chunk]:
-                    idx.extend(rec)
-                idx.message_pairs()  # force incremental catch-up paths
-                _ = idx.clocks
-        else:
-            idx.extend_many(records)
-        engines[engine] = idx
-    return engines["python"], engines["numpy"]
+def build_index(nprocs, records, chunk):
+    """The index under test; ``chunk`` > 0 streams with interleaved
+    catch-up queries (incremental path), 0 builds in batch."""
+    idx = HistoryIndex(nprocs=nprocs)
+    if chunk:
+        for lo in range(0, len(records), chunk):
+            for rec in records[lo:lo + chunk]:
+                idx.extend(rec)
+            idx.message_pairs()  # force incremental catch-up paths
+            _ = idx.clocks
+    else:
+        idx.extend_many(records)
+    return idx
 
 
-def assert_same_matching(py, vec):
-    assert [(p.send.index, p.recv.index) for p in py.message_pairs()] == [
+def assert_matches_oracle(vec, records):
+    ref = oracles.match(records)
+    assert ref.pairs == [
         (p.send.index, p.recv.index) for p in vec.message_pairs()
     ]
-    assert [r.index for r in py.unmatched_sends()] == [
-        r.index for r in vec.unmatched_sends()
+    assert ref.unmatched_sends == [r.index for r in vec.unmatched_sends()]
+    assert ref.unmatched_recvs == [r.index for r in vec.unmatched_recvs()]
+    assert ref.send_of_recv == vec.send_of_recv
+    return ref
+
+
+def assert_same_matching(a, b):
+    assert [(p.send.index, p.recv.index) for p in a.message_pairs()] == [
+        (p.send.index, p.recv.index) for p in b.message_pairs()
     ]
-    assert [r.index for r in py.unmatched_recvs()] == [
-        r.index for r in vec.unmatched_recvs()
+    assert [r.index for r in a.unmatched_sends()] == [
+        r.index for r in b.unmatched_sends()
     ]
-    assert py.send_of_recv == vec.send_of_recv
+    assert [r.index for r in a.unmatched_recvs()] == [
+        r.index for r in b.unmatched_recvs()
+    ]
+    assert a.send_of_recv == b.send_of_recv
 
 
 @settings(max_examples=60, deadline=None)
 @given(trace_records(), hst.integers(0, 17))
-def test_clocks_and_matching_engines_equal(tr, chunk):
+def test_clocks_and_matching_equal_oracle(tr, chunk):
     nprocs, records = tr
-    py, vec = build_pair(nprocs, records, chunk)
-    assert_same_matching(py, vec)
-    np.testing.assert_array_equal(py.clocks, vec.clocks)
-    # lazy catch-up discipline holds for both engines
-    assert py.stats().clock_builds == 1
+    vec = build_index(nprocs, records, chunk)
+    ref = assert_matches_oracle(vec, records)
+    np.testing.assert_array_equal(
+        oracles.clocks(records, nprocs, ref.send_of_recv), vec.clocks
+    )
+    # lazy catch-up discipline: clocks are never rebuilt from scratch
     assert vec.stats().clock_builds == 1
 
 
 @settings(max_examples=40, deadline=None)
 @given(trace_records(), hst.integers(0, 17), hst.data())
-def test_window_engines_equal(tr, chunk, data):
+def test_window_equals_oracle(tr, chunk, data):
     nprocs, records = tr
-    py, vec = build_pair(nprocs, records, chunk)
-    t_lo, t_hi = py.span
+    vec = build_index(nprocs, records, chunk)
+    t_lo, t_hi = vec.span
     a = data.draw(hst.floats(t_lo - 1.0, t_hi + 1.0, allow_nan=False))
     b = data.draw(hst.floats(t_lo - 1.0, t_hi + 1.0, allow_nan=False))
     for lo, hi in [(min(a, b), max(a, b)), (t_lo, t_hi), (t_hi, t_lo)]:
-        assert [r.index for r in py.window(lo, hi)] == [
+        assert [r.index for r in oracles.window(records, lo, hi)] == [
             r.index for r in vec.window(lo, hi)
         ]
 
 
 @settings(max_examples=40, deadline=None)
 @given(trace_records(), hst.booleans())
-def test_races_engines_equal(tr, include_tag_wildcards):
+def test_races_equal_oracle(tr, include_tag_wildcards):
     nprocs, records = tr
-    py, vec = build_pair(nprocs, records, 0)
+    vec = build_index(nprocs, records, 0)
+    ref = oracles.match(records)
 
     def key(races):
         return [
@@ -163,24 +174,25 @@ def test_races_engines_equal(tr, include_tag_wildcards):
             for r in races
         ]
 
-    ra = detect_races(
-        py.trace, include_tag_wildcards=include_tag_wildcards,
-        index=py, engine="python",
+    ra = oracles.detect_races(
+        records,
+        ref.send_of_recv,
+        oracles.clocks(records, nprocs, ref.send_of_recv),
+        include_tag_wildcards=include_tag_wildcards,
     )
     rb = detect_races(
-        vec.trace, include_tag_wildcards=include_tag_wildcards,
-        index=vec, engine="numpy",
+        vec.trace, include_tag_wildcards=include_tag_wildcards, index=vec
     )
     assert key(ra) == key(rb)
 
 
 @settings(max_examples=40, deadline=None)
 @given(trace_records())
-def test_critical_path_engines_equal(tr):
+def test_critical_path_equals_oracle(tr):
     nprocs, records = tr
-    py, vec = build_pair(nprocs, records, 0)
-    ca = critical_path(py.trace, index=py, engine="python")
-    cb = critical_path(vec.trace, index=vec, engine="numpy")
+    vec = build_index(nprocs, records, 0)
+    ca = oracles.critical_path(records, oracles.match(records).send_of_recv)
+    cb = critical_path(vec.trace, index=vec)
     assert [r.index for r in ca.records] == [r.index for r in cb.records]
     assert ca.length == cb.length  # bitwise: same sequential additions
     assert ca.span == cb.span
@@ -189,21 +201,19 @@ def test_critical_path_engines_equal(tr):
 
 @settings(max_examples=25, deadline=None)
 @given(trace_records(), hst.integers(1, 17))
-def test_streamed_equals_batch_per_engine(tr, chunk):
+def test_streamed_equals_batch(tr, chunk):
     nprocs, records = tr
-    for engine in ("python", "numpy"):
-        batch = HistoryIndex(records, nprocs=nprocs, engine=engine)
-        streamed = HistoryIndex(nprocs=nprocs, engine=engine)
-        for lo in range(0, len(records), chunk):
-            for rec in records[lo:lo + chunk]:
-                streamed.extend(rec)
-            streamed.message_pairs()
-            _ = streamed.clocks
-            t0, t1 = streamed.span
-            streamed.window(t0, (t0 + t1) / 2)
-        np.testing.assert_array_equal(batch.clocks, streamed.clocks)
-        assert_same_matching(batch, streamed)
-        assert streamed.stats().clock_builds == 1
-        assert streamed.stats().matching_builds == 1
-        if engine == "numpy":  # the python engine's window() is a scan
-            assert streamed.stats().window_builds == 1
+    batch = HistoryIndex(records, nprocs=nprocs)
+    streamed = HistoryIndex(nprocs=nprocs)
+    for lo in range(0, len(records), chunk):
+        for rec in records[lo:lo + chunk]:
+            streamed.extend(rec)
+        streamed.message_pairs()
+        _ = streamed.clocks
+        t0, t1 = streamed.span
+        streamed.window(t0, (t0 + t1) / 2)
+    np.testing.assert_array_equal(batch.clocks, streamed.clocks)
+    assert_same_matching(batch, streamed)
+    assert streamed.stats().clock_builds == 1
+    assert streamed.stats().matching_builds == 1
+    assert streamed.stats().window_builds == 1
