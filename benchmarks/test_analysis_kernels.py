@@ -3,13 +3,15 @@
 The tentpole claim behind the columnar HistoryIndex core: on a
 200k-event trace, the numpy kernels (segment-broadcast vector clocks,
 lexsort matching, searchsorted windows, mask-based race detection,
-cumsum critical-path DP) beat the per-record Python references in
-``tests/oracles.py`` by a wide margin *while producing identical
-output* -- the equality is asserted here record-for-record, then the
-speedups are gated:
+cumsum critical-path DP, row-table frontier stoplines) beat the
+references in ``tests/oracles.py`` by a wide margin *while producing
+identical output* -- the equality is asserted here record-for-record,
+then the speedups are gated:
 
-* clocks + matching: >= 5x (absolute floor), and
-* race detection:    >= 10x (absolute floor),
+* clocks + matching: >= 5x (absolute floor),
+* race detection:    >= 10x (absolute floor), and
+* past-frontier stopline: >= 20x (absolute floor) over the full-scan
+  frontier masks,
 
 plus a >2x regression gate against the committed baseline in
 ``benchmarks/results/analysis_kernels_baseline.json`` (same pattern as
@@ -35,6 +37,7 @@ from benchmarks.conftest import RESULTS_DIR, write_artifact
 from repro.analysis import HistoryIndex
 from repro.analysis.critical_path import critical_path
 from repro.analysis.races import detect_races
+from repro.debugger.stopline import StoplinePlacement, compute_stopline
 from repro.mp.datatypes import ANY_SOURCE, SourceLocation
 from repro.trace import EventKind, TraceRecord
 from tests import oracles
@@ -51,6 +54,9 @@ REGRESSION_FACTOR = 2.0
 #: these regardless of what the baseline file says.
 MIN_CLOCKS_MATCHING_SPEEDUP = 5.0
 MIN_RACES_SPEEDUP = 10.0
+MIN_STOPLINE_SPEEDUP = 20.0
+#: stopline anchors, spread over the trace
+STOPLINE_ANCHORS = 16
 
 
 def synthesize_records(n: int = N_EVENTS):
@@ -163,6 +169,35 @@ def test_vectorized_kernels_speedup_and_regression_gate():
     assert [r.index for r in ref_path.records] == [r.index for r in path.records]
     assert ref_path.length == path.length
 
+    # -- past-frontier stoplines: row table vs full-scan masks --------
+    procs = idx.column("proc").astype(np.int64)
+    markers = [r.marker for r in records]
+    anchors = np.linspace(n // 8, n - n // 8, STOPLINE_ANCHORS).astype(int).tolist()
+    kernel_walls["stopline_python"] = kernel_walls["stopline_numpy"] = float("inf")
+    for _rep in range(2):  # min-of-2; the first pass builds the row table
+        start = time.perf_counter()
+        ref_stoplines = [
+            oracles.frontier_stoplines(
+                markers, procs, a, oracles.frontiers(ref_clocks, procs, a)
+            )[0]
+            for a in anchors
+        ]
+        kernel_walls["stopline_python"] = min(
+            kernel_walls["stopline_python"], time.perf_counter() - start
+        )
+        trace = idx.trace
+        start = time.perf_counter()
+        stoplines = [
+            compute_stopline(
+                trace, a, StoplinePlacement.PAST_FRONTIER, index=idx
+            ).thresholds.as_dict()
+            for a in anchors
+        ]
+        kernel_walls["stopline_numpy"] = min(
+            kernel_walls["stopline_numpy"], time.perf_counter() - start
+        )
+    assert ref_stoplines == stoplines
+
     # -- speedups ------------------------------------------------------
     cm_speedup = py_cm / vec_cm if vec_cm > 0 else float("inf")
     races_speedup = (
@@ -173,6 +208,11 @@ def test_vectorized_kernels_speedup_and_regression_gate():
     window_speedup = (
         window_walls["python"] / window_walls["numpy"]
         if window_walls["numpy"] > 0
+        else float("inf")
+    )
+    stopline_speedup = (
+        kernel_walls["stopline_python"] / kernel_walls["stopline_numpy"]
+        if kernel_walls["stopline_numpy"] > 0
         else float("inf")
     )
     path_speedup = (
@@ -189,6 +229,10 @@ def test_vectorized_kernels_speedup_and_regression_gate():
         f"race-detection speedup {races_speedup:.1f}x below the "
         f"{MIN_RACES_SPEEDUP}x floor"
     )
+    assert stopline_speedup >= MIN_STOPLINE_SPEEDUP, (
+        f"past-frontier stopline speedup {stopline_speedup:.1f}x below the "
+        f"{MIN_STOPLINE_SPEEDUP}x floor"
+    )
 
     # -- regression gate against the recorded baseline -----------------
     gate_lines = ["baseline: (none; recorded this run)"]
@@ -198,6 +242,7 @@ def test_vectorized_kernels_speedup_and_regression_gate():
         for key, measured in (
             ("clocks_matching_speedup", cm_speedup),
             ("races_speedup", races_speedup),
+            ("stopline_speedup", stopline_speedup),
         ):
             floor = baseline[key] / REGRESSION_FACTOR
             gate_lines.append(
@@ -214,6 +259,7 @@ def test_vectorized_kernels_speedup_and_regression_gate():
                 {
                     "clocks_matching_speedup": round(cm_speedup, 1),
                     "races_speedup": round(races_speedup, 1),
+                    "stopline_speedup": round(stopline_speedup, 1),
                     "events": n,
                 }
             )
@@ -240,12 +286,17 @@ def test_vectorized_kernels_speedup_and_regression_gate():
                 f"{window_walls['python'] * 1e3:8.1f} ms | numpy "
                 f"{window_walls['numpy'] * 1e3:8.1f} ms | "
                 f"{window_speedup:6.1f}x",
+                f"  stopline ({STOPLINE_ANCHORS} q) : masks "
+                f"{kernel_walls['stopline_python'] * 1e3:8.1f} ms | rows "
+                f"{kernel_walls['stopline_numpy'] * 1e3:8.1f} ms | "
+                f"{stopline_speedup:6.1f}x (floor {MIN_STOPLINE_SPEEDUP}x)",
                 f"  critical path   : python "
                 f"{kernel_walls['path_python'] * 1e3:8.1f} ms | numpy "
                 f"{kernel_walls['path_numpy'] * 1e3:8.1f} ms | "
                 f"{path_speedup:6.1f}x",
                 "  equality: clocks, pairs, unmatched, windows, races,",
-                "            critical path identical to tests/oracles.py",
+                "            stoplines, critical path identical to",
+                "            tests/oracles.py",
                 *[f"  {line}" for line in gate_lines],
             ]
         ),

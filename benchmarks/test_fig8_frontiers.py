@@ -37,7 +37,7 @@ def test_fig8_frontiers(benchmark):
     order = compute_causal_order(trace)
     target = [r for r in trace.by_proc(CENTER) if r.is_recv][2]
 
-    analysis = benchmark(lambda: analyze_frontiers(trace, target.index, order))
+    analysis = benchmark(lambda: analyze_frontiers(trace, target.index))
 
     # --- artifact -------------------------------------------------------------
     rows = [f"selected event: {target}"]
@@ -61,10 +61,10 @@ def test_fig8_frontiers(benchmark):
 
     # --- frontier correctness ---------------------------------------------------
     assert is_consistent_frontier(
-        trace, analysis.past_frontier.indexes(), order, inclusive=True
+        trace, analysis.past_frontier.indexes(), inclusive=True
     )
     assert is_consistent_frontier(
-        trace, analysis.future_frontier.indexes(), order, inclusive=False
+        trace, analysis.future_frontier.indexes(), inclusive=False
     )
     for p in range(NPROCS):
         past = analysis.past_frontier.event(p)

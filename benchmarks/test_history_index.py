@@ -31,7 +31,6 @@ from benchmarks.conftest import RESULTS_DIR, traced_run, write_artifact
 from repro.analysis import (
     HistoryIndex,
     analyze_frontiers,
-    compute_causal_order,
     critical_path,
     detect_races,
     ensure_index,
@@ -42,6 +41,7 @@ from repro.trace.trace import Trace
 
 from repro.mp.datatypes import SourceLocation
 from repro.trace import EventKind, TraceRecord
+from tests import oracles
 
 N_EVENTS = 200_000
 NPROCS = 8
@@ -126,6 +126,7 @@ def test_history_index_session_and_regression_gate(lu8_trace):
     # The acceptance criterion: exactly one build of each component.
     assert stats.clock_builds == 1
     assert stats.matching_builds == 1
+    assert stats.row_builds == 1
 
     # -- re-derived: a fresh trace (thus fresh index) per analysis -----
     event = next(r.index for r in shared_trace if r.is_recv)
@@ -187,7 +188,9 @@ def test_incremental_equals_batch_200k():
     n = len(records)
     batch_trace = Trace(records, NPROCS)
     start = time.perf_counter()
-    batch_order = compute_causal_order(batch_trace)
+    batch_clocks = oracles.clocks(
+        records, NPROCS, oracles.match(records).send_of_recv
+    )
     batch_pairs = batch_trace.message_pairs()
     batch_wall = time.perf_counter() - start
 
@@ -201,7 +204,7 @@ def test_incremental_equals_batch_200k():
     _ = index.clocks
     inc_wall = time.perf_counter() - start
 
-    np.testing.assert_array_equal(index.clocks, batch_order.clocks)
+    np.testing.assert_array_equal(index.clocks, batch_clocks)
     assert [(p.send.index, p.recv.index) for p in index.message_pairs()] == [
         (p.send.index, p.recv.index) for p in batch_pairs
     ]

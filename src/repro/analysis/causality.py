@@ -10,21 +10,136 @@ The causality relation the paper's features rest on (§4.1):
 the causality of communications in the trace file, i.e., no message was
 received before it was sent."
 
-Vector clocks are computed in one pass over the trace (recording order
-is a linearization of happens-before: a receive record is only appended
-after its matching send's record exists), stored as an ``(n_events,
-nprocs)`` NumPy array for O(1) comparisons and vectorized past/future
-closures.
+The clocks live in the shared
+:class:`~repro.analysis.history.HistoryIndex` as an ``(n_events,
+nprocs)`` NumPy array (O(1) comparisons).  Closures are answered from
+the index's :class:`RowTable` rather than by scanning the matrix:
+``VC[e][q]`` counts q's events in e's past, so the past of ``e`` on
+row q is the first ``VC[e][q]`` entries, and its future on row q is
+the suffix where ``VC[.][proc(e)]`` -- nondecreasing along every row --
+reaches ``VC[e][proc(e)]``.  A query is O(p log n + output).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from repro.trace.trace import Trace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .history import HistoryIndex
+
+
+@dataclass(frozen=True)
+class RowTable:
+    """Trace indexes grouped by process, each row in program order.
+
+    A CSR layout: row q is ``members[offsets[q]:offsets[q + 1]]``.  Its
+    entry k (0-based) is q's (k+1)-th event, the one whose own clock
+    component is k + 1.  The arrays are never written after creation.
+    """
+
+    members: np.ndarray  # (n,) int64
+    offsets: np.ndarray  # (nprocs + 1,) int64
+
+    def gather(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Ascending trace indexes of the union of the row slices
+        ``members[lo[q]:hi[q]]``."""
+        lengths = hi - lo
+        total = int(lengths.sum())
+        if total == 0:
+            return np.zeros(0, dtype=np.int64)
+        shift = np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)
+        return np.sort(self.members[np.arange(total) + shift])
+
+    def bisect(
+        self,
+        key: Callable[[np.ndarray], np.ndarray],
+        lo: np.ndarray,
+        hi: np.ndarray,
+        target: "np.ndarray | int",
+    ) -> np.ndarray:
+        """Per row, the first position in ``[lo[q], hi[q])`` whose key is
+        ``>= target`` (``hi[q]`` when there is none).
+
+        ``key`` maps member positions to values that never decrease
+        along a row; it is only called on positions inside the ranges.
+        One binary search runs over all rows at once: each step gathers
+        one probe per row still searching.
+        """
+        lo = lo.copy()
+        hi = hi.copy()
+        target = np.broadcast_to(target, lo.shape)
+        while True:
+            rows = np.nonzero(lo < hi)[0]
+            if rows.size == 0:
+                return lo
+            a, b = lo[rows], hi[rows]
+            mid = (a + b) >> 1
+            below = key(mid) < target[rows]
+            lo[rows] = np.where(below, mid + 1, a)
+            hi[rows] = np.where(below, b, mid)
+
+
+class EventCones:
+    """The past and future of one event as slices of the row table.
+
+    On row q the past is ``[starts[q], past_end[q])`` and the future is
+    ``[future_start[q], ends[q])``; the concurrency region lies between
+    them.  The future bound costs one :meth:`RowTable.bisect` and is
+    derived on first use.
+    """
+
+    def __init__(
+        self, table: RowTable, ends: np.ndarray, clocks: np.ndarray, e: int, pe: int
+    ) -> None:
+        self.table = table
+        self.starts = table.offsets[:-1]
+        self.ends = ends
+        self.event = e
+        self.proc = pe
+        self._clocks = clocks
+        self.past_end = self.starts + clocks[e]
+        self.past_end[pe] -= 1  # e counts itself; its past does not
+        # the first position after the past that is not e itself
+        self.after = self.past_end.copy()
+        self.after[pe] += 1
+
+    @cached_property
+    def future_start(self) -> np.ndarray:
+        clocks, members, pe = self._clocks, self.table.members, self.proc
+        return self.table.bisect(
+            lambda pos: clocks[members[pos], pe],
+            self.after,
+            self.ends,
+            clocks[self.event, pe],
+        )
+
+    def past(self) -> np.ndarray:
+        return self.table.gather(self.starts, self.past_end)
+
+    def future(self) -> np.ndarray:
+        return self.table.gather(self.future_start, self.ends)
+
+    def concurrent(self) -> np.ndarray:
+        return self.table.gather(self.after, self.future_start)
+
+    def last_past(self) -> np.ndarray:
+        """Per process, the latest event in the past (-1: none)."""
+        return self._members_at(self.past_end - 1, self.past_end > self.starts)
+
+    def first_future(self) -> np.ndarray:
+        """Per process, the earliest event in the future (-1: none)."""
+        return self._members_at(self.future_start, self.future_start < self.ends)
+
+    def _members_at(self, pos: np.ndarray, has: np.ndarray) -> np.ndarray:
+        out = np.full(pos.size, -1, dtype=np.int64)
+        out[has] = self.table.members[pos[has]]
+        return out
 
 
 @dataclass
@@ -33,22 +148,14 @@ class CausalOrder:
 
     ``clocks[i]`` is the vector clock of the record with trace index
     ``i`` (component p = count of events of process p in that record's
-    causal past, inclusive).
+    causal past, inclusive).  ``trace`` and ``clocks`` are a snapshot of
+    ``index``; closures read the index's row table and stay answers for
+    the snapshot after the index grows.
     """
 
     trace: Trace
     clocks: np.ndarray  # (n_events, nprocs), dtype int64
-    #: per-record proc column (int64), derived lazily when not supplied.
-    #: A HistoryIndex hands in its column-store view so closure queries
-    #: never pay the O(n) Python attribute walk.
-    procs: Optional[np.ndarray] = None
-
-    def _proc_column(self) -> np.ndarray:
-        if self.procs is None:
-            self.procs = np.fromiter(
-                (r.proc for r in self.trace), dtype=np.int64, count=len(self.trace)
-            )
-        return self.procs
+    index: "HistoryIndex"
 
     # ------------------------------------------------------------------
     # pairwise relations
@@ -75,17 +182,23 @@ class CausalOrder:
     # ------------------------------------------------------------------
     # closures
     # ------------------------------------------------------------------
+    def cones(self, e: int) -> EventCones:
+        """Past and future of ``e`` as row-table slices."""
+        table = self.index.row_table()
+        ends = table.offsets[1:]
+        n = len(self.clocks)
+        if table.members.size > n:  # the index grew past this snapshot
+            members = table.members
+            ends = table.bisect(lambda pos: members[pos], table.offsets[:-1], ends, n)
+        return EventCones(table, ends, self.clocks, e, self.trace[e].proc)
+
     def past(self, e: int) -> np.ndarray:
         """Trace indexes of all events that happen before ``e``.
 
         "The past of the event is defined as the set of events that are
         guaranteed to have happened before it."
         """
-        procs = self._proc_column()
-        own = self.clocks[np.arange(len(self.trace)), procs]
-        mask = own <= self.clocks[e, procs]
-        mask[e] = False
-        return np.nonzero(mask)[0]
+        return self.cones(e).past()
 
     def future(self, e: int) -> np.ndarray:
         """Trace indexes of all events ``e`` happens before.
@@ -93,18 +206,11 @@ class CausalOrder:
         "An event is in the future of the current event if the [current
         event] happened before [it]."
         """
-        pe = self.trace[e].proc
-        mask = self.clocks[:, pe] >= self.clocks[e, pe]
-        mask[e] = False
-        return np.nonzero(mask)[0]
+        return self.cones(e).future()
 
     def concurrency_region(self, e: int) -> np.ndarray:
         """Events neither in the past nor the future of ``e``."""
-        mask = np.ones(len(self.trace), dtype=bool)
-        mask[self.past(e)] = False
-        mask[self.future(e)] = False
-        mask[e] = False
-        return np.nonzero(mask)[0]
+        return self.cones(e).concurrent()
 
     # ------------------------------------------------------------------
     def vector_of(self, e: int) -> tuple[int, ...]:
@@ -112,31 +218,11 @@ class CausalOrder:
 
 
 def compute_causal_order(trace: Trace) -> CausalOrder:
-    """One-pass vector-clock computation over a trace.
+    """The causal order of a trace, from its shared
+    :class:`~repro.analysis.history.HistoryIndex`."""
+    from .history import ensure_index
 
-    Every record counts as an event on its process (component +1); a
-    receive additionally joins the clock of its matched send.  Records
-    are visited in per-process program order interleaved so that every
-    receive is visited after its send (guaranteed because trace indexes
-    are assigned in a causal linearization).
-    """
-    n = len(trace)
-    nprocs = trace.nprocs
-    clocks = np.zeros((n, nprocs), dtype=np.int64)
-    current = np.zeros((nprocs, nprocs), dtype=np.int64)  # per-proc running VC
-
-    send_of_recv: dict[int, int] = {
-        pair.recv.index: pair.send.index for pair in trace.message_pairs()
-    }
-
-    for rec in trace:  # trace order = causal linearization
-        p = rec.proc
-        current[p, p] += 1
-        if rec.index in send_of_recv:
-            s = send_of_recv[rec.index]
-            np.maximum(current[p], clocks[s], out=current[p])
-        clocks[rec.index] = current[p]
-    return CausalOrder(trace=trace, clocks=clocks)
+    return ensure_index(trace).order
 
 
 def check_trace_causality(trace: Trace, index=None) -> Optional[str]:

@@ -20,14 +20,15 @@ here as the per-process marker thresholds the two frontiers induce.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.trace.events import TraceRecord
 from repro.trace.trace import Trace
 
-from .causality import CausalOrder
+from .causality import CausalOrder, EventCones
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .history import HistoryIndex
@@ -57,15 +58,71 @@ class Frontier:
         }
 
 
-@dataclass
-class FrontierAnalysis:
-    """Past/future frontiers and concurrency region of one event."""
+def stop_thresholds(markers: Mapping[int, int]) -> dict[int, int]:
+    """Per-rank replay thresholds from the markers a stopline selects.
 
-    event: TraceRecord
-    past_frontier: Frontier
-    future_frontier: Frontier
-    concurrency_indexes: Sequence[int]
-    order: CausalOrder
+    Every stopline threshold is produced here.  A ``PROC_START`` record
+    carries marker 0 but no construct does, so a process asked to stop
+    at 0 parks at its first construct, marker 1: the threshold says so.
+    """
+    return {p: max(1, m) for p, m in markers.items()}
+
+
+def frontier_thresholds(
+    cones: EventCones, marker: np.ndarray, future: bool
+) -> dict[int, int]:
+    """The §4.1 frontier stopline of ``cones.event``.
+
+    Past (``future=False``): stop each process *immediately after* the
+    last event that could affect the selected state.  A threshold of
+    ``m`` stops before the construct with marker ``m``, so "immediately
+    after event with marker k" is ``k + 1``; processes with no past
+    event get threshold 1 (stop at their first construct).
+
+    Future: stop each process *immediately before* the first event the
+    selected state could affect; processes never affected get no
+    threshold (they run to completion).
+
+    The selected process stops at the selected construct either way.
+    ``marker`` is the index's marker column.
+    """
+    if future:
+        members = cones.first_future()
+        has = np.nonzero(members >= 0)[0]
+        out = dict(zip(has.tolist(), marker[members[has]].tolist()))
+    else:
+        members = cones.last_past()
+        out = dict(enumerate(
+            np.where(members >= 0, marker[members] + 1, 1).tolist()
+        ))
+    out[cones.proc] = int(marker[cones.event])
+    return stop_thresholds(out)
+
+
+class FrontierAnalysis:
+    """Past/future frontiers and concurrency region of one event.
+
+    The frontiers are built eagerly; the concurrency region is gathered
+    from the row table on first read of :attr:`concurrency_indexes`.
+    """
+
+    def __init__(self, order: CausalOrder, event_index: int) -> None:
+        self.order = order
+        self.event: TraceRecord = order.trace[event_index]
+        self.cones = order.cones(event_index)
+        self.past_frontier = self._frontier(self.cones.last_past())
+        self.future_frontier = self._frontier(self.cones.first_future())
+
+    def _frontier(self, members: np.ndarray) -> Frontier:
+        trace = self.order.trace
+        return Frontier(
+            {p: trace[i] if i >= 0 else None for p, i in enumerate(members.tolist())}
+        )
+
+    @cached_property
+    def concurrency_indexes(self) -> list[int]:
+        """Trace indexes neither in the past nor the future, ascending."""
+        return self.cones.concurrent().tolist()
 
     def concurrency_events(self) -> list[TraceRecord]:
         return [self.order.trace[i] for i in self.concurrency_indexes]
@@ -73,97 +130,44 @@ class FrontierAnalysis:
     # -- frontier stoplines (§4.1 last paragraph) ------------------------
     def past_stopline(self) -> dict[int, int]:
         """Marker thresholds stopping each process *immediately after*
-        the last event that could affect the selected state.
-
-        A threshold of ``m`` stops before the construct with marker
-        ``m``, so "immediately after event with marker k" is ``k + 1``.
-        Processes with no past event get threshold 1 (stop at their
-        first construct).
-        """
-        out: dict[int, int] = {}
-        for p in range(self.order.trace.nprocs):
-            rec = self.past_frontier.event(p)
-            out[p] = (rec.marker + 1) if rec is not None else 1
-        out[self.event.proc] = self.event.marker
-        return out
+        the last event that could affect the selected state (see
+        :func:`frontier_thresholds`)."""
+        marker = self.order.index.column("marker")
+        return frontier_thresholds(self.cones, marker, future=False)
 
     def future_stopline(self) -> dict[int, int]:
         """Thresholds stopping each process *immediately before* the
         first event the selected state could affect.  Processes never
         affected get no threshold (omitted: they run to completion)."""
-        out: dict[int, int] = {}
-        for p in range(self.order.trace.nprocs):
-            rec = self.future_frontier.event(p)
-            if rec is not None:
-                out[p] = rec.marker
-        out[self.event.proc] = self.event.marker
-        return out
+        marker = self.order.index.column("marker")
+        return frontier_thresholds(self.cones, marker, future=True)
 
 
 def analyze_frontiers(
     trace: "Trace | Iterable[TraceRecord]",
     event_index: int,
-    order: Optional[CausalOrder] = None,
     index: "Optional[HistoryIndex]" = None,
 ) -> FrontierAnalysis:
     """Compute past/future frontiers of the event at ``event_index``.
 
     ``trace`` may be a materialized :class:`Trace` or any record
     iterator (e.g. a trace-file reader's stream) -- the streaming form
-    of the §4.1 analysis.  The causal order comes from the shared
-    :class:`~repro.analysis.history.HistoryIndex` (``index=`` to pass an
-    existing one; a bare trace memoizes one on demand); an explicit
-    ``order=`` still wins for back compatibility.
+    of the §4.1 analysis.  The causal order and row table come from the
+    shared :class:`~repro.analysis.history.HistoryIndex` (``index=`` to
+    pass an existing one; a bare trace memoizes one on demand).
+
+    O(p log n): the past-frontier member on process q is entry
+    ``VC[e][q]`` of row q (counting from 1), and the future frontier is
+    one binary search over all rows.
     """
     from .history import ensure_index
 
-    idx = ensure_index(trace, index=index)
-    trace = idx.trace
-    if order is None:
-        order = idx.order
-    event = trace[event_index]
-
-    past = order.past(event_index)  # ascending trace indexes
-    future = order.future(event_index)
-
-    # Frontier members per process in two scatter assignments: ascending
-    # past indexes overwrite, so each slot keeps the *latest* past event;
-    # future is scattered in reverse so each slot keeps the *earliest*.
-    nprocs = trace.nprocs
-    proc_col = idx.column("proc")
-    last_past = np.full(nprocs, -1, dtype=np.int64)
-    last_past[proc_col[past]] = past
-    first_future = np.full(nprocs, -1, dtype=np.int64)
-    rev = future[::-1]
-    first_future[proc_col[rev]] = rev
-
-    past_frontier = Frontier()
-    future_frontier = Frontier()
-    for p in range(nprocs):
-        i, j = int(last_past[p]), int(first_future[p])
-        past_frontier.events[p] = trace[i] if i >= 0 else None
-        future_frontier.events[p] = trace[j] if j >= 0 else None
-
-    # concurrency region = everything in neither closure (reuses the two
-    # closures just computed instead of re-deriving them)
-    mask = np.ones(len(trace), dtype=bool)
-    mask[past] = False
-    mask[future] = False
-    mask[event_index] = False
-
-    return FrontierAnalysis(
-        event=event,
-        past_frontier=past_frontier,
-        future_frontier=future_frontier,
-        concurrency_indexes=np.nonzero(mask)[0].tolist(),
-        order=order,
-    )
+    return FrontierAnalysis(ensure_index(trace, index=index).order, event_index)
 
 
 def is_antichain(
     trace: "Trace | Iterable[TraceRecord]",
     indexes: Sequence[int],
-    order: Optional[CausalOrder] = None,
     index: "Optional[HistoryIndex]" = None,
 ) -> bool:
     """Literal reading of the paper's definition: "a set of events in
@@ -177,21 +181,45 @@ def is_antichain(
     from .history import ensure_index
 
     idx = ensure_index(trace, index=index)
-    trace = idx.trace
-    if order is None:
-        order = idx.order
     sel = np.asarray(list(indexes), dtype=np.int64)
     k = len(sel)
     if k < 2:
         return True
-    procs = np.fromiter((trace[int(i)].proc for i in sel), dtype=np.int64, count=k)
-    clocks = order.clocks[sel]  # (k, nprocs)
+    procs = idx.column("proc")[sel]
+    clocks = idx.clocks[sel]  # (k, nprocs)
     own = clocks[np.arange(k), procs]  # own component of each member
     # hb[b, a] <=> member a happens before member b (a's own component
     # is visible in b's clock).
     hb = own[None, :] <= clocks[:, procs]
     distinct = sel[None, :] != sel[:, None]  # i != j on *event* identity
     return not bool(np.any(hb & distinct))
+
+
+def _frontier_bounds(
+    idx: "HistoryIndex", indexes: Sequence[int], inclusive: bool
+) -> Optional[np.ndarray]:
+    """Per process, the first trace index outside the prefix cut a
+    frontier bounds (0 where the process has no member); None when two
+    members share a process."""
+    members = np.asarray(list(indexes), dtype=np.int64)
+    procs = idx.column("proc")[members]
+    if members.size and np.bincount(procs).max() > 1:
+        return None
+    bounds = np.zeros(idx.nprocs, dtype=np.int64)
+    bounds[procs] = members + 1 if inclusive else members
+    return bounds
+
+
+def _prefix_cut_consistent(idx: "HistoryIndex", bounds: np.ndarray) -> bool:
+    """Is the per-process prefix cut {i : i < bounds[proc(i)]} closed
+    under message order?  One pass over the matched-pair arrays: rows
+    are in program order, so each endpoint's trace index against its
+    process's bound places it inside or outside."""
+    sends, recvs = idx.pair_indexes()
+    proc = idx.column("proc")
+    recv_in = recvs < bounds[proc[recvs]]
+    send_out = sends >= bounds[proc[sends]]
+    return not bool(np.any(recv_in & send_out))
 
 
 def cut_of_frontier(
@@ -214,21 +242,14 @@ def cut_of_frontier(
     from .history import ensure_index
 
     idx = ensure_index(trace, index=index)
-    trace = idx.trace
-    members = [trace[i] for i in indexes]
-    by_proc: dict[int, int] = {}
-    for rec in members:
-        if rec.proc in by_proc:
-            return None
-        by_proc[rec.proc] = rec.index
-    included: set[int] = set()
-    for p, limit in by_proc.items():
-        for rec in idx.by_proc(p):
-            if rec.index < limit or (inclusive and rec.index == limit):
-                included.add(rec.index)
-            if rec.index >= limit:
-                break
-    return included
+    bounds = _frontier_bounds(idx, indexes, inclusive)
+    if bounds is None:
+        return None
+    table = idx.row_table()
+    members = table.members
+    starts = table.offsets[:-1]
+    ends = table.bisect(lambda pos: members[pos], starts, table.offsets[1:], bounds)
+    return set(table.gather(starts, ends).tolist())
 
 
 def is_consistent_cut(
@@ -246,17 +267,16 @@ def is_consistent_cut(
     """
     from .history import ensure_index
 
-    pairs = ensure_index(trace, index=index).message_pairs()
-    for pair in pairs:
-        if pair.recv.index in included and pair.send.index not in included:
-            return False
-    return True
+    idx = ensure_index(trace, index=index)
+    inside = np.fromiter(included, dtype=np.int64, count=len(included))
+    bounds = np.zeros(idx.nprocs, dtype=np.int64)
+    np.maximum.at(bounds, idx.column("proc")[inside], inside + 1)
+    return _prefix_cut_consistent(idx, bounds)
 
 
 def is_consistent_frontier(
     trace: "Trace | Iterable[TraceRecord]",
     indexes: Sequence[int],
-    order: Optional[CausalOrder] = None,
     inclusive: bool = True,
     index: "Optional[HistoryIndex]" = None,
 ) -> bool:
@@ -273,10 +293,6 @@ def is_consistent_frontier(
     """
     from .history import ensure_index
 
-    del order  # kept for signature compatibility; cut test needs no VCs
     idx = ensure_index(trace, index=index)
-    trace = idx.trace
-    included = cut_of_frontier(trace, indexes, inclusive=inclusive, index=idx)
-    if included is None:
-        return False
-    return is_consistent_cut(trace, included, index=idx)
+    bounds = _frontier_bounds(idx, indexes, inclusive)
+    return bounds is not None and _prefix_cut_consistent(idx, bounds)

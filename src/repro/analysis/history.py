@@ -23,7 +23,10 @@ The hot kernels run on these columns as batched array operations:
 * message matching -- one ``np.lexsort`` grouping over the
   (src, dst, tag, seq) key columns instead of a per-record dict loop;
 * :meth:`window` -- a sorted-t0 interval index answered with
-  ``searchsorted`` instead of a full list scan.
+  ``searchsorted`` instead of a full list scan;
+* :meth:`row_table` -- trace indexes grouped by process in program
+  order (CSR), the substrate of the O(p log n) frontier, closure and
+  stopline queries of :class:`~repro.analysis.causality.CausalOrder`.
 
 Scalar per-record reference implementations live in ``tests/oracles.py``;
 the property suite (``tests/property/test_analysis_kernels_properties``)
@@ -36,9 +39,9 @@ Maintenance is incremental with a lazy catch-up discipline:
   the record and updates the O(1) components eagerly -- program-order
   rows, the (proc, marker) lookup table, the span, the columns;
 * the expensive components -- vector clocks, message matching, the
-  window index -- keep a high-water mark and, on first access after new
-  records arrived, fold in only the suffix.  They are never rebuilt
-  from scratch once built, which is what
+  window index, the row table -- keep a high-water mark and, on first
+  access after new records arrived, fold in only the suffix.  They are
+  never rebuilt from scratch once built, which is what
   ``stats().clock_builds == 1`` asserts.
 
 Generation discipline: an index belongs to one execution.  When
@@ -73,7 +76,7 @@ from repro.trace.events import RECV_KINDS, SEND_KINDS, TraceRecord
 from repro.trace.sinks import TraceSink
 from repro.trace.trace import MessagePair, Trace, ensure_trace
 
-from .causality import CausalOrder
+from .causality import CausalOrder, RowTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mp.process import WaitInfo
@@ -139,6 +142,9 @@ class IndexStats:
     window_builds: int = 0
     window_extends: int = 0
     window_seconds: float = 0.0
+    row_builds: int = 0
+    row_extends: int = 0
+    row_seconds: float = 0.0
     trace_snapshots: int = 0
     hits: dict = field(default_factory=dict)
     misses: dict = field(default_factory=dict)
@@ -168,6 +174,9 @@ class IndexStats:
             window_builds=self.window_builds,
             window_extends=self.window_extends,
             window_seconds=self.window_seconds,
+            row_builds=self.row_builds,
+            row_extends=self.row_extends,
+            row_seconds=self.row_seconds,
             trace_snapshots=self.trace_snapshots,
             hits=dict(self.hits),
             misses=dict(self.misses),
@@ -188,6 +197,9 @@ class IndexStats:
             f"  window index  : {self.window_builds} build(s), "
             f"{self.window_extends} record(s) folded, "
             f"{self.window_seconds * 1e3:.2f} ms",
+            f"  row table     : {self.row_builds} build(s), "
+            f"{self.row_extends} record(s) folded, "
+            f"{self.row_seconds * 1e3:.2f} ms",
             f"  trace snapshots: {self.trace_snapshots}",
         ]
         for name in sorted(self.kernel_calls):
@@ -214,14 +226,16 @@ class HistoryIndex:
     * ``by_proc(p)`` -- per-process program-order rows;
     * ``span`` / ``record_at_marker()`` / ``window()`` -- span, marker
       and time-window lookup;
+    * ``row_table()`` -- trace indexes grouped by process in program
+      order, for the frontier and closure queries;
     * ``column(name)`` / ``columns`` -- the structure-of-arrays view of
       the indexed records, the substrate the vectorized kernels (and
       columnar consumers such as race detection and the critical-path
       DP) run on;
     * ``blocked`` -- the runtime's blocked-wait snapshot, when supplied.
 
-    The clock, matching and window kernels are vectorized over the
-    column store and incremental.
+    The clock, matching, window and row-table kernels are vectorized
+    over the column store and incremental.
 
     ``trace`` materializes (and memoizes) an immutable
     :class:`~repro.trace.trace.Trace` view over the indexed records for
@@ -265,6 +279,7 @@ class HistoryIndex:
         self._matched_upto = 0
         self._open_sends: dict[tuple[int, int, int, int], TraceRecord] = {}
         self._pairs: list[MessagePair] = []
+        self._pair_index = np.zeros((0, 2), dtype=np.int64)  # (send, recv)
         self._send_of_recv: dict[int, int] = {}
         self._unmatched_recvs: list[TraceRecord] = []
         # vector clocks (lazy catch-up) -----------------------------------
@@ -275,6 +290,12 @@ class HistoryIndex:
         self._window_upto = 0
         self._t0_order: Optional[np.ndarray] = None
         self._t0_sorted: Optional[np.ndarray] = None
+        # row table (lazy catch-up) -----------------------------------------
+        self._row_upto = 0
+        self._row_table = RowTable(
+            members=np.zeros(0, dtype=np.int64),
+            offsets=np.zeros(self.nprocs + 1, dtype=np.int64),
+        )
         # memoized views ---------------------------------------------------
         self._trace: Optional[Trace] = None
         self._order: Optional[CausalOrder] = None
@@ -642,6 +663,45 @@ class HistoryIndex:
         return [records[i] for i in sel.tolist()]
 
     # ------------------------------------------------------------------
+    # process rows (the frontier / closure primitive)
+    # ------------------------------------------------------------------
+    def row_table(self) -> RowTable:
+        """Trace indexes grouped by process in program order.
+
+        Caught up lazily: a catch-up sorts only the new suffix by
+        process and inserts each process's part at the end of its row.
+        The returned table is immutable; a later catch-up builds a new
+        one.
+        """
+        self._check_live()
+        n = self._n
+        if self._row_upto >= n:
+            self._stats.hit("rows")
+            return self._row_table
+        self._stats.miss("rows")
+        start = time.perf_counter()
+        lo = self._row_upto
+        proc = self._cols["proc"][lo:n]
+        # a 16-bit key turns numpy's stable sort into a radix sort
+        key = proc.astype(np.int16) if self.nprocs <= 1 << 15 else proc
+        suffix = np.argsort(key, kind="stable").astype(np.int64) + lo
+        counts = np.bincount(proc, minlength=self.nprocs).astype(np.int64)
+        old = self._row_table
+        if lo == 0:
+            self._stats.row_builds += 1
+            members = suffix
+        else:
+            at = np.repeat(old.offsets[1:], counts)  # each row's old end
+            members = np.insert(old.members, at, suffix)
+        offsets = old.offsets.copy()
+        offsets[1:] += np.cumsum(counts)
+        self._row_table = RowTable(members=members, offsets=offsets)
+        self._row_upto = n
+        self._stats.row_extends += n - lo
+        self._stats.row_seconds += time.perf_counter() - start
+        return self._row_table
+
+    # ------------------------------------------------------------------
     # message matching
     # ------------------------------------------------------------------
     def _ensure_matching(self) -> None:
@@ -762,6 +822,10 @@ class HistoryIndex:
         for s, r in new_pairs:
             pairs.append(MessagePair(records[s], records[r]))
             send_of_recv[r] = s
+        if new_pairs:
+            self._pair_index = np.concatenate(
+                [self._pair_index, np.asarray(new_pairs, dtype=np.int64)]
+            )
         unmatched.sort()
         self._unmatched_recvs.extend(records[i] for i in unmatched)
 
@@ -770,6 +834,12 @@ class HistoryIndex:
         self._check_live()
         self._ensure_matching()
         return self._pairs
+
+    def pair_indexes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(send, recv) trace-index arrays of :meth:`message_pairs`."""
+        self._check_live()
+        self._ensure_matching()
+        return self._pair_index[:, 0], self._pair_index[:, 1]
 
     def unmatched_sends(self) -> list[TraceRecord]:
         """Sends whose message was never received, in trace order."""
@@ -939,11 +1009,8 @@ class HistoryIndex:
         trace = self.trace
         if self._order is None or self._order.trace is not trace:
             self._stats.miss("order")
-            n = self._n
             self._order = CausalOrder(
-                trace=trace,
-                clocks=self._clocks[:n],
-                procs=self._cols["proc"][:n].astype(np.int64),
+                trace=trace, clocks=self._clocks[: self._n], index=self
             )
         else:
             self._stats.hit("order")

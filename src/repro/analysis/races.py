@@ -78,7 +78,6 @@ def is_wildcard_recv(rec: TraceRecord) -> bool:
 
 def detect_races(
     trace: Trace,
-    order: Optional[CausalOrder] = None,
     include_tag_wildcards: bool = True,
     index: "Optional[HistoryIndex]" = None,
 ) -> list[MessageRace]:
@@ -93,9 +92,9 @@ def detect_races(
       could have had ``s2``'s message available at ``r``.
 
     Derived state (clocks, matching) comes from the shared
-    :class:`~repro.analysis.history.HistoryIndex`: pass ``index=`` (or
-    a precomputed ``order=``) when a caller already holds one; a bare
-    trace memoizes the index so nothing is derived twice either way.
+    :class:`~repro.analysis.history.HistoryIndex`: pass ``index=`` when
+    a caller already holds one; a bare trace memoizes the index so
+    nothing is derived twice either way.
 
     One candidate mask over the send (dst, src, tag) columns per
     wildcard receive; happens-before for *all* sends at once against the
@@ -107,14 +106,13 @@ def detect_races(
     idx = ensure_index(trace, index=index)
     start = time.perf_counter()
     try:
-        return _detect_races(idx, order, include_tag_wildcards)
+        return _detect_races(idx, include_tag_wildcards)
     finally:
         idx.record_kernel("races", time.perf_counter() - start)
 
 
 def _detect_races(
     idx: "HistoryIndex",
-    order: Optional[CausalOrder],
     include_tag_wildcards: bool,
 ) -> list[MessageRace]:
     """Vectorized kernel over the index's column store.
@@ -131,7 +129,7 @@ def _detect_races(
     from .history import RECV_CODES, SEND_CODES
 
     trace = idx.trace
-    clocks = order.clocks if order is not None else idx.clocks
+    clocks = idx.clocks
     cols = idx.columns
     kind = cols["kind"]
     recv_idx = np.nonzero(kind == RECV_CODES[0])[0]

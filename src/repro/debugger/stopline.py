@@ -22,7 +22,8 @@ Three placements:
 
 Thresholds follow the UserMonitor convention: a process parks when its
 counter *reaches* the threshold, i.e. before executing the construct
-bearing that marker.
+bearing that marker.  No threshold is below 1
+(:func:`~repro.analysis.frontiers.stop_thresholds`).
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.analysis.causality import CausalOrder
-from repro.analysis.frontiers import analyze_frontiers
+import numpy as np
+
+from repro.analysis.frontiers import frontier_thresholds, stop_thresholds
 from repro.trace.events import TraceRecord
 from repro.trace.markers import MarkerVector
 from repro.trace.trace import Trace
@@ -95,7 +97,7 @@ def vertical_stopline_at_time(trace: Trace, time: float) -> Stopline:
         placement=StoplinePlacement.VERTICAL,
         time=time,
         anchor=None,
-        thresholds=MarkerVector(thresholds),
+        thresholds=MarkerVector(stop_thresholds(thresholds)),
     )
 
 
@@ -103,16 +105,16 @@ def compute_stopline(
     trace: Trace,
     event_index: int,
     placement: StoplinePlacement = StoplinePlacement.VERTICAL,
-    order: Optional[CausalOrder] = None,
     index: "Optional[HistoryIndex]" = None,
 ) -> Stopline:
     """Stopline for a selected event (the user's click).
 
     ``vertical`` slices at the event's start time; the selected process
     is pinned to stop exactly at the selected construct.  ``past`` /
-    ``future`` use the frontier thresholds of
-    :class:`~repro.analysis.frontiers.FrontierAnalysis`, with the causal
-    order drawn from the shared HistoryIndex.
+    ``future`` use the frontier thresholds
+    (:func:`~repro.analysis.frontiers.frontier_thresholds`) of the
+    event's row-table cones in the shared HistoryIndex: O(p log n),
+    and a past stopline needs no search at all.
     """
     from repro.analysis.history import ensure_index
 
@@ -127,13 +129,13 @@ def compute_stopline(
             placement=placement,
             time=anchor.t0,
             anchor=anchor,
-            thresholds=MarkerVector(merged),
+            thresholds=MarkerVector(stop_thresholds(merged)),
         )
-    analysis = analyze_frontiers(trace, event_index, order, index=idx)
-    if placement is StoplinePlacement.PAST_FRONTIER:
-        thresholds = analysis.past_stopline()
-    else:
-        thresholds = analysis.future_stopline()
+    thresholds = frontier_thresholds(
+        idx.order.cones(event_index),
+        idx.column("marker"),
+        future=placement is StoplinePlacement.FUTURE_FRONTIER,
+    )
     return Stopline(
         placement=placement,
         time=anchor.t0,
@@ -151,20 +153,17 @@ def verify_stopline_consistency(
 
     The cut "everything with marker < threshold per process" must not
     contain a receive whose send lies outside -- no message into the cut
-    from beyond the stopline.
+    from beyond the stopline.  One pass over the matched-pair arrays:
+    each endpoint's marker against its process's threshold.
     """
     from repro.analysis.history import ensure_index
 
     idx = ensure_index(trace, index=index)
-    trace = idx.trace
-    thresholds = stopline.thresholds
-    included: set[int] = set()
-    for p in range(trace.nprocs):
-        limit = thresholds.get(p)
-        for rec in idx.by_proc(p):
-            if limit is None or rec.marker < limit:
-                included.add(rec.index)
-    for pair in idx.message_pairs():
-        if pair.recv.index in included and pair.send.index not in included:
-            return False
-    return True
+    limit = np.full(idx.nprocs, np.iinfo(np.int64).max, dtype=np.int64)
+    for p in range(idx.nprocs):
+        limit[p] = stopline.thresholds.get(p, limit[p])
+    sends, recvs = idx.pair_indexes()
+    marker, proc = idx.column("marker"), idx.column("proc")
+    recv_in = marker[recvs] < limit[proc[recvs]]
+    send_out = marker[sends] >= limit[proc[sends]]
+    return not bool(np.any(recv_in & send_out))

@@ -91,12 +91,12 @@ class TestFrontiers:
         order = compute_causal_order(tr)
         # Pick a mid-trace receive on a middle rank (the Figure 8 click).
         target = [r for r in tr.by_proc(4) if r.is_recv][2]
-        return tr, order, analyze_frontiers(tr, target.index, order)
+        return tr, order, analyze_frontiers(tr, target.index)
 
     def test_past_frontier_consistent_inclusively(self, lu_analysis):
         tr, order, fa = lu_analysis
         assert is_consistent_frontier(
-            tr, fa.past_frontier.indexes(), order, inclusive=True
+            tr, fa.past_frontier.indexes(), inclusive=True
         )
 
     def test_future_frontier_consistent_exclusively(self, lu_analysis):
@@ -104,7 +104,7 @@ class TestFrontiers:
         cut (the future stopline of Section 4.1)."""
         tr, order, fa = lu_analysis
         assert is_consistent_frontier(
-            tr, fa.future_frontier.indexes(), order, inclusive=False
+            tr, fa.future_frontier.indexes(), inclusive=False
         )
 
     def test_past_before_future_per_proc(self, lu_analysis):
@@ -152,7 +152,7 @@ class TestFrontiers:
         tr, order = pipeline
         pair = tr.message_pairs()[0]
         assert is_consistent_frontier(
-            tr, [pair.send.index, pair.recv.index], order
+            tr, [pair.send.index, pair.recv.index]
         )
 
     def test_inconsistent_cut_detected(self, pipeline):
@@ -162,14 +162,14 @@ class TestFrontiers:
         before_send = tr.by_proc(pair.send.proc)[0]
         assert before_send.index != pair.send.index
         assert not is_consistent_frontier(
-            tr, [before_send.index, pair.recv.index], order
+            tr, [before_send.index, pair.recv.index]
         )
 
     def test_two_events_one_process_rejected(self, pipeline):
         tr, order = pipeline
         rows = tr.by_proc(0)
         assert not is_consistent_frontier(
-            tr, [rows[0].index, rows[1].index], order
+            tr, [rows[0].index, rows[1].index]
         )
 
 

@@ -3,7 +3,7 @@
 Covers the tentpole invariants:
 
 * incremental (record-by-record) index state equals the batch-derived
-  reference (``compute_causal_order`` + ``Trace._match_messages``);
+  reference (``tests.oracles.clocks`` + ``Trace._match_messages``);
 * a multi-analysis session (stopline -> frontiers -> races -> critical
   path) performs exactly one vector-clock build and one matching build,
   asserted via ``HistoryIndex.stats()``;
@@ -19,11 +19,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from tests import oracles
 from tests.conftest import traced_run
 from repro.analysis import (
     HistoryIndex,
     StaleIndexError,
-    compute_causal_order,
     critical_path,
     detect_races,
     ensure_index,
@@ -55,7 +55,10 @@ def ring_trace():
 def test_incremental_equals_batch_clocks_and_matching(lu_trace):
     """Feeding records one at a time (with interleaved queries forcing
     repeated catch-ups) yields the exact batch-derived state."""
-    batch_order = compute_causal_order(lu_trace)
+    records = list(lu_trace)
+    batch_clocks = oracles.clocks(
+        records, lu_trace.nprocs, oracles.match(records).send_of_recv
+    )
     index = HistoryIndex(nprocs=lu_trace.nprocs)
     for k, rec in enumerate(lu_trace):
         index.extend(rec)
@@ -64,7 +67,7 @@ def test_incremental_equals_batch_clocks_and_matching(lu_trace):
             index.message_pairs()
             _ = index.clocks
     assert len(index) == len(lu_trace)
-    np.testing.assert_array_equal(index.clocks, batch_order.clocks)
+    np.testing.assert_array_equal(index.clocks, batch_clocks)
     assert [(p.send.index, p.recv.index) for p in index.message_pairs()] == [
         (p.send.index, p.recv.index) for p in lu_trace.message_pairs()
     ]
@@ -99,7 +102,8 @@ def test_incremental_rows_and_span_match_trace(ring_trace):
 # ----------------------------------------------------------------------
 def test_multi_analysis_session_derives_once(lu_trace):
     """stopline -> frontiers -> races -> critical path on the same trace:
-    exactly one vector-clock build and one matching build."""
+    exactly one vector-clock build, one matching build and one row-table
+    build."""
     index = ensure_index(lu_trace)
 
     event = next(r.index for r in lu_trace if r.is_recv)
@@ -114,6 +118,7 @@ def test_multi_analysis_session_derives_once(lu_trace):
     stats = index.stats()
     assert stats.clock_builds == 1
     assert stats.matching_builds == 1
+    assert stats.row_builds == 1
 
     # the bare-trace signatures share the same memoized index: still one
     analyze_frontiers(lu_trace, event)
@@ -270,6 +275,28 @@ def test_window_index_is_incremental(ring_trace):
     stats = index.stats()
     assert stats.window_builds == 1  # extension merged, not rebuilt
     assert stats.window_extends == len(ring_trace)
+
+
+def test_row_table_is_incremental(ring_trace):
+    index = HistoryIndex(nprocs=ring_trace.nprocs)
+    half = len(ring_trace) // 2
+    for rec in ring_trace[:half]:
+        index.extend(rec)
+    first = index.row_table()
+    for rec in ring_trace[half:]:
+        index.extend(rec)
+    table = index.row_table()
+    assert index.row_table() is table  # caught up: a hit, no new table
+    for p in range(ring_trace.nprocs):
+        row = table.members[table.offsets[p]:table.offsets[p + 1]]
+        assert row.tolist() == [r.index for r in ring_trace.by_proc(p)]
+    # the earlier table is untouched: it still describes the first half
+    assert first.members.size == half
+    stats = index.stats()
+    assert stats.row_builds == 1  # extension inserted, not rebuilt
+    assert stats.row_extends == len(ring_trace)
+    assert stats.hits["rows"] == 1 and stats.misses["rows"] == 2
+    assert "row table     : 1 build(s)" in stats.as_text()
 
 
 def test_kernel_stats_surfaced(ring_trace):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import mp
+from repro.apps import ring_program
 from repro.apps import strassen as st
 from repro.debugger import (
     DebugSession,
@@ -14,6 +15,7 @@ from repro.debugger import (
     verify_stopline_consistency,
     vertical_stopline_at_time,
 )
+from repro.trace.events import EventKind
 from tests.conftest import traced_run
 
 
@@ -137,6 +139,27 @@ class TestReplayToStopline:
         np.testing.assert_allclose(
             session.results()[0], st.reference_product(cfg), atol=1e-10
         )
+        session.shutdown()
+
+    @pytest.mark.parametrize("placement", list(StoplinePlacement))
+    def test_proc_start_anchor_replays_to_its_thresholds(self, placement):
+        """A PROC_START record carries marker 0, which no construct
+        does: every threshold is at least 1, and the replay parks each
+        thresholded rank exactly at its threshold."""
+        session = DebugSession(ring_program(), 4)
+        session.run()
+        anchor = next(
+            r for r in session.trace().by_proc(1)
+            if r.kind is EventKind.PROC_START
+        )
+        assert anchor.marker == 0
+        sl = session.set_stopline(anchor.index, placement)
+        assert all(sl.thresholds[r] >= 1 for r in sl.thresholds)
+        assert sl.thresholds[1] == 1
+        session.replay()
+        markers = session.markers()
+        for rank in sl.thresholds:
+            assert markers[rank] == sl.thresholds[rank], rank
         session.shutdown()
 
     def test_replay_without_stopline_rejected(self):

@@ -10,7 +10,9 @@ checks exact equality on random traces, and
 Every function is pure and takes a positional record list
 (``records[i].index == i``), plus whatever derived state it consumes
 (the send-of-receive map, the clock matrix) -- the same inputs the
-production kernel reads from the index.
+production kernel reads from the index.  :func:`frontiers` and
+:func:`cut_is_consistent` are the full-scan and set-based forms of the
+row-table frontier, stopline and cut queries.
 """
 
 from __future__ import annotations
@@ -78,6 +80,73 @@ def clocks(
             np.maximum(row, out[s], out=row)
         out[rec.index] = row
     return out
+
+
+@dataclass
+class Frontiers:
+    """Closures and frontier members of one event, by trace index."""
+
+    past: np.ndarray
+    future: np.ndarray
+    concurrency: np.ndarray
+    #: per process, the latest past / earliest future event (-1: none)
+    last_past: np.ndarray
+    first_future: np.ndarray
+
+
+def frontiers(clocks: np.ndarray, procs: np.ndarray, e: int) -> Frontiers:
+    """Full-scan masks over the clock matrix: ``f`` is in the past of
+    ``e`` iff ``VC[f][proc(f)] <= VC[e][proc(f)]``, in its future iff
+    ``VC[f][proc(e)] >= VC[e][proc(e)]``; frontier members come from
+    scatter assignments over the ascending closures."""
+    n, nprocs = clocks.shape
+    own = clocks[np.arange(n), procs]
+    mask = own <= clocks[e, procs]
+    mask[e] = False
+    past = np.nonzero(mask)[0]
+    pe = procs[e]
+    mask = clocks[:, pe] >= clocks[e, pe]
+    mask[e] = False
+    future = np.nonzero(mask)[0]
+    mask = np.ones(n, dtype=bool)
+    mask[past] = False
+    mask[future] = False
+    mask[e] = False
+    last_past = np.full(nprocs, -1, dtype=np.int64)
+    last_past[procs[past]] = past  # ascending: the latest write wins
+    first_future = np.full(nprocs, -1, dtype=np.int64)
+    rev = future[::-1]
+    first_future[procs[rev]] = rev
+    return Frontiers(past, future, np.nonzero(mask)[0], last_past, first_future)
+
+
+def frontier_stoplines(
+    markers: list[int], procs: np.ndarray, e: int, fr: Frontiers
+) -> tuple[dict[int, int], dict[int, int]]:
+    """(past, future) stopline thresholds of ``e``: one past the last
+    past member's marker (1 without one), the first future member's
+    marker (no threshold without one), the selected construct on its
+    own process; no threshold below 1."""
+    pe = int(procs[e])
+    past = {
+        p: markers[i] + 1 if i >= 0 else 1
+        for p, i in enumerate(fr.last_past.tolist())
+    }
+    future = {
+        p: markers[i] for p, i in enumerate(fr.first_future.tolist()) if i >= 0
+    }
+    past[pe] = future[pe] = markers[e]
+    return (
+        {p: max(1, m) for p, m in past.items()},
+        {p: max(1, m) for p, m in future.items()},
+    )
+
+
+def cut_is_consistent(
+    pairs: list[tuple[int, int]], included: set[int]
+) -> bool:
+    """No message received inside the event set but sent outside it."""
+    return not any(r in included and s not in included for s, r in pairs)
 
 
 def window(

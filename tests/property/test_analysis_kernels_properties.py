@@ -6,22 +6,40 @@ duplicate message keys, unmatched sends/receives, waits/collectives and
 compute -- are indexed batch and incrementally (streamed in chunks with
 catch-up queries between chunks), and every derived artifact must equal
 the oracle's: clock matrices (integer-exact), matching pairs and
-unmatched lists, window queries, race reports, and critical paths
+unmatched lists, window queries, race reports, critical paths
 (bitwise float equality: the segment ``cumsum`` DP performs the same
-sequential additions as the scalar loop).
+sequential additions as the scalar loop), the row-table closures,
+frontiers and stoplines (against the full-scan masks), and the cut
+checks (against the set-based definition, on consistent and
+inconsistent cuts alike).
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from repro.analysis import HistoryIndex
+from repro.analysis import (
+    HistoryIndex,
+    analyze_frontiers,
+    cut_of_frontier,
+    is_consistent_cut,
+    is_consistent_frontier,
+)
 from repro.analysis.critical_path import critical_path
 from repro.analysis.races import detect_races
+from repro.debugger.stopline import (
+    Stopline,
+    StoplinePlacement,
+    compute_stopline,
+    verify_stopline_consistency,
+)
 from repro.mp.datatypes import ANY_SOURCE, ANY_TAG, SourceLocation
 from repro.trace.events import EventKind, TraceRecord
+from repro.trace.markers import MarkerVector
 from tests import oracles
 
 LOC = SourceLocation("prog.py", 1, "main")
@@ -217,3 +235,158 @@ def test_streamed_equals_batch(tr, chunk):
     assert streamed.stats().clock_builds == 1
     assert streamed.stats().matching_builds == 1
     assert streamed.stats().window_builds == 1
+
+
+def with_start_markers(records):
+    """Give each process's first record marker 0, as a ``PROC_START``
+    record has: no stopline may then produce a threshold of 0."""
+    seen = set()
+    out = []
+    for rec in records:
+        if rec.proc not in seen:
+            seen.add(rec.proc)
+            rec = replace(rec, marker=0)
+        out.append(rec)
+    return out
+
+
+def assert_frontiers_equal_oracle(idx, order, e, clocks, procs, markers):
+    """Closures, frontier members, concurrency region and both frontier
+    stoplines of ``e`` equal the full-scan oracle over ``clocks``."""
+    ref = oracles.frontiers(clocks, procs, e)
+    assert order.past(e).tolist() == ref.past.tolist()
+    assert order.future(e).tolist() == ref.future.tolist()
+    assert order.concurrency_region(e).tolist() == ref.concurrency.tolist()
+    if order is not idx.order:
+        return  # a held snapshot: the analyses below read the live index
+    fa = analyze_frontiers(idx.trace, e, index=idx)
+    nprocs = clocks.shape[1]
+    for frontier, members in ((fa.past_frontier, ref.last_past),
+                              (fa.future_frontier, ref.first_future)):
+        got = [frontier.event(p) for p in range(nprocs)]
+        assert [r.index if r is not None else -1 for r in got] == members.tolist()
+    assert fa.concurrency_indexes == ref.concurrency.tolist()
+    past, future = oracles.frontier_stoplines(markers, procs, e, ref)
+    assert fa.past_stopline() == past
+    assert fa.future_stopline() == future
+    trace = idx.trace
+    for placement, want in ((StoplinePlacement.PAST_FRONTIER, past),
+                            (StoplinePlacement.FUTURE_FRONTIER, future)):
+        sl = compute_stopline(trace, e, placement, index=idx)
+        assert sl.thresholds.as_dict() == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(trace_records(), hst.integers(0, 17), hst.booleans())
+def test_frontiers_equal_oracle(tr, chunk, start_markers):
+    """Every event, batch (``chunk == 0``) or streamed through an
+    IndexSink in chunks: each chunk's events are queried as they arrive
+    (row-table catch-up), an order held from before the chunk still
+    answers for its snapshot, and every event is queried at the end."""
+    nprocs, records = tr
+    if start_markers:
+        records = with_start_markers(records)
+    clocks = oracles.clocks(records, nprocs, oracles.match(records).send_of_recv)
+    procs = np.array([r.proc for r in records], dtype=np.int64)
+    markers = [r.marker for r in records]
+
+    def check(idx, order, e, n):
+        assert_frontiers_equal_oracle(
+            idx, order, e, clocks[:n], procs[:n], markers[:n]
+        )
+
+    idx = HistoryIndex(nprocs=nprocs)
+    if chunk:
+        sink = idx.sink()
+        for lo in range(0, len(records), chunk):
+            held = idx.order if lo else None
+            for rec in records[lo:lo + chunk]:
+                sink.emit(rec)
+            hi = len(idx)
+            if held is not None:
+                check(idx, held, lo - 1, lo)
+            for e in range(lo, hi):
+                check(idx, idx.order, e, hi)
+        assert idx.stats().row_builds == 1
+    else:
+        idx.extend_many(records)
+    for e in range(len(records)):
+        check(idx, idx.order, e, len(records))
+
+
+@settings(max_examples=40, deadline=None)
+@given(trace_records(), hst.data())
+def test_cut_checks_equal_oracle(tr, data):
+    """is_consistent_cut, cut_of_frontier, is_consistent_frontier and
+    verify_stopline_consistency equal the set-based definitions on
+    random per-process cuts, most of them inconsistent."""
+    nprocs, records = tr
+    idx = HistoryIndex(records, nprocs=nprocs)
+    trace = idx.trace
+    pairs = oracles.match(records).pairs
+    rows = [[r.index for r in records if r.proc == p] for p in range(nprocs)]
+
+    # a per-process prefix set
+    lengths = [data.draw(hst.integers(0, len(row))) for row in rows]
+    prefix = {i for row, k in zip(rows, lengths) for i in row[:k]}
+    assert is_consistent_cut(trace, prefix, index=idx) == (
+        oracles.cut_is_consistent(pairs, prefix)
+    )
+
+    # a frontier: at most one member per process
+    members = []
+    for row in rows:
+        if row and data.draw(hst.booleans()):
+            members.append(data.draw(hst.sampled_from(row)))
+    inclusive = data.draw(hst.booleans())
+    cut = {
+        i for m in members for i in rows[records[m].proc]
+        if i < m or (inclusive and i == m)
+    }
+    assert cut_of_frontier(trace, members, inclusive, index=idx) == cut
+    assert is_consistent_frontier(trace, members, inclusive, index=idx) == (
+        oracles.cut_is_consistent(pairs, cut)
+    )
+    # frontiers on both ends of a message: the cut's edge runs right
+    # through the pair
+    for s, r in pairs:
+        if records[s].proc == records[r].proc:
+            continue
+        for edge in (True, False):
+            cut = {
+                i for m in (s, r) for i in rows[records[m].proc]
+                if i < m or (edge and i == m)
+            }
+            assert is_consistent_frontier(trace, [s, r], edge, index=idx) == (
+                oracles.cut_is_consistent(pairs, cut)
+            )
+    if members:
+        twice = members + [rows[records[members[0]].proc][0]]
+        assert cut_of_frontier(trace, twice, inclusive, index=idx) is None
+        assert not is_consistent_frontier(trace, twice, inclusive, index=idx)
+
+    # stopline thresholds: "marker < threshold" on thresholded ranks
+    def assert_stopline_check(thresholds):
+        included = {
+            r.index for r in records
+            if r.proc not in thresholds or r.marker < thresholds[r.proc]
+        }
+        sl = Stopline(
+            StoplinePlacement.VERTICAL, 0.0, None, MarkerVector(thresholds)
+        )
+        assert verify_stopline_consistency(trace, sl, index=idx) == (
+            oracles.cut_is_consistent(pairs, included)
+        )
+
+    top = max(r.marker for r in records) + 2
+    assert_stopline_check({
+        p: data.draw(hst.integers(0, top))
+        for p in range(nprocs) if data.draw(hst.booleans())
+    })
+    for s, r in pairs:  # thresholds right at a message's endpoints
+        ps, pr = records[s].proc, records[r].proc
+        if ps != pr:
+            for past_recv in (0, 1):
+                assert_stopline_check(
+                    {ps: records[s].marker, pr: records[r].marker + past_recv}
+                )

@@ -4,7 +4,7 @@ Random deadlock-free programs (the same phase/barrier construction as
 ``test_causality_properties``) plus randomized ring/LU parameterizations
 are traced; the index fed record-by-record -- with catch-up queries at
 random interleave points -- must equal the batch reference
-(``compute_causal_order`` clocks, ``Trace`` matching) exactly.
+(``tests.oracles.clocks``, ``Trace`` matching) exactly.
 """
 
 from __future__ import annotations
@@ -14,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from repro import mp
-from repro.analysis import HistoryIndex, compute_causal_order
+from repro.analysis import HistoryIndex
 from repro.apps.lu import LUConfig, lu_program
 from repro.apps.ring import ring_program
 from repro.instrument import WrapperLibrary
 from repro.trace import TraceRecorder
+from tests import oracles
 
 NPROCS = 4
 
@@ -56,14 +57,17 @@ def traced(program, nprocs):
 
 
 def assert_incremental_equals_batch(trace, catchup_every):
-    batch_order = compute_causal_order(trace)
+    records = list(trace)
+    batch_clocks = oracles.clocks(
+        records, trace.nprocs, oracles.match(records).send_of_recv
+    )
     index = HistoryIndex(nprocs=trace.nprocs)
     for k, rec in enumerate(trace):
         index.extend(rec)
         if catchup_every and k % catchup_every == 0:
             index.message_pairs()
             _ = index.clocks
-    np.testing.assert_array_equal(index.clocks, batch_order.clocks)
+    np.testing.assert_array_equal(index.clocks, batch_clocks)
     assert [(p.send.index, p.recv.index) for p in index.message_pairs()] == [
         (p.send.index, p.recv.index) for p in trace.message_pairs()
     ]
