@@ -148,14 +148,16 @@ class CausalOrder:
 
     ``clocks[i]`` is the vector clock of the record with trace index
     ``i`` (component p = count of events of process p in that record's
-    causal past, inclusive).  ``trace`` and ``clocks`` are a snapshot of
-    ``index``; closures read the index's row table and stay answers for
-    the snapshot after the index grows.
+    causal past, inclusive).  ``trace``, ``clocks`` and ``procs`` (the
+    process column) are a snapshot of ``index``; closures read the
+    index's row table and stay answers for the snapshot after the index
+    grows.  No query builds a record.
     """
 
     trace: Trace
     clocks: np.ndarray  # (n_events, nprocs), dtype int64
     index: "HistoryIndex"
+    procs: np.ndarray  # (n_events,) process of each event
 
     # ------------------------------------------------------------------
     # pairwise relations
@@ -169,7 +171,7 @@ class CausalOrder:
         """
         if a == b:
             return False
-        pa = self.trace[a].proc
+        pa = self.procs[a]
         return bool(self.clocks[a, pa] <= self.clocks[b, pa])
 
     def concurrent(self, a: int, b: int) -> bool:
@@ -190,7 +192,7 @@ class CausalOrder:
         if table.members.size > n:  # the index grew past this snapshot
             members = table.members
             ends = table.bisect(lambda pos: members[pos], table.offsets[:-1], ends, n)
-        return EventCones(table, ends, self.clocks, e, self.trace[e].proc)
+        return EventCones(table, ends, self.clocks, e, int(self.procs[e]))
 
     def past(self, e: int) -> np.ndarray:
         """Trace indexes of all events that happen before ``e``.
@@ -233,14 +235,18 @@ def check_trace_causality(trace: Trace, index=None) -> Optional[str]:
     This is the property that makes a vertical stopline a consistent cut
     (§4.1: "no message was received before it was sent").  Pass a
     :class:`~repro.analysis.history.HistoryIndex` via ``index=`` to reuse
-    an existing matching.
+    an existing matching.  One compare over the matched-pair arrays.
     """
     from .history import ensure_index
 
-    for pair in ensure_index(trace, index=index).message_pairs():
-        if pair.recv.t1 < pair.send.t1:
-            return (
-                f"receive {pair.recv.index} (t1={pair.recv.t1}) completes "
-                f"before its send {pair.send.index} (t1={pair.send.t1})"
-            )
-    return None
+    idx = ensure_index(trace, index=index)
+    sends, recvs = idx.pair_indexes()
+    t1 = idx.column("t1")
+    bad = np.flatnonzero(t1[recvs] < t1[sends])
+    if bad.size == 0:
+        return None
+    r, s = int(recvs[bad[0]]), int(sends[bad[0]])
+    return (
+        f"receive {r} (t1={float(t1[r])}) completes "
+        f"before its send {s} (t1={float(t1[s])})"
+    )

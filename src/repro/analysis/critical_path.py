@@ -129,12 +129,11 @@ def _critical_path(idx: "HistoryIndex") -> CriticalPath:
     the program edge under a fixed tie-break (program first, send wins
     only strictly).
     """
-    trace = idx.trace
-    n = len(trace)
+    n = len(idx)
     if n == 0:
         return CriticalPath([], 0.0, 0.0, [])
     cols = idx.columns
-    send_of_recv = idx.send_of_recv  # also forces matching before clocks
+    sends, joins = idx.pair_indexes()  # joins ascend: pairs are in recv order
     nprocs = idx.nprocs
     t0 = cols["t0"]
     t1 = cols["t1"]
@@ -147,14 +146,7 @@ def _critical_path(idx: "HistoryIndex") -> CriticalPath:
     w = t1 - t0
     w[np.isin(kind, _ZERO_WEIGHT_CODES)] = 0.0
     w[kind == RECV_CODES[0]] = 0.0  # unmatched receives contribute nothing
-    if send_of_recv:
-        r_arr = np.fromiter(
-            send_of_recv.keys(), dtype=np.int64, count=len(send_of_recv)
-        )
-        s_arr = np.fromiter(
-            send_of_recv.values(), dtype=np.int64, count=len(send_of_recv)
-        )
-        w[r_arr] = np.maximum(0.0, t1[r_arr] - np.maximum(t1[s_arr], t0[r_arr]))
+    w[joins] = np.maximum(0.0, t1[joins] - np.maximum(t1[sends], t0[joins]))
 
     # --- per-process segment machinery --------------------------------
     order = np.argsort(proc_col, kind="stable").astype(np.int64)
@@ -192,17 +184,13 @@ def _critical_path(idx: "HistoryIndex") -> CriticalPath:
             tail[p] = float(seg[-1])
             flushed[p] = upto
 
-    joins = sorted(send_of_recv.keys())
-    if joins:
-        j_arr = np.asarray(joins, dtype=np.int64)
-        s_list = [send_of_recv[i] for i in joins]
-        s_arr2 = np.asarray(s_list, dtype=np.int64)
-        jp_l = proc_col[j_arr].tolist()
-        jrp_l = rowpos[j_arr].tolist()
-        jw_l = w[j_arr].tolist()
-        sq_l = proc_col[s_arr2].tolist()
-        srp_l = rowpos[s_arr2].tolist()
-    for k, i in enumerate(joins):
+    s_list = sends.tolist()
+    jp_l = proc_col[joins].tolist()
+    jrp_l = rowpos[joins].tolist()
+    jw_l = w[joins].tolist()
+    sq_l = proc_col[sends].tolist()
+    srp_l = rowpos[sends].tolist()
+    for k, i in enumerate(joins.tolist()):
         s = s_list[k]
         p = jp_l[k]
         rp = jrp_l[k]
@@ -235,15 +223,17 @@ def _critical_path(idx: "HistoryIndex") -> CriticalPath:
     path = []
     i = end
     while i >= 0:
-        path.append(trace[i])
+        path.append(i)
         i = int(pred[i])
     path.reverse()
     t_lo, t_hi = idx.span
+    # the path's records are built here, in one batch: a lazy view
+    # would keep the whole index alive for as long as the path is held
     return CriticalPath(
-        records=path,
+        records=idx.records_at(path),
         length=float(dist[end]),
         span=t_hi - t_lo,
-        weights=[float(w[rec.index]) for rec in path],
+        weights=w[path].tolist(),
     )
 
 

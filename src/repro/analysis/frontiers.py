@@ -19,7 +19,6 @@ here as the per-process marker thresholds the two frontiers induce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
@@ -34,18 +33,32 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .history import HistoryIndex
 
 
-@dataclass
 class Frontier:
     """One event per process (None where the process has no event on the
-    relevant side)."""
+    relevant side).
 
-    events: dict[int, Optional[TraceRecord]] = field(default_factory=dict)
+    Held as trace indexes (``members[p]``, -1 for none); the member
+    records are built from ``rows`` (the trace) when first read.
+    """
+
+    def __init__(self, members: np.ndarray, rows: Sequence[TraceRecord]) -> None:
+        self.members = members
+        self._rows = rows
+
+    @cached_property
+    def events(self) -> dict[int, Optional[TraceRecord]]:
+        return {
+            p: self._rows[i] if i >= 0 else None
+            for p, i in enumerate(self.members.tolist())
+        }
 
     def event(self, proc: int) -> Optional[TraceRecord]:
-        return self.events.get(proc)
+        if not 0 <= proc < self.members.size or self.members[proc] < 0:
+            return None
+        return self._rows[int(self.members[proc])]
 
     def indexes(self) -> list[int]:
-        return [r.index for r in self.events.values() if r is not None]
+        return [i for i in self.members.tolist() if i >= 0]
 
     def times(self) -> dict[int, float]:
         return {
@@ -102,22 +115,22 @@ def frontier_thresholds(
 class FrontierAnalysis:
     """Past/future frontiers and concurrency region of one event.
 
-    The frontiers are built eagerly; the concurrency region is gathered
-    from the row table on first read of :attr:`concurrency_indexes`.
+    The frontier members are found eagerly, as trace indexes; records
+    (the selected event, frontier members) are built when read, and the
+    concurrency region is gathered from the row table on first read of
+    :attr:`concurrency_indexes`.
     """
 
     def __init__(self, order: CausalOrder, event_index: int) -> None:
         self.order = order
-        self.event: TraceRecord = order.trace[event_index]
+        self.event_index = event_index
         self.cones = order.cones(event_index)
-        self.past_frontier = self._frontier(self.cones.last_past())
-        self.future_frontier = self._frontier(self.cones.first_future())
+        self.past_frontier = Frontier(self.cones.last_past(), order.trace)
+        self.future_frontier = Frontier(self.cones.first_future(), order.trace)
 
-    def _frontier(self, members: np.ndarray) -> Frontier:
-        trace = self.order.trace
-        return Frontier(
-            {p: trace[i] if i >= 0 else None for p, i in enumerate(members.tolist())}
-        )
+    @cached_property
+    def event(self) -> TraceRecord:
+        return self.order.trace[self.event_index]
 
     @cached_property
     def concurrency_indexes(self) -> list[int]:

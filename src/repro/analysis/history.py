@@ -10,23 +10,37 @@ Okita et al.'s scalable trace analysis both argue the opposite
 structure: *one* incrementally-maintained derived-state container that
 all debugging activities consume.  That container is this class.
 
-Storage is **columnar**: alongside the record list the index keeps the
-fixed-width fields (``index/proc/kind/src/dst/tag/seq/t0/t1/marker/
-size``) as incrementally-grown numpy arrays (amortized doubling),
-appended per record in :meth:`extend` and bulk-copied from a decoded
-:class:`~repro.trace.columnar.ColumnBlock` in :meth:`extend_columns`.
-The hot kernels run on these columns as batched array operations:
+Storage is **columnar**, and the column store is the only in-memory
+form of the history: the fixed-width fields
+(``index/proc/kind/src/dst/tag/seq/t0/t1/marker/size``) are
+incrementally-grown numpy arrays (amortized doubling), appended per
+record in :meth:`extend` and bulk-copied from a decoded
+:class:`~repro.trace.columnar.ColumnBlock` in :meth:`extend_columns`,
+which also keeps the block for the fields the store does not hold
+(locations, peer fields, ``extra``).  A
+:class:`~repro.trace.events.TraceRecord` is built only for a row a
+caller reads -- ``trace[i]``, ``records``, ``by_proc``,
+``window``, the members of pairs, unmatched lists, races, paths and
+frontiers -- and memoized, so a second read returns the same object;
+``stats().records_built`` counts them.  Records fed through
+:meth:`extend` are kept as they arrive.
 
-* vector clocks -- only receive-join events are touched in Python; the
-  segments between joins are filled by broadcast (O(messages*p) array
+The hot kernels run on the columns as batched array operations, and
+their state is trace-index arrays:
+
+* vector clocks -- only receive-join events are touched in Python, one
+  ``np.maximum`` per join into an int64 table of segment bases; the
+  segments between joins are filled by one gather (O(messages*p) array
   work instead of O(n*p) Python iterations);
 * message matching -- one ``np.lexsort`` grouping over the
-  (src, dst, tag, seq) key columns instead of a per-record dict loop;
+  (src, dst, tag, seq) key columns; pairs, the send of each receive,
+  open sends and unmatched receives are int64 arrays;
 * :meth:`window` -- a sorted-t0 interval index answered with
   ``searchsorted`` instead of a full list scan;
 * :meth:`row_table` -- trace indexes grouped by process in program
-  order (CSR), the substrate of the O(p log n) frontier, closure and
-  stopline queries of :class:`~repro.analysis.causality.CausalOrder`.
+  order (CSR), the substrate of ``by_proc``, the per-process time and
+  marker searches and the O(p log n) frontier, closure and stopline
+  queries of :class:`~repro.analysis.causality.CausalOrder`.
 
 Scalar per-record reference implementations live in ``tests/oracles.py``;
 the property suite (``tests/property/test_analysis_kernels_properties``)
@@ -36,8 +50,8 @@ checks these kernels equal to them, and
 Maintenance is incremental with a lazy catch-up discipline:
 
 * :meth:`extend` (fed by an :class:`IndexSink` on the TraceBus) appends
-  the record and updates the O(1) components eagerly -- program-order
-  rows, the (proc, marker) lookup table, the span, the columns;
+  the record and updates the O(1) components eagerly -- the columns
+  and the span;
 * the expensive components -- vector clocks, message matching, the
   window index, the row table -- keep a high-water mark and, on first
   access after new records arrived, fold in only the suffix.  They are
@@ -65,14 +79,17 @@ matcher pairs them.
 
 from __future__ import annotations
 
+import operator
 import time
+import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 import numpy as np
 
 from repro.trace.columnar import DEFAULT_KIND_TABLE, KIND_CODES, kind_code_lut
-from repro.trace.events import RECV_KINDS, SEND_KINDS, TraceRecord
+from repro.trace.events import RECV_KINDS, SEND_KINDS, EventKind, TraceRecord
 from repro.trace.sinks import TraceSink
 from repro.trace.trace import MessagePair, Trace, ensure_trace
 
@@ -128,7 +145,9 @@ class IndexStats:
     count memoized-component lookups per component name.
     ``kernel_calls``/``kernel_seconds`` count the analysis kernels that
     consume the index without owning state in it (race detection,
-    critical path), keyed by kernel name.
+    critical path), keyed by kernel name.  ``records_built`` counts the
+    column-ingested rows turned into record objects because a caller
+    read them.
     """
 
     generation: int = 0
@@ -146,6 +165,7 @@ class IndexStats:
     row_extends: int = 0
     row_seconds: float = 0.0
     trace_snapshots: int = 0
+    records_built: int = 0
     hits: dict = field(default_factory=dict)
     misses: dict = field(default_factory=dict)
     kernel_calls: dict = field(default_factory=dict)
@@ -162,22 +182,8 @@ class IndexStats:
         self.kernel_seconds[name] = self.kernel_seconds.get(name, 0.0) + seconds
 
     def snapshot(self) -> "IndexStats":
-        return IndexStats(
-            generation=self.generation,
-            records=self.records,
-            clock_builds=self.clock_builds,
-            clock_extends=self.clock_extends,
-            clock_seconds=self.clock_seconds,
-            matching_builds=self.matching_builds,
-            matching_extends=self.matching_extends,
-            matching_seconds=self.matching_seconds,
-            window_builds=self.window_builds,
-            window_extends=self.window_extends,
-            window_seconds=self.window_seconds,
-            row_builds=self.row_builds,
-            row_extends=self.row_extends,
-            row_seconds=self.row_seconds,
-            trace_snapshots=self.trace_snapshots,
+        return replace(
+            self,
             hits=dict(self.hits),
             misses=dict(self.misses),
             kernel_calls=dict(self.kernel_calls),
@@ -201,6 +207,7 @@ class IndexStats:
             f"{self.row_extends} record(s) folded, "
             f"{self.row_seconds * 1e3:.2f} ms",
             f"  trace snapshots: {self.trace_snapshots}",
+            f"  records built : {self.records_built} of {self.records} row(s)",
         ]
         for name in sorted(self.kernel_calls):
             lines.append(
@@ -215,31 +222,137 @@ class IndexStats:
         return "\n".join(lines)
 
 
+class _LazySequence(Sequence):
+    """A read-only sequence whose items are built on first read.
+
+    Subclasses supply ``__len__`` and ``_items(ks)``, the items at the
+    positions of the range ``ks``.  Iteration builds ahead
+    geometrically, so a loop that stops early builds at most twice the
+    items it read, in O(log n) batches.
+    """
+
+    def _items(self, ks: range) -> list:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def __getitem__(self, k):
+        n = len(self)
+        if isinstance(k, slice):
+            return self._items(range(n)[k])
+        k = operator.index(k)
+        if k < 0:
+            k += n
+        if not 0 <= k < n:
+            raise IndexError(f"{type(self).__name__} index out of range")
+        return self._item(k)
+
+    def _item(self, k: int):
+        return self._items(range(k, k + 1))[0]
+
+    def __iter__(self):
+        n = len(self)
+        lo, step = 0, 1
+        while lo < n:
+            hi = min(n, lo + step)
+            yield from self._items(range(lo, hi))
+            lo, step = hi, 2 * step
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
+            return len(self) == len(other) and all(
+                a == b for a, b in zip(self, other)
+            )
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+class IndexRows(_LazySequence):
+    """Records of an index's rows: the rows at ``positions``, or rows
+    ``[0, stop)`` when ``positions`` is None.  Each record is built on
+    first read and memoized by the index, so every view of a row
+    returns the same object."""
+
+    def __init__(
+        self, index: "HistoryIndex", positions: Optional[np.ndarray], stop: int = 0
+    ) -> None:
+        self._index = index
+        self._positions = positions
+        self._stop = stop if positions is None else int(positions.size)
+
+    def __len__(self) -> int:
+        return self._stop
+
+    def _items(self, ks: range) -> list[TraceRecord]:
+        if self._positions is None:
+            return self._index._records_at(ks)
+        return self._index._records_at(
+            self._positions[np.asarray(ks, dtype=np.int64)]
+        )
+
+    def _item(self, k: int) -> TraceRecord:
+        pos = k if self._positions is None else int(self._positions[k])
+        rec = self._index._built[pos]
+        return rec if rec is not None else self._index._records_at((pos,))[0]
+
+
+class IndexPairs(_LazySequence):
+    """Matched (send, recv) pairs by trace index; each
+    :class:`~repro.trace.trace.MessagePair` is built when it is read."""
+
+    def __init__(
+        self, index: "HistoryIndex", sends: np.ndarray, recvs: np.ndarray
+    ) -> None:
+        self._index = index
+        self._sends = sends
+        self._recvs = recvs
+
+    def __len__(self) -> int:
+        return int(self._recvs.size)
+
+    def _items(self, ks: range) -> list[MessagePair]:
+        sel = np.asarray(ks, dtype=np.int64)
+        records = self._index._records_at(
+            np.concatenate([self._sends[sel], self._recvs[sel]])
+        )
+        m = sel.size
+        return [MessagePair(s, r) for s, r in zip(records[:m], records[m:])]
+
+
+class _Payload(NamedTuple):
+    """The decoded block ingested as rows ``[start, stop)``, kept for
+    the fields the store does not hold (locations, peer fields,
+    ``extra``)."""
+
+    start: int
+    stop: int
+    block: "ColumnBlock"
+
+
 class HistoryIndex:
     """Shared, incrementally-maintained derived state for one history.
 
     Components (each computed once, then extended):
 
     * ``order`` -- vector clocks as a :class:`CausalOrder`;
-    * ``message_pairs()`` / ``unmatched_sends()`` / ``unmatched_recvs()``
-      / ``send_of_recv`` -- send/receive matching;
-    * ``by_proc(p)`` -- per-process program-order rows;
-    * ``span`` / ``record_at_marker()`` / ``window()`` -- span, marker
-      and time-window lookup;
-    * ``row_table()`` -- trace indexes grouped by process in program
-      order, for the frontier and closure queries;
-    * ``column(name)`` / ``columns`` -- the structure-of-arrays view of
-      the indexed records, the substrate the vectorized kernels (and
-      columnar consumers such as race detection and the critical-path
-      DP) run on;
+    * ``message_pairs()`` / ``pair_indexes()`` / ``matched_sends()`` /
+      ``unmatched_sends()`` / ``unmatched_recvs()`` / ``send_of_recv``
+      -- send/receive matching, held as trace-index arrays;
+    * ``row_table()`` / ``by_proc(p)`` -- trace indexes grouped by
+      process in program order, for the frontier and closure queries;
+    * ``span`` / ``record_at_marker()`` / ``window()`` and the
+      per-process time searches -- span, marker and time lookup;
+    * ``column(name)`` / ``columns`` -- the structure-of-arrays store
+      every kernel runs on (and the only in-memory form of a row);
     * ``blocked`` -- the runtime's blocked-wait snapshot, when supplied.
 
-    The clock, matching, window and row-table kernels are vectorized
-    over the column store and incremental.
+    A :class:`~repro.trace.events.TraceRecord` exists only for a row a
+    caller reads (``records``, ``trace[i]``, ``by_proc``, ``window``,
+    the members of pairs, unmatched lists, races, paths and frontiers);
+    it is built from the columns on first read and memoized.  Records
+    fed through :meth:`extend` are kept as they arrive.
 
-    ``trace`` materializes (and memoizes) an immutable
-    :class:`~repro.trace.trace.Trace` view over the indexed records for
-    consumers that navigate positionally.
+    ``trace`` is an immutable :class:`~repro.trace.trace.Trace` over
+    these rows that answers its whole-trace queries from the index.
     """
 
     def __init__(
@@ -258,30 +371,27 @@ class HistoryIndex:
         self.nprocs = max(1, nprocs)
         self.generation = generation
         self._stale = False
-        self._records: list[TraceRecord] = []
-        # indexed rows; >= len(self._records) while column blocks await
-        # record materialization (the deferred-ingest path below)
         self._n = 0
-        # blocks ingested column-only; their TraceRecord objects are
-        # materialized on first record-level access (_ensure_records)
-        self._pending_blocks: list["ColumnBlock"] = []
         # column store (structure of arrays, amortized doubling) --------
         self._cap = 0
         self._cols: dict[str, np.ndarray] = {
             name: np.empty(0, dtype=dt) for name, dt in STORE_SPEC
         }
-        # eager O(1) components -------------------------------------------
-        self._rows: list[list[TraceRecord]] = [[] for _ in range(self.nprocs)]
-        self._marker_first: dict[tuple[int, int], TraceRecord] = {}
+        # row -> its record once built (None until a caller reads it),
+        # and the side tables column-ingested rows are built from
+        self._built: list[Optional[TraceRecord]] = []
+        self._unbuilt = 0  # None entries of _built
+        self._payloads: list[_Payload] = []
         self._t_lo: Optional[float] = None
         self._t_hi: Optional[float] = None
-        # matching (lazy catch-up) ----------------------------------------
+        # matching (lazy catch-up), all by trace index -------------------
         self._matched_upto = 0
-        self._open_sends: dict[tuple[int, int, int, int], TraceRecord] = {}
-        self._pairs: list[MessagePair] = []
-        self._pair_index = np.zeros((0, 2), dtype=np.int64)  # (send, recv)
-        self._send_of_recv: dict[int, int] = {}
-        self._unmatched_recvs: list[TraceRecord] = []
+        self._open_sends = np.zeros(0, dtype=np.int64)  # ascending
+        self._pair_send = np.zeros(0, dtype=np.int64)  # in receive order
+        self._pair_recv = np.zeros(0, dtype=np.int64)
+        self._send_of = np.zeros(0, dtype=np.int64)  # per row; -1: none
+        self._unmatched_recvs = np.zeros(0, dtype=np.int64)
+        self._send_of_recv: Optional[dict[int, int]] = None
         # vector clocks (lazy catch-up) -----------------------------------
         self._clocked_upto = 0
         self._clocks = np.zeros((0, self.nprocs), dtype=np.int64)
@@ -296,9 +406,12 @@ class HistoryIndex:
             members=np.zeros(0, dtype=np.int64),
             offsets=np.zeros(self.nprocs + 1, dtype=np.int64),
         )
-        # memoized views ---------------------------------------------------
-        self._trace: Optional[Trace] = None
-        self._order: Optional[CausalOrder] = None
+        # memoized views, held weakly: each view holds the index, so a
+        # strong memo would form a cycle keeping a dropped index (and its
+        # clock matrix) alive until the next GC pass -------------------
+        self._trace: Optional[weakref.ref[Trace]] = None
+        self._order: Optional[weakref.ref[CausalOrder]] = None
+        self._pairs: Optional[weakref.ref[IndexPairs]] = None
         self._blocked: Optional[list["WaitInfo"]] = None
         self._stats = IndexStats(generation=generation)
         if records is not None:
@@ -312,10 +425,9 @@ class HistoryIndex:
         """Index an existing immutable trace (the batch entry point).
 
         When the trace's record indexes are already positional the trace
-        object itself becomes the index's materialized view, so
-        trace-level caches (``by_proc`` and friends) are shared rather
-        than duplicated.  The positional check rides along the single
-        ingest pass.
+        object itself becomes the index's trace view, so trace-level
+        caches are shared rather than duplicated.  The positional check
+        rides along the single ingest pass.
         """
         index = cls(nprocs=trace.nprocs, generation=generation)
         positional = True
@@ -324,7 +436,7 @@ class HistoryIndex:
                 positional = False
             index.extend(rec)
         if positional:
-            index._trace = trace
+            index._trace = weakref.ref(trace)
             index._stats.trace_snapshots += 1
         return index
 
@@ -345,8 +457,8 @@ class HistoryIndex:
         ingested column-wise (no per-record JSON parsing); v1/v2 files
         bridge through the record path transparently.  The blocks are
         decoded serially, in file order, and ingested through
-        :meth:`extend_columns`, which defers record-object creation to
-        the first record-level access.
+        :meth:`extend_columns`: no record object is built until a
+        caller reads its row.
 
         ``paged=True`` returns an
         :class:`~repro.analysis.paged.OutOfCoreIndex` instead: only
@@ -387,7 +499,8 @@ class HistoryIndex:
 
         Every subsequent query or extension raises
         :class:`StaleIndexError`: an index must never answer for an
-        execution that no longer exists.
+        execution that no longer exists.  Rows already handed out (a
+        trace view, pairs) stay readable.
         """
         self._stale = True
 
@@ -402,6 +515,11 @@ class HistoryIndex:
                 "invalidated by a replay; ask the session for the current "
                 "generation's index"
             )
+
+    def answers_for(self, trace: Trace) -> bool:
+        """Is ``trace`` this live index's trace view, at full length?
+        Such a trace answers its whole-trace queries from the index."""
+        return not self._stale and _alive(self._trace) is trace and len(trace) == self._n
 
     # ------------------------------------------------------------------
     # column store plumbing
@@ -435,33 +553,69 @@ class HistoryIndex:
         return {name: self._cols[name][:n] for name, _ in STORE_SPEC}
 
     # ------------------------------------------------------------------
-    # deferred record materialization (every column ingest)
+    # rows as records (built on first read, then memoized)
     # ------------------------------------------------------------------
-    def _ensure_records(self) -> None:
-        """Catch the record list up to the column store.
+    def _records_at(self, rows: "Iterable[int] | np.ndarray") -> list[TraceRecord]:
+        """The records of trace indexes ``rows``, building the missing
+        ones.  Deliberately skips the liveness check: rows handed out
+        before an invalidation stay readable."""
+        if isinstance(rows, np.ndarray):
+            rows = rows.tolist()
+        built = self._built
+        out = [built[i] for i in rows]
+        if self._unbuilt:
+            missing = [i for i, rec in zip(rows, out) if rec is None]
+            if missing:
+                self._build(np.unique(np.asarray(missing, dtype=np.int64)))
+                out = [built[i] for i in rows]
+        return out
 
-        :meth:`extend_columns` (and so every :meth:`from_file` build)
-        ingests columns only -- record objects, per-proc rows, and the
-        marker table are materialized here, on first record-level
-        access.  Columnar consumers (window index, race masks, the
-        matching/clock key columns) never pay for objects they do not
-        touch.
-        """
-        if not self._pending_blocks:
-            return
-        pending, self._pending_blocks = self._pending_blocks, []
-        rows = self._rows
-        marker_first = self._marker_first
-        for block in pending:
-            records = block.to_records()
-            pos = len(self._records)
-            for rec in records:
-                if rec.index != pos:
-                    rec.index = pos  # to_records() objects are ours to mutate
-                pos += 1
-                rows[rec.proc].append(rec)
-                marker_first.setdefault((rec.proc, rec.marker), rec)
-            self._records.extend(records)
+    def _payload_groups(self, rows: np.ndarray):
+        """(payload, mask over ``rows``) for each ingested block holding
+        some of ``rows``."""
+        for payload in self._payloads:
+            mask = (rows >= payload.start) & (rows < payload.stop)
+            if mask.any():
+                yield payload, mask
+
+    def _build(self, rows: np.ndarray) -> None:
+        """Build and memoize the records of ``rows`` (distinct,
+        ascending, column-ingested, none built yet) from their kept
+        blocks, re-indexed positionally."""
+        built = self._built
+        for payload, mask in self._payload_groups(rows):
+            sel = rows[mask]
+            records = payload.block.to_records(sel - payload.start)
+            for i, rec in zip(sel.tolist(), records):
+                if rec.index != i:
+                    rec.index = i  # to_records() objects are ours to mutate
+                built[i] = rec
+        self._unbuilt -= int(rows.size)
+        self._stats.records_built += int(rows.size)
+
+    def records_at(self, rows: "Iterable[int] | np.ndarray") -> list[TraceRecord]:
+        """The records of trace indexes ``rows``, built on first read."""
+        self._check_live()
+        return self._records_at(rows)
+
+    def row_extras(self, rows: np.ndarray) -> list[dict]:
+        """The ``extra`` dict of each of ``rows``: from its block's side
+        table for a column-ingested row, else from its streamed record
+        -- no record is built."""
+        self._check_live()
+        rows = np.asarray(rows, dtype=np.int64)
+        out: list[Optional[dict]] = [None] * rows.size
+        for payload, mask in self._payload_groups(rows):
+            extras = payload.block.extras
+            ks = np.flatnonzero(mask)
+            xids = payload.block.columns["extra"][rows[ks] - payload.start]
+            for k, x in zip(ks.tolist(), xids.tolist()):
+                out[k] = extras[x] if x >= 0 else {}
+        built = self._built
+        return [
+            built[i].extra if x is None else x  # type: ignore[union-attr]
+            for i, x in zip(rows.tolist(), out)
+        ]
 
     # ------------------------------------------------------------------
     # extension (the IndexSink feed)
@@ -480,7 +634,6 @@ class HistoryIndex:
                 f"record {record.index} has proc {record.proc} outside "
                 f"[0, {self.nprocs}); the index cannot place it"
             )
-        self._ensure_records()  # appended records must follow materialized ones
         pos = self._n
         if record.index != pos:
             # windowed / ring-buffer streams have sparse global indexes;
@@ -489,7 +642,7 @@ class HistoryIndex:
             record = replace(record, index=pos)
         if self._cap <= pos:
             self._grow(pos + 1)
-        self._records.append(record)
+        self._built.append(record)
         cols = self._cols
         cols["index"][pos] = pos
         cols["proc"][pos] = record.proc
@@ -503,8 +656,6 @@ class HistoryIndex:
         cols["marker"][pos] = record.marker
         cols["size"][pos] = record.size
         self._n = pos + 1
-        self._rows[record.proc].append(record)
-        self._marker_first.setdefault((record.proc, record.marker), record)
         if self._t_lo is None or record.t0 < self._t_lo:
             self._t_lo = record.t0
         if self._t_hi is None or record.t1 > self._t_hi:
@@ -524,12 +675,9 @@ class HistoryIndex:
 
         Equivalent to ``extend_many(block.to_records())`` but feeds the
         column store with vectorized slice copies straight from the
-        block's arrays (no per-record field stores) and updates the span
-        from the block's time columns in one step.  Record-object
-        creation, the dominant cost of a bulk build, is deferred: the
-        block is stashed and its TraceRecords, per-proc rows, and marker
-        entries appear on first record-level access
-        (:meth:`_ensure_records`), re-indexed positionally in place.
+        block's arrays and builds no record: the block is kept, and a
+        row's record is built from it (``block.to_records(rows)``) when
+        a caller reads the row.
         """
         self._check_live()
         n = len(block)
@@ -561,12 +709,14 @@ class HistoryIndex:
             cols[name][sl] = bcols[name]
         self._n = pos + n
         if not all(col.flags.owndata for col in bcols.values()):
-            # a decoded block may view its file's mapping; the stash must
-            # not change if that file is rewritten before materialization
+            # a decoded block may view its file's mapping; the kept block
+            # must not change if that file is rewritten later
             block = replace(
                 block, columns={k: col.copy() for k, col in bcols.items()}
             )
-        self._pending_blocks.append(block)
+        self._payloads.append(_Payload(pos, pos + n, block))
+        self._built.extend([None] * n)
+        self._unbuilt += n
         t_lo = float(bcols["t0"].min())
         t_hi = float(bcols["t1"].max())
         if self._t_lo is None or t_lo < self._t_lo:
@@ -580,23 +730,26 @@ class HistoryIndex:
         return self._n
 
     @property
-    def records(self) -> Sequence[TraceRecord]:
+    def records(self) -> IndexRows:
+        """Every indexed row as a lazy record sequence."""
         self._check_live()
-        self._ensure_records()
-        return self._records
+        return IndexRows(self, None, self._n)
 
     def sink(self) -> "IndexSink":
         """A bus sink feeding this index (attach to a recorder)."""
         return IndexSink(self)
 
     # ------------------------------------------------------------------
-    # eager components
+    # whole-trace queries (what a Trace view answers from the index)
     # ------------------------------------------------------------------
-    def by_proc(self, proc: int) -> Sequence[TraceRecord]:
-        """This process's records in program order (live view)."""
+    def _proc_rows(self, proc: int) -> np.ndarray:
+        table = self.row_table()
+        return table.members[table.offsets[proc]: table.offsets[proc + 1]]
+
+    def by_proc(self, proc: int) -> IndexRows:
+        """This process's records in program order (a lazy snapshot)."""
         self._check_live()
-        self._ensure_records()
-        return self._rows[proc]
+        return IndexRows(self, self._proc_rows(proc))
 
     @property
     def span(self) -> tuple[float, float]:
@@ -607,10 +760,64 @@ class HistoryIndex:
         return (self._t_lo, self._t_hi)
 
     def record_at_marker(self, proc: int, marker: int) -> Optional[TraceRecord]:
-        """First record of ``proc`` carrying ``marker`` (O(1) lookup)."""
+        """First record of ``proc`` carrying ``marker``."""
         self._check_live()
-        self._ensure_records()
-        return self._marker_first.get((proc, marker))
+        rows = self._proc_rows(proc)
+        hit = np.flatnonzero(self._cols["marker"][rows] == marker)
+        return self._records_at(rows[hit[:1]])[0] if hit.size else None
+
+    def _row_search(
+        self, proc: int, name: str, t: float, side: str, before: bool = False
+    ) -> Optional[TraceRecord]:
+        """Binary search of ``proc``'s row on column ``name``: the record
+        at the insertion point of ``t`` (or just before it)."""
+        self._check_live()
+        rows = self._proc_rows(proc)
+        i = int(np.searchsorted(self._cols[name][rows], t, side=side))
+        if before:
+            i -= 1
+        return self._records_at(rows[i:i + 1])[0] if 0 <= i < rows.size else None
+
+    def first_at_or_after(self, proc: int, t: float) -> Optional[TraceRecord]:
+        """Earliest record of ``proc`` starting at or after ``t``."""
+        return self._row_search(proc, "t0", t, "left")
+
+    def first_ending_after(self, proc: int, t: float) -> Optional[TraceRecord]:
+        """Earliest record of ``proc`` completing strictly after ``t``."""
+        return self._row_search(proc, "t1", t, "right")
+
+    def last_before(self, proc: int, t: float) -> Optional[TraceRecord]:
+        """Latest record of ``proc`` starting strictly before ``t``."""
+        return self._row_search(proc, "t0", t, "left", before=True)
+
+    def final_markers(self) -> dict[int, int]:
+        """Rank -> highest marker seen (ranks with a marker above -1)."""
+        self._check_live()
+        top = np.full(self.nprocs, -1, dtype=np.int64)
+        np.maximum.at(top, self.column("proc"), self.column("marker"))
+        return {p: m for p, m in enumerate(top.tolist()) if m > -1}
+
+    def counts_by_kind(self) -> dict[EventKind, int]:
+        self._check_live()
+        counts = np.bincount(self.column("kind"), minlength=len(DEFAULT_KIND_TABLE))
+        return {
+            DEFAULT_KIND_TABLE[code]: c
+            for code, c in enumerate(counts.tolist()) if c
+        }
+
+    def _proc_counts(self, mask: np.ndarray) -> dict[int, int]:
+        counts = np.bincount(self.column("proc")[mask], minlength=self.nprocs)
+        return dict(enumerate(counts.tolist()))
+
+    def recv_counts(self) -> dict[int, int]:
+        """Rank -> number of completed receives."""
+        self._check_live()
+        return self._proc_counts(self.column("kind") == _RECV_CODE)
+
+    def send_counts(self) -> dict[int, int]:
+        """Rank -> number of sends."""
+        self._check_live()
+        return self._proc_counts(np.isin(self.column("kind"), SEND_CODES))
 
     # ------------------------------------------------------------------
     # time windows (the zoom-rescan primitive)
@@ -643,24 +850,23 @@ class HistoryIndex:
         self._stats.window_seconds += time.perf_counter() - start
 
     def window(self, t_lo: float, t_hi: float) -> list[TraceRecord]:
-        """Records overlapping [t_lo, t_hi], in trace order.
+        """Records overlapping [t_lo, t_hi], in trace order; none for an
+        inverted window (``t_lo > t_hi``), as on every file path.
 
         Served from a sorted-t0 interval index: ``searchsorted`` bounds
         the candidates with ``t0 <= t_hi``, one vectorized compare keeps
-        those with ``t1 >= t_lo``.
+        those with ``t1 >= t_lo``.  Only the returned rows are built.
         """
         self._check_live()
-        self._ensure_records()  # results are record objects
+        if t_lo > t_hi:
+            return []
         self._ensure_window_index()
-        n = self._n
-        if n == 0:
+        if self._n == 0:
             return []
         k = int(np.searchsorted(self._t0_sorted, t_hi, side="right"))
         cand = self._t0_order[:k]
         sel = cand[self._cols["t1"][cand] >= t_lo]
-        sel = np.sort(sel)
-        records = self._records
-        return [records[i] for i in sel.tolist()]
+        return self._records_at(np.sort(sel))
 
     # ------------------------------------------------------------------
     # process rows (the frontier / closure primitive)
@@ -682,9 +888,7 @@ class HistoryIndex:
         start = time.perf_counter()
         lo = self._row_upto
         proc = self._cols["proc"][lo:n]
-        # a 16-bit key turns numpy's stable sort into a radix sort
-        key = proc.astype(np.int16) if self.nprocs <= 1 << 15 else proc
-        suffix = np.argsort(key, kind="stable").astype(np.int64) + lo
+        suffix = _argsort_procs(proc, self.nprocs) + lo
         counts = np.bincount(proc, minlength=self.nprocs).astype(np.int64)
         old = self._row_table
         if lo == 0:
@@ -709,11 +913,14 @@ class HistoryIndex:
         if self._matched_upto >= n:
             self._stats.hit("matching")
             return
-        self._ensure_records()  # the kernel pairs record objects
         self._stats.miss("matching")
         start = time.perf_counter()
         if self._matched_upto == 0:
             self._stats.matching_builds += 1
+        if self._send_of.size < n:
+            grown = np.full(max(64, n, 2 * self._send_of.size), -1, dtype=np.int64)
+            grown[: self._send_of.size] = self._send_of
+            self._send_of = grown
         lo = self._matched_upto
         self._match_suffix(lo, n)
         self._matched_upto = n
@@ -725,30 +932,23 @@ class HistoryIndex:
         columns, pair each group's send with its receive.
 
         Sends still open from earlier catch-ups join the sort as
-        carried-in events (their record indexes precede the suffix), so
+        carried-in events (their trace indexes precede the suffix), so
         incremental state is exact.  Groups with at most one send and
         one receive -- every key under MPI non-overtaking -- are paired
         by pure array ops; pathological duplicate-key groups fall back
         to a per-group slot walk (the last open send with the key takes
-        the next receive).
+        the next receive).  Each group leaves at most one open send.
         """
         cols = self._cols
         kind = cols["kind"][lo:n]
-        send_rel = np.nonzero(np.isin(kind, SEND_CODES))[0]
-        recv_rel = np.nonzero(kind == _RECV_CODE)[0]
-        records = self._records
-        if recv_rel.size == 0:
-            for i in (send_rel + lo).tolist():
-                rec = records[i]
-                self._open_sends[rec.message_key()] = rec
-            return
-        carry = np.fromiter(
-            (rec.index for rec in self._open_sends.values()),
-            dtype=np.int64,
-            count=len(self._open_sends),
+        sends = np.concatenate(
+            [self._open_sends, np.flatnonzero(np.isin(kind, SEND_CODES)) + lo]
         )
-        m_s = carry.size + send_rel.size
-        evt = np.concatenate([carry, send_rel + lo, recv_rel + lo])
+        recvs = np.flatnonzero(kind == _RECV_CODE) + lo
+        m_s = sends.size
+        evt = np.concatenate([sends, recvs])
+        if evt.size == 0:
+            return
         src = cols["src"][evt]
         dst = cols["dst"][evt]
         tag = cols["tag"][evt]
@@ -771,93 +971,103 @@ class HistoryIndex:
         r_cnt = np.bincount(recv_gid, minlength=ngroups)
         simple = (s_cnt <= 1) & (r_cnt <= 1)
         s_of = np.full(ngroups, -1, dtype=np.int64)
-        s_of[send_gid] = evt[:m_s]
+        s_of[send_gid] = sends
         r_of = np.full(ngroups, -1, dtype=np.int64)
-        r_of[recv_gid] = evt[m_s:]
+        r_of[recv_gid] = recvs
         paired = simple & (s_of >= 0) & (r_of >= 0) & (s_of < r_of)
-        new_pairs = list(zip(s_of[paired].tolist(), r_of[paired].tolist()))
-        unmatched = r_of[simple & (r_of >= 0) & ~paired].tolist()
-        opened = s_of[simple & (s_of >= 0) & ~paired].tolist()
-        consumed: list[int] = [s for s, _ in new_pairs if s < lo]
+        pair_s, pair_r = s_of[paired], r_of[paired]
+        unmatched = r_of[simple & (r_of >= 0) & ~paired]
+        opened = s_of[simple & (s_of >= 0) & ~paired]
         # duplicate-key groups: slot semantics, per group ---------------
         cplx = np.nonzero(~simple)[0]
         if cplx.size:
+            more_pairs: list[tuple[int, int]] = []
+            more_unmatched: list[int] = []
+            more_open: list[int] = []
             corder = np.lexsort((evt, gid))
             g_sorted = gid[corder]
             starts = np.searchsorted(g_sorted, cplx, side="left")
             ends = np.searchsorted(g_sorted, cplx, side="right")
-            is_recv_flag = np.zeros(evt.size, dtype=bool)
-            is_recv_flag[m_s:] = True
+            evt_l = evt.tolist()
             for a, b in zip(starts.tolist(), ends.tolist()):
                 slot = -1
-                group = corder[a:b]
-                first = int(evt[group[0]])
-                for j in group.tolist():
-                    e = int(evt[j])
-                    if is_recv_flag[j]:
+                for j in corder[a:b].tolist():
+                    e = evt_l[j]
+                    if j >= m_s:  # a receive
                         if slot >= 0:
-                            new_pairs.append((slot, e))
+                            more_pairs.append((slot, e))
                             slot = -1
                         else:
-                            unmatched.append(e)
+                            more_unmatched.append(e)
                     else:
                         slot = e
                 if slot >= 0:
-                    opened.append(slot)
-                elif first < lo:
-                    # the group consumed (or overwrote away) its carried
-                    # open send; drop its key below
-                    consumed.append(first)
-        # fold results into the incremental state ----------------------
-        open_sends = self._open_sends
-        for s in consumed:
-            del open_sends[records[s].message_key()]
-        for i in opened:
-            if i >= lo:  # carried sends that stayed open are already there
-                rec = records[i]
-                open_sends[rec.message_key()] = rec
-        new_pairs.sort(key=lambda p: p[1])
-        send_of_recv = self._send_of_recv
-        pairs = self._pairs
-        for s, r in new_pairs:
-            pairs.append(MessagePair(records[s], records[r]))
-            send_of_recv[r] = s
-        if new_pairs:
-            self._pair_index = np.concatenate(
-                [self._pair_index, np.asarray(new_pairs, dtype=np.int64)]
+                    more_open.append(slot)
+            if more_pairs:
+                extra = np.asarray(more_pairs, dtype=np.int64)
+                pair_s = np.concatenate([pair_s, extra[:, 0]])
+                pair_r = np.concatenate([pair_r, extra[:, 1]])
+            unmatched = np.concatenate(
+                [unmatched, np.asarray(more_unmatched, dtype=np.int64)]
             )
-        unmatched.sort()
-        self._unmatched_recvs.extend(records[i] for i in unmatched)
+            opened = np.concatenate([opened, np.asarray(more_open, dtype=np.int64)])
+        # fold results into the incremental state ----------------------
+        by_recv = np.argsort(pair_r)
+        pair_s, pair_r = pair_s[by_recv], pair_r[by_recv]
+        self._pair_send = np.concatenate([self._pair_send, pair_s])
+        self._pair_recv = np.concatenate([self._pair_recv, pair_r])
+        self._send_of[pair_r] = pair_s
+        self._open_sends = np.sort(opened)
+        self._unmatched_recvs = np.concatenate(
+            [self._unmatched_recvs, np.sort(unmatched)]
+        )
 
-    def message_pairs(self) -> list[MessagePair]:
-        """All matched (send, recv) pairs, in receive order."""
+    def message_pairs(self) -> IndexPairs:
+        """All matched (send, recv) pairs, in receive order; each
+        :class:`~repro.trace.trace.MessagePair` is built when read."""
         self._check_live()
         self._ensure_matching()
-        return self._pairs
+        pairs = _alive(self._pairs)
+        if pairs is None or pairs._recvs is not self._pair_recv:
+            pairs = IndexPairs(self, self._pair_send, self._pair_recv)
+            self._pairs = weakref.ref(pairs)
+        return pairs
 
     def pair_indexes(self) -> tuple[np.ndarray, np.ndarray]:
         """(send, recv) trace-index arrays of :meth:`message_pairs`."""
         self._check_live()
         self._ensure_matching()
-        return self._pair_index[:, 0], self._pair_index[:, 1]
+        return self._pair_send, self._pair_recv
+
+    def matched_sends(self) -> np.ndarray:
+        """Per row, the trace index of the send matched to it (-1 where
+        the row is not a matched receive)."""
+        self._check_live()
+        self._ensure_matching()
+        return self._send_of[: self._n]
 
     def unmatched_sends(self) -> list[TraceRecord]:
         """Sends whose message was never received, in trace order."""
         self._check_live()
         self._ensure_matching()
-        return sorted(self._open_sends.values(), key=lambda r: r.index)
+        return self._records_at(self._open_sends)
 
     def unmatched_recvs(self) -> list[TraceRecord]:
         """Receives with no matching send in the indexed history."""
         self._check_live()
         self._ensure_matching()
-        return self._unmatched_recvs
+        return self._records_at(self._unmatched_recvs)
 
     @property
     def send_of_recv(self) -> dict[int, int]:
-        """recv record index -> matched send record index."""
+        """recv record index -> matched send record index (derived from
+        :meth:`pair_indexes` on demand)."""
         self._check_live()
         self._ensure_matching()
+        if self._send_of_recv is None or len(self._send_of_recv) != self._pair_recv.size:
+            self._send_of_recv = dict(
+                zip(self._pair_recv.tolist(), self._pair_send.tolist())
+            )
         return self._send_of_recv
 
     # ------------------------------------------------------------------
@@ -868,7 +1078,7 @@ class HistoryIndex:
         if self._clocked_upto >= n:
             self._stats.hit("clocks")
             return
-        self._ensure_matching()  # recv joins need send_of_recv
+        self._ensure_matching()  # recv joins need the matched sends
         self._stats.miss("clocks")
         start = time.perf_counter()
         if self._clocked_upto == 0:
@@ -891,103 +1101,74 @@ class HistoryIndex:
         its other components only at receive joins, so each per-process
         row splits into segments delimited by joins: within a segment
         every clock row equals the segment base except the own column,
-        which is a running count.  The kernel walks the joins in trace
-        order maintaining the per-process running bases as plain Python
-        lists (length p -- no numpy-call overhead inside the loop) and
-        collects each new segment base into a per-process table; the
-        clock matrix is then written in two bulk operations per process
-        -- one ``B[segment_id]`` gather for the inter-join broadcasts,
-        one global scatter for the own-component counters.
+        which is a running count.  The bases live in one int64 table:
+        row p is p's base carried in from the last catch-up, row
+        ``nprocs + t`` the base after the suffix's t-th join (trace
+        order).  Every suffix row's segment is known up front (the
+        latest join of its process at or before it, by a running max),
+        so the join loop does one ``np.maximum`` per join into its table
+        row; the clock matrix is then one ``take`` from the table plus
+        one scatter of the own-component counters.
 
         ``self._current`` carries the state between catch-ups: row p is
         the clock after p's last indexed event.
         """
-        from bisect import bisect_right
-
-        cols = self._cols
         nprocs = self.nprocs
         clocks = self._clocks
         current = self._current
         m = n - lo
-        proc_sub = cols["proc"][lo:n]
-        kind_sub = cols["kind"][lo:n]
-        order = np.argsort(proc_sub, kind="stable")
-        bounds = np.searchsorted(proc_sub[order], np.arange(nprocs + 1))
-        idxs_by_proc = [order[bounds[p]: bounds[p + 1]] for p in range(nprocs)]
-        counts0 = [int(current[p, p]) for p in range(nprocs)]
-        own_abs = np.empty(m, dtype=np.int64)
-        for p in range(nprocs):
-            rows = idxs_by_proc[p]
-            own_abs[rows] = counts0[p] + np.arange(
-                1, rows.size + 1, dtype=np.int64
-            )
-        # matched joins of the suffix, in trace order, with the scalar
-        # reads the loop needs gathered up front (no full-column tolist)
-        send_map = self._send_of_recv
-        recv_rels = np.nonzero(kind_sub == _RECV_CODE)[0]
-        sends = [send_map.get(int(i) + lo) for i in recv_rels]
-        keep = [k for k, s in enumerate(sends) if s is not None]
-        i_rels = recv_rels[keep].tolist() if keep else []
-        s_abs = [sends[k] for k in keep]
-        own_i_l = own_abs[recv_rels[keep]].tolist() if keep else []
-        p_l = proc_sub[recv_rels[keep]].tolist() if keep else []
-        s_rel_arr = np.asarray([s - lo for s in s_abs], dtype=np.int64)
-        in_suffix = [s >= lo for s in s_abs]
-        own_s_l = np.where(
-            s_rel_arr >= 0, own_abs[np.maximum(s_rel_arr, 0)], 0
-        ).tolist() if keep else []
-        q_l = proc_sub[np.maximum(s_rel_arr, 0)].tolist() if keep else []
-        # per-process running base (non-own components) + segment tables
-        base = [current[p].tolist() for p in range(nprocs)]
-        seg_bases: list[list[list[int]]] = [[base[p][:]] for p in range(nprocs)]
-        join_rows: list[list[int]] = [[] for _ in range(nprocs)]
-        for k in range(len(i_rels)):
-            own_i = own_i_l[k]
-            p = p_l[k]
-            bp = base[p]
-            if in_suffix[k]:
-                q = q_l[k]
-                # the send's segment: last join of q at or before its row
-                rel_row = own_s_l[k] - 1 - counts0[q]
-                sc = seg_bases[q][bisect_right(join_rows[q], rel_row)]
-                bp = [a if a >= b else b for a, b in zip(bp, sc)]
-                v = own_s_l[k]  # the send's own component
-                if v > bp[q]:
-                    bp[q] = v
+        proc_sub = self._cols["proc"][lo:n]
+        order = _argsort_procs(proc_sub, nprocs)
+        counts = np.bincount(proc_sub, minlength=nprocs)
+        first = np.cumsum(counts) - counts
+        rank = np.empty(m, dtype=np.int64)
+        rank[order] = np.arange(m, dtype=np.int64) - np.repeat(first, counts)
+        counts0 = current.diagonal().copy()
+        own = counts0[proc_sub] + rank + 1
+        # the suffix's matched joins, in trace order
+        send = self._send_of[lo:n]
+        joins = np.flatnonzero(send >= 0)
+        k = joins.size
+        join_id = np.full(m, -1, dtype=np.int64)
+        join_id[joins] = np.arange(k, dtype=np.int64)
+        # segment of every row: its process's latest join at or before
+        # it (a running max over the process-sorted rows, offset per
+        # process so it never crosses a row boundary), else the base
+        # carried in
+        p_sorted = proc_sub[order].astype(np.int64)
+        shift = p_sorted * (k + 1)
+        latest = np.maximum.accumulate(join_id[order] + shift) - shift
+        seg = np.empty(m, dtype=np.int64)
+        seg[order] = np.where(latest < 0, p_sorted, nprocs + latest)
+        table = np.empty((nprocs + k, nprocs), dtype=np.int64)
+        table[:nprocs] = current
+        s_abs = send[joins]
+        in_suffix = s_abs >= lo
+        s_rel = np.where(in_suffix, s_abs - lo, 0)
+        s_seg = np.where(in_suffix, seg[s_rel], -1)
+        cur = list(range(nprocs))  # table row of each process's base
+        for t, (p, own_i, sr, q, own_s, s) in enumerate(zip(
+                proc_sub[joins].tolist(), own[joins].tolist(),
+                s_seg.tolist(), proc_sub[s_rel].tolist(),
+                own[s_rel].tolist(), s_abs.tolist())):
+            row = table[nprocs + t]
+            if sr >= 0:
+                # the send's clock: its segment base with its own count
+                np.maximum(table[cur[p]], table[sr], out=row)
+                if own_s > row[q]:
+                    row[q] = own_s
             else:
                 # prior-batch send: its clock row is already final
-                sc = clocks[s_abs[k]].tolist()
-                bp = [a if a >= b else b for a, b in zip(bp, sc)]
-            bp[p] = own_i
-            base[p] = bp  # the old list stays frozen in its segment table
-            join_rows[p].append(own_i - 1 - counts0[p])
-            seg_bases[p].append(bp)
-        # bulk fill: global segment ids -> one contiguous gather, then
-        # one scatter for the own-component counters -----------------
-        gid = np.empty(m, dtype=np.int64)
-        offset = 0
-        tables = []
-        for p in range(nprocs):
-            rows = idxs_by_proc[p]
-            tables.extend(seg_bases[p])
-            if rows.size:
-                if join_rows[p]:
-                    gid[rows] = offset + np.searchsorted(
-                        np.asarray(join_rows[p], dtype=np.int64),
-                        np.arange(rows.size, dtype=np.int64),
-                        side="right",
-                    )
-                else:
-                    gid[rows] = offset
-            offset += len(seg_bases[p])
-            current[p] = base[p]
-            current[p, p] = counts0[p] + rows.size
-        table_all = np.asarray(tables, dtype=np.int64)
-        # gid is in [0, len(tables)) by construction; "clip" skips the
+                np.maximum(table[cur[p]], clocks[s], out=row)
+            row[p] = own_i
+            cur[p] = nprocs + t
+        # seg is in [0, len(table)) by construction; "clip" skips the
         # bounds pass, and writing straight into the matrix avoids a
         # second (n x p)-sized temporary
-        table_all.take(gid, axis=0, mode="clip", out=clocks[lo:n])
-        clocks[np.arange(lo, n), proc_sub] = own_abs
+        table.take(seg, axis=0, mode="clip", out=clocks[lo:n])
+        clocks[np.arange(lo, n), proc_sub] = own
+        current[:] = table[cur]
+        np.fill_diagonal(current, counts0 + counts)
 
     @property
     def clocks(self) -> np.ndarray:
@@ -1007,14 +1188,20 @@ class HistoryIndex:
         self._check_live()
         self._ensure_clocks()
         trace = self.trace
-        if self._order is None or self._order.trace is not trace:
+        order = _alive(self._order)
+        if order is None or order.trace is not trace:
             self._stats.miss("order")
-            self._order = CausalOrder(
-                trace=trace, clocks=self._clocks[: self._n], index=self
+            n = self._n
+            order = CausalOrder(
+                trace=trace,
+                clocks=self._clocks[:n],
+                index=self,
+                procs=self._cols["proc"][:n],
             )
+            self._order = weakref.ref(order)
         else:
             self._stats.hit("order")
-        return self._order
+        return order
 
     # ------------------------------------------------------------------
     # kernel observability (races, critical path, ... report here)
@@ -1029,21 +1216,18 @@ class HistoryIndex:
     # ------------------------------------------------------------------
     @property
     def trace(self) -> Trace:
-        """An immutable Trace snapshot of the indexed records, memoized
-        until the next extension."""
+        """An immutable Trace over the indexed rows, memoized until the
+        next extension.  Creating it builds no record."""
         self._check_live()
-        self._ensure_records()
-        if self._trace is None or len(self._trace) != len(self._records):
+        trace = _alive(self._trace)
+        if trace is None or len(trace) != self._n:
             self._stats.miss("trace")
             self._stats.trace_snapshots += 1
-            self._trace = Trace(self._records, self.nprocs)
-            # The snapshot and the index describe the same history; hand
-            # the trace our derived state so its own lazy accessors
-            # never re-derive what the index already holds.
-            bind_trace_index(self._trace, self)
+            trace = Trace.over_index(IndexRows(self, None, self._n), self.nprocs, self)
+            self._trace = weakref.ref(trace)
         else:
             self._stats.hit("trace")
-        return self._trace
+        return trace
 
     # ------------------------------------------------------------------
     # blocked-wait state (runtime snapshot for §4.4 diagnoses)
@@ -1063,6 +1247,18 @@ class HistoryIndex:
     def stats(self) -> IndexStats:
         """A point-in-time copy of the build/extend counters."""
         return self._stats.snapshot()
+
+
+def _alive(ref: "Optional[weakref.ref]"):
+    """The object behind a weak memo (None if unset or collected)."""
+    return None if ref is None else ref()
+
+
+def _argsort_procs(proc: np.ndarray, nprocs: int) -> np.ndarray:
+    """Stable argsort of a process column (int64); a 16-bit key turns
+    numpy's stable sort into a radix sort."""
+    key = proc.astype(np.int16) if nprocs <= 1 << 15 else proc
+    return np.argsort(key, kind="stable").astype(np.int64)
 
 
 class IndexSink(TraceSink):

@@ -114,35 +114,55 @@ def find_intertwined(
 ) -> list[IntertwinedPair]:
     """Pairs of same-(src,dst) messages whose receive order inverts the
     send order.  Under non-overtaking this can only happen across
-    different tags (the same-tag case would be a runtime bug)."""
+    different tags (the same-tag case would be a runtime bug).
+
+    Runs on the index's matched-pair arrays: one lexsort orders the
+    pairs by route (routes in order of first appearance) and send
+    completion time, keeping receive order among ties; a route has an
+    inversion iff its receive times descend somewhere between
+    neighbours, and only such routes enumerate their inverted pairs.
+    Records are built only for the pairs reported.
+    """
     from .history import ensure_index
 
+    idx = ensure_index(trace, index=index)
+    sends, recvs = idx.pair_indexes()
+    if sends.size < 2:
+        return []
+    cols = idx.columns
+    route = (cols["src"][sends].astype(np.int64) << 32) | (
+        cols["dst"][sends].astype(np.int64) & 0xFFFFFFFF
+    )
+    _, first, inverse = np.unique(route, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first, kind="stable")] = np.arange(first.size)
+    route_rank = rank[inverse.reshape(-1)]
+    t1 = cols["t1"]
+    order = np.lexsort((t1[sends], route_rank))  # stable: ties keep recv order
+    g = route_rank[order]
+    recv_t1 = t1[recvs][order]
+    descent = (recv_t1[1:] < recv_t1[:-1]) & (g[1:] == g[:-1])
     out: list[IntertwinedPair] = []
-    pairs = ensure_index(trace, index=index).message_pairs()
-    by_route: dict[tuple[int, int], list] = {}
-    for p in pairs:
-        by_route.setdefault((p.send.src, p.send.dst), []).append(p)
-    for route_pairs in by_route.values():
-        route_pairs.sort(key=lambda p: p.send.t1)
-        k = len(route_pairs)
-        if k < 2:
-            continue
-        # inversion pairs in one broadcast compare: after the send-order
-        # sort, (i, j) is intertwined iff i < j but recv_t1[i] > recv_t1[j].
-        # np.nonzero walks row-major, preserving the (i asc, j asc) order
-        # of the scalar double loop.
-        recv_t1 = np.fromiter(
-            (p.recv.t1 for p in route_pairs), dtype=np.float64, count=k
-        )
-        inverted = np.triu(recv_t1[:, None] > recv_t1[None, :], 1)
-        for i, j in zip(*(arr.tolist() for arr in np.nonzero(inverted))):
-            a, b = route_pairs[i], route_pairs[j]
+    bounds = np.searchsorted(g, np.arange(first.size + 1))
+    for r in np.unique(g[1:][descent]).tolist():
+        a, b = int(bounds[r]), int(bounds[r + 1])
+        # (i, j) is intertwined iff i < j but recv_t1[i] > recv_t1[j];
+        # np.nonzero walks row-major: (i asc, j asc)
+        rt = recv_t1[a:b]
+        ii, jj = np.nonzero(np.triu(rt[:, None] > rt[None, :], 1))
+        first_pair, second_pair = order[a + ii], order[a + jj]
+        m = ii.size
+        recs = idx.records_at(np.concatenate([
+            sends[first_pair], sends[second_pair],
+            recvs[first_pair], recvs[second_pair],
+        ]))
+        for k in range(m):
             out.append(
                 IntertwinedPair(
-                    first_send=a.send,
-                    second_send=b.send,
-                    first_recv=a.recv,
-                    second_recv=b.recv,
+                    first_send=recs[k],
+                    second_send=recs[m + k],
+                    first_recv=recs[2 * m + k],
+                    second_recv=recs[3 * m + k],
                 )
             )
     return out

@@ -117,65 +117,64 @@ def _detect_races(
 ) -> list[MessageRace]:
     """Vectorized kernel over the index's column store.
 
-    Per wildcard receive ``r`` on process ``pr``, the racing-send set is
-    one boolean mask over the send columns: ``dst == pr`` (narrowed by
-    the posted source/tag when not wildcarded), minus the matched send,
-    intersected with NOT ``r -> s2``.  The happens-before test for all
-    sends at once is the standard vector-clock comparison against row
-    ``pr`` of the clock matrix: ``r -> s2`` iff
-    ``clocks[r, pr] <= clocks[s2, pr]``, so the *negation* is a single
-    ``<`` over the precomputed send-clock column.
+    The posted (source, tag) of every receive comes from the rows'
+    ``extra`` side table (no record is built), and the wildcard test is
+    one mask over those arrays.  Per matched wildcard receive ``r`` on
+    process ``pr``, the racing-send set is one boolean mask over the
+    send columns: ``dst == pr`` (narrowed by the posted source/tag when
+    not wildcarded), minus the matched send, intersected with NOT
+    ``r -> s2``.  The happens-before test for all sends at once is the
+    standard vector-clock comparison against row ``pr`` of the clock
+    matrix: ``r -> s2`` iff ``clocks[r, pr] <= clocks[s2, pr]``, so the
+    *negation* is a single ``<`` over the precomputed send-clock column.
+    Records are built only for the races found.
     """
     from .history import RECV_CODES, SEND_CODES
 
-    trace = idx.trace
     clocks = idx.clocks
     cols = idx.columns
     kind = cols["kind"]
-    recv_idx = np.nonzero(kind == RECV_CODES[0])[0]
-    wildcards: list[TraceRecord] = []
-    for i in recv_idx.tolist():
-        rec = trace[i]
-        if not is_wildcard_recv(rec):
-            continue
-        psrc, _ = _posted_pattern(rec)
-        if psrc != ANY_SOURCE and not include_tag_wildcards:
-            continue
-        wildcards.append(rec)
-    if not wildcards:
-        return []
-    pairs = {p.recv.index: p.send for p in idx.message_pairs()}
-    send_idx = np.nonzero(np.isin(kind, SEND_CODES))[0]
-    if send_idx.size == 0:
+    recv_idx = np.flatnonzero(kind == RECV_CODES[0])
+    psrc = cols["src"][recv_idx].tolist()
+    ptag = cols["tag"][recv_idx].tolist()
+    for k, extra in enumerate(idx.row_extras(recv_idx)):
+        if extra:
+            psrc[k] = extra.get("posted_src", psrc[k])
+            ptag[k] = extra.get("posted_tag", ptag[k])
+    psrc_a = np.asarray(psrc, dtype=np.int64)
+    ptag_a = np.asarray(ptag, dtype=np.int64)
+    any_src = psrc_a == ANY_SOURCE
+    wild = any_src | (ptag_a == ANY_TAG)
+    if not include_tag_wildcards:
+        wild &= any_src
+    matched = idx.matched_sends()[recv_idx]
+    chosen = np.flatnonzero(wild & (matched >= 0))
+    send_idx = np.flatnonzero(np.isin(kind, SEND_CODES))
+    if chosen.size == 0 or send_idx.size == 0:
         return []
     s_src = cols["src"][send_idx]
     s_dst = cols["dst"][send_idx]
     s_tag = cols["tag"][send_idx]
     send_clocks = clocks[send_idx]
-    recs = trace.records  # one tuple grab; skips __getitem__ per alternative
+    proc = cols["proc"]
     races: list[MessageRace] = []
-    for rec in wildcards:
-        matched = pairs.get(rec.index)
-        if matched is None:
-            continue
-        psrc, ptag = _posted_pattern(rec)
-        pr = rec.proc
+    for k in chosen.tolist():
+        r = int(recv_idx[k])
+        s = int(matched[k])
+        pr = int(proc[r])
         mask = s_dst == pr
-        if psrc != ANY_SOURCE:
-            mask &= s_src == psrc
-        if ptag != ANY_TAG:
-            mask &= s_tag == ptag
-        mask &= send_idx != matched.index
-        mask &= send_clocks[:, pr] < clocks[rec.index, pr]
+        if psrc[k] != ANY_SOURCE:
+            mask &= s_src == psrc[k]
+        if ptag[k] != ANY_TAG:
+            mask &= s_tag == ptag[k]
+        mask &= send_idx != s
+        mask &= send_clocks[:, pr] < clocks[r, pr]
         alt = send_idx[mask]
         if alt.size:
-            races.append(
-                MessageRace(
-                    recv=rec,
-                    matched_send=matched,
-                    alternatives=[recs[j] for j in alt.tolist()],
-                )
-            )
+            recs = idx.records_at(np.concatenate([[r, s], alt]))
+            races.append(MessageRace(
+                recv=recs[0], matched_send=recs[1], alternatives=recs[2:]
+            ))
     return races
 
 
@@ -227,7 +226,12 @@ def steer_to_alternative(
     )
 
     # Align each rank's forced entries (sorted by post index) with its
-    # receive records in program order.
+    # receive rows in program order.
+    from .history import RECV_CODES
+
+    table = idx.row_table()
+    is_recv = idx.column("kind") == RECV_CODES[0]
+    target = race.recv.index
     steered = CommLog()
     race_entry_key = None
     for r in range(trace.nprocs):
@@ -236,7 +240,8 @@ def steer_to_alternative(
             for (rr, post), env in base_log.recv_matches.items()
             if rr == r
         )
-        recvs = [rec for rec in trace.by_proc(r) if rec.is_recv]
+        row = table.members[table.offsets[r]: table.offsets[r + 1]]
+        recvs = row[is_recv[row]].tolist()
         if len(entries) != len(recvs):
             raise ValueError(
                 f"forcing-log/trace misalignment on rank {r}: the base log "
@@ -245,10 +250,10 @@ def steer_to_alternative(
                 "come from the same execution (blocking receives, completion "
                 "order == post order) for steering to align them"
             )
-        for (post_idx, env), rec in zip(entries, recvs):
-            if rec.index == race.recv.index:
+        for (post_idx, env), i in zip(entries, recvs):
+            if i == target:
                 race_entry_key = (r, post_idx)
-            elif order.happens_before(rec.index, race.recv.index):
+            elif order.happens_before(i, target):
                 steered.recv_matches[(r, post_idx)] = env
     if race_entry_key is None:
         raise ValueError(

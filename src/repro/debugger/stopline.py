@@ -29,7 +29,7 @@ bearing that marker.  No threshold is below 1
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -55,13 +55,22 @@ class Stopline:
 
     ``time`` is where the indicator line is drawn in the time-space
     display; ``thresholds`` is what the replay programs into the
-    UserMonitor threshold variables.
+    UserMonitor threshold variables.  The selected event is held as its
+    trace index (``anchor_index``, None for a bare time); ``anchor``
+    builds its record from ``trace`` when read.
     """
 
     placement: StoplinePlacement
     time: float
-    anchor: Optional[TraceRecord]
+    anchor_index: Optional[int]
     thresholds: MarkerVector
+    trace: Optional[Trace] = field(default=None, repr=False, compare=False)
+
+    @property
+    def anchor(self) -> Optional[TraceRecord]:
+        if self.anchor_index is None or self.trace is None:
+            return None
+        return self.trace[self.anchor_index]
 
     def describe(self) -> str:
         parts = [f"stopline ({self.placement.value}) at t={self.time:.2f}"]
@@ -96,7 +105,7 @@ def vertical_stopline_at_time(trace: Trace, time: float) -> Stopline:
     return Stopline(
         placement=StoplinePlacement.VERTICAL,
         time=time,
-        anchor=None,
+        anchor_index=None,
         thresholds=MarkerVector(stop_thresholds(thresholds)),
     )
 
@@ -120,27 +129,25 @@ def compute_stopline(
 
     idx = ensure_index(trace, index=index)
     trace = idx.trace
-    anchor = trace[event_index]
+    marker = idx.column("marker")
+    t0 = float(idx.column("t0")[event_index])
     if placement is StoplinePlacement.VERTICAL:
-        sl = vertical_stopline_at_time(trace, anchor.t0)
+        sl = vertical_stopline_at_time(trace, t0)
         merged = sl.thresholds.as_dict()
-        merged[anchor.proc] = anchor.marker
-        return Stopline(
-            placement=placement,
-            time=anchor.t0,
-            anchor=anchor,
-            thresholds=MarkerVector(stop_thresholds(merged)),
+        merged[int(idx.column("proc")[event_index])] = int(marker[event_index])
+        thresholds = stop_thresholds(merged)
+    else:
+        thresholds = frontier_thresholds(
+            idx.order.cones(event_index),
+            marker,
+            future=placement is StoplinePlacement.FUTURE_FRONTIER,
         )
-    thresholds = frontier_thresholds(
-        idx.order.cones(event_index),
-        idx.column("marker"),
-        future=placement is StoplinePlacement.FUTURE_FRONTIER,
-    )
     return Stopline(
         placement=placement,
-        time=anchor.t0,
-        anchor=anchor,
+        time=t0,
+        anchor_index=event_index,
         thresholds=MarkerVector(thresholds),
+        trace=trace,
     )
 
 

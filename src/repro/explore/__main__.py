@@ -2,7 +2,7 @@
 
 Examples::
 
-    # explore the safe demo app: a qualified clean verdict (exit 0)
+    # explore the safe demo app: a qualified clean verdict (exit 3)
     python -m repro.explore --app schedbug:safe --nprocs 5
 
     # hunt the seeded ordering bug (exit 1, prints the forcing log)
@@ -12,8 +12,11 @@ Examples::
     python -m repro.explore --app master_worker --nprocs 8 \\
         --batch mproc --workers 4 --json report.json
 
-Exit status: 0 when every explored schedule is clean, 1 when any
-schedule crashed, deadlocked, or diverged, 2 on usage errors.
+Exit status: 0 when every explored schedule is clean and no
+alternative was left unexplored, 1 when any schedule crashed,
+deadlocked, or diverged, 2 on usage errors, 3 when every explored
+schedule is clean but the verdict is qualified (some alternatives were
+unsteerable or truncated, so not every matching was covered).
 """
 
 from __future__ import annotations
@@ -105,7 +108,9 @@ def main(argv=None) -> int:
     if args.json is not None:
         args.json.write_text(json.dumps(report.to_jsonable(), indent=1))
         print(f"report written to {args.json}")
-    return 1 if report.schedule_sensitive else 0
+    if report.schedule_sensitive:
+        return 1
+    return 3 if report.qualified else 0
 
 
 if __name__ == "__main__":

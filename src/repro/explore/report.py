@@ -151,6 +151,13 @@ class ExplorationReport:
         return any(o.status is not ScheduleStatus.CLEAN for o in self.outcomes)
 
     @property
+    def qualified(self) -> bool:
+        """Were some alternatives of the detected races left unexplored
+        (unsteerable or truncated), so a clean verdict does not cover
+        every matching?"""
+        return bool(self.unsteerable or self.truncated)
+
+    @property
     def schedules_per_sec(self) -> float:
         return self.explored / self.wall if self.wall > 0 else 0.0
 
@@ -186,7 +193,7 @@ class ExplorationReport:
                 "  verdict: no schedule-dependent behaviour found -- the "
                 "program looks schedule-insensitive over the explored space"
             )
-            if self.unsteerable or self.truncated:
+            if self.qualified:
                 lines.append(
                     f"  (qualified: {self.unsteerable + self.truncated} "
                     "alternative(s) of the detected races were not "
@@ -210,6 +217,7 @@ class ExplorationReport:
             "explored": self.explored,
             "counts": self.counts,
             "schedule_sensitive": self.schedule_sensitive,
+            "qualified": self.qualified,
             "deduped": self.deduped,
             "converged": self.converged,
             "pending": self.pending,

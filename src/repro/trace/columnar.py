@@ -194,8 +194,9 @@ class ColumnBlock:
     # ------------------------------------------------------------------
     # record materialization (the decode-throughput fast path)
     # ------------------------------------------------------------------
-    def to_records(self) -> list[TraceRecord]:
-        """Materialize :class:`TraceRecord` objects in batch.
+    def to_records(self, rows: Optional[np.ndarray] = None) -> list[TraceRecord]:
+        """Materialize :class:`TraceRecord` objects in batch (of every
+        row, or of the block positions ``rows``).
 
         ``ndarray.tolist`` converts every column in one C pass, rows are
         walked with one ``zip`` (no per-field list indexing), records
@@ -211,6 +212,8 @@ class ColumnBlock:
         while compute-heavy traces skip most of the dict inserts.
         """
         cols = self.columns
+        if rows is not None:
+            cols = {name: arr[rows] for name, arr in cols.items()}
         kinds = self.kind_table
         locations = self.locations
         peer_locations = self.peer_locations

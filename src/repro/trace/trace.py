@@ -9,12 +9,15 @@ Downstream layers query a trace in a few stereotyped ways:
 * time-window slices (zoom rescan for the disseminated trace graph).
 
 All indexes are built lazily and cached; a Trace is immutable once
-constructed (the recorder builds a new one per flush).
+constructed (the recorder builds a new one per flush).  A trace over a
+history index's rows (:meth:`Trace.over_index`) holds no record list of
+its own and answers these queries from the index instead.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -38,13 +41,27 @@ class MessagePair:
         return self.recv.t1 - self.send.t1
 
 
+def _index_answers(method):
+    """Route a query to the trace's bound history index, when it answers
+    for this trace, under the same name and arguments."""
+
+    @functools.wraps(method)
+    def query(self, *args):
+        index = self._bound()
+        if index is not None:
+            return getattr(index, method.__name__)(*args)
+        return method(self, *args)
+
+    return query
+
+
 class Trace:
     """An immutable sequence of trace records with query indexes."""
 
     def __init__(self, records: Sequence[TraceRecord], nprocs: int) -> None:
-        self._records = list(records)
+        self._records: Sequence[TraceRecord] = list(records)
         self.nprocs = nprocs
-        self._by_proc: Optional[list[list[TraceRecord]]] = None
+        self._by_proc: Optional[list[Sequence[TraceRecord]]] = None
         self._pairs: Optional[list[MessagePair]] = None
         self._unmatched_sends: Optional[list[TraceRecord]] = None
         self._unmatched_recvs: Optional[list[TraceRecord]] = None
@@ -52,6 +69,25 @@ class Trace:
         #: shared analysis substrate memoized on this trace (see
         #: :mod:`repro.analysis.history`); populated on first demand
         self._history_index = None
+
+    @classmethod
+    def over_index(cls, rows: Sequence[TraceRecord], nprocs: int, index) -> "Trace":
+        """A trace whose records are ``rows`` -- a history index's lazy
+        row view, neither copied nor iterated here -- bound to
+        ``index``, which answers the whole-trace queries below while
+        it holds exactly this history."""
+        trace = cls((), nprocs)
+        trace._records = rows
+        trace._history_index = index
+        return trace
+
+    def _bound(self):
+        """The bound history index, if it answers for this exact trace
+        (see :meth:`repro.analysis.history.HistoryIndex.answers_for`)."""
+        index = self._history_index
+        if index is not None and index.answers_for(self):
+            return index
+        return None
 
     # ------------------------------------------------------------------
     # basics
@@ -67,15 +103,23 @@ class Trace:
 
     @property
     def records(self) -> Sequence[TraceRecord]:
-        return tuple(self._records)
+        """All records: a tuple, or the index's lazy row view for a
+        trace over an index."""
+        if isinstance(self._records, list):
+            return tuple(self._records)
+        return self._records
 
     def by_proc(self, proc: int) -> Sequence[TraceRecord]:
         """This process's records in program order."""
         if self._by_proc is None:
-            rows: list[list[TraceRecord]] = [[] for _ in range(self.nprocs)]
-            for rec in self._records:
-                rows[rec.proc].append(rec)
-            self._by_proc = rows
+            index = self._bound()
+            if index is not None:
+                self._by_proc = [index.by_proc(p) for p in range(self.nprocs)]
+            else:
+                rows: list[list[TraceRecord]] = [[] for _ in range(self.nprocs)]
+                for rec in self._records:
+                    rows[rec.proc].append(rec)
+                self._by_proc = rows  # type: ignore[assignment]
         return self._by_proc[proc]
 
     def of_kind(self, *kinds: EventKind) -> list[TraceRecord]:
@@ -89,6 +133,9 @@ class Trace:
         Computed once: a Trace is immutable once constructed, so the two
         full scans happen on first access only.
         """
+        index = self._bound()
+        if index is not None:
+            return index.span
         if self._span is None:
             if not self._records:
                 return (0.0, 0.0)
@@ -117,12 +164,8 @@ class Trace:
         # A bound history index (repro.analysis.history) already holds
         # the matching for this exact history -- adopt it instead of
         # re-deriving.
-        index = self._history_index
-        if (
-            index is not None
-            and not getattr(index, "stale", False)
-            and len(index) == len(self._records)
-        ):
+        index = self._bound()
+        if index is not None:
             self._pairs = index.message_pairs()
             self._unmatched_sends = index.unmatched_sends()
             self._unmatched_recvs = index.unmatched_recvs()
@@ -151,7 +194,7 @@ class Trace:
         ]
         self._unmatched_recvs = unmatched_recvs
 
-    def message_pairs(self) -> list[MessagePair]:
+    def message_pairs(self) -> Sequence[MessagePair]:
         """All matched (send, recv) record pairs."""
         if self._pairs is None:
             self._match_messages()
@@ -177,6 +220,7 @@ class Trace:
     # ------------------------------------------------------------------
     # marker and time translation
     # ------------------------------------------------------------------
+    @_index_answers
     def record_at_marker(self, proc: int, marker: int) -> Optional[TraceRecord]:
         """The first record of ``proc`` carrying ``marker`` (None if the
         marker fell between instrumented constructs)."""
@@ -187,6 +231,7 @@ class Trace:
                 break
         return None
 
+    @_index_answers
     def first_at_or_after(self, proc: int, t: float) -> Optional[TraceRecord]:
         """Earliest record of ``proc`` starting at or after time ``t``."""
         rows = self.by_proc(proc)
@@ -194,6 +239,7 @@ class Trace:
         i = bisect.bisect_left(starts, t)
         return rows[i] if i < len(rows) else None
 
+    @_index_answers
     def first_ending_after(self, proc: int, t: float) -> Optional[TraceRecord]:
         """Earliest record of ``proc`` completing strictly after ``t``.
 
@@ -207,6 +253,7 @@ class Trace:
         i = bisect.bisect_right(ends, t)
         return rows[i] if i < len(rows) else None
 
+    @_index_answers
     def last_before(self, proc: int, t: float) -> Optional[TraceRecord]:
         """Latest record of ``proc`` starting strictly before ``t``."""
         rows = self.by_proc(proc)
@@ -214,12 +261,17 @@ class Trace:
         i = bisect.bisect_left(starts, t)
         return rows[i - 1] if i > 0 else None
 
+    @_index_answers
     def window(self, t_lo: float, t_hi: float) -> list[TraceRecord]:
         """Records overlapping [t_lo, t_hi] -- the zoom-rescan primitive
-        the disseminated trace graph uses to reconstruct merged arcs."""
+        the disseminated trace graph uses to reconstruct merged arcs.
+        An inverted window (``t_lo > t_hi``) holds nothing."""
+        if t_lo > t_hi:
+            return []
         return [r for r in self._records if r.t1 >= t_lo and r.t0 <= t_hi]
 
     # ------------------------------------------------------------------
+    @_index_answers
     def final_markers(self) -> dict[int, int]:
         """Rank -> highest marker seen (end-of-trace marker vector)."""
         out: dict[int, int] = {}
@@ -228,12 +280,14 @@ class Trace:
                 out[rec.proc] = rec.marker
         return out
 
+    @_index_answers
     def counts_by_kind(self) -> dict[EventKind, int]:
         out: dict[EventKind, int] = {}
         for rec in self._records:
             out[rec.kind] = out.get(rec.kind, 0) + 1
         return out
 
+    @_index_answers
     def recv_counts(self) -> dict[int, int]:
         """Rank -> number of completed receives (the Figure 6 diagnostic:
         "processes 1-6 each receive 2 messages and process 7 only
@@ -244,6 +298,7 @@ class Trace:
                 out[rec.proc] += 1
         return out
 
+    @_index_answers
     def send_counts(self) -> dict[int, int]:
         out = {p: 0 for p in range(self.nprocs)}
         for rec in self._records:

@@ -220,9 +220,17 @@ class TestCertificate:
 
 
 class TestCli:
-    def test_safe_app_exits_zero(self, capsys):
-        assert main(["--app", "schedbug:safe", "--nprocs", "4", "--depth", "1"]) == 0
-        assert "schedule-insensitive" in capsys.readouterr().out
+    def test_qualified_clean_verdict_exits_three(self, capsys):
+        assert main(["--app", "schedbug:safe", "--nprocs", "4", "--depth", "1"]) == 3
+        out = capsys.readouterr().out
+        assert "schedule-insensitive" in out
+        assert "qualified:" in out
+
+    def test_race_free_app_exits_zero(self, capsys):
+        assert main(["--app", "ring", "--nprocs", "4", "--depth", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "schedule-insensitive" in out
+        assert "qualified:" not in out
 
     def test_unsafe_app_exits_one(self, capsys):
         assert main(["--app", "schedbug", "--nprocs", "4", "--depth", "1"]) == 1

@@ -9,8 +9,8 @@ checks exact equality on random traces, and
 
 Every function is pure and takes a positional record list
 (``records[i].index == i``), plus whatever derived state it consumes
-(the send-of-receive map, the clock matrix) -- the same inputs the
-production kernel reads from the index.  :func:`frontiers` and
+(the send-of-receive map, the clock matrix, the matched pairs) -- the
+same inputs the production kernel reads from the index.  :func:`frontiers` and
 :func:`cut_is_consistent` are the full-scan and set-based forms of the
 row-table frontier, stopline and cut queries.
 """
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.critical_path import ZERO_WEIGHT_KINDS, CriticalPath
+from repro.analysis.matching import IntertwinedPair
 from repro.analysis.races import MessageRace
 from repro.mp.datatypes import ANY_SOURCE, ANY_TAG
 from repro.trace.events import TraceRecord
@@ -152,8 +153,32 @@ def cut_is_consistent(
 def window(
     records: list[TraceRecord], t_lo: float, t_hi: float
 ) -> list[TraceRecord]:
-    """Records overlapping [t_lo, t_hi], by full scan, in trace order."""
+    """Records overlapping [t_lo, t_hi], by full scan, in trace order;
+    an inverted window (``t_lo > t_hi``) holds nothing."""
+    if t_lo > t_hi:
+        return []
     return [r for r in records if r.t1 >= t_lo and r.t0 <= t_hi]
+
+
+def intertwined(
+    pairs: list[tuple[TraceRecord, TraceRecord]],
+) -> list[IntertwinedPair]:
+    """Same-route message pairs received in inverted send order, by the
+    per-route loop: routes in order of first appearance among ``pairs``
+    (given in receive order), each route's pairs stably sorted by send
+    completion time, then every ``i < j`` whose receive completes
+    later, row-major."""
+    by_route: dict[tuple[int, int], list[tuple[TraceRecord, TraceRecord]]] = {}
+    for send, recv in pairs:
+        by_route.setdefault((send.src, send.dst), []).append((send, recv))
+    out: list[IntertwinedPair] = []
+    for route_pairs in by_route.values():
+        route_pairs.sort(key=lambda p: p[0].t1)
+        for i, (s1, r1) in enumerate(route_pairs):
+            for s2, r2 in route_pairs[i + 1:]:
+                if r1.t1 > r2.t1:
+                    out.append(IntertwinedPair(s1, s2, r1, r2))
+    return out
 
 
 def _posted_pattern(rec: TraceRecord) -> tuple[int, int]:

@@ -6,7 +6,8 @@ duplicate message keys, unmatched sends/receives, waits/collectives and
 compute -- are indexed batch and incrementally (streamed in chunks with
 catch-up queries between chunks), and every derived artifact must equal
 the oracle's: clock matrices (integer-exact), matching pairs and
-unmatched lists, window queries, race reports, critical paths
+unmatched lists, intertwined messages (in order), window queries, race
+reports, critical paths
 (bitwise float equality: the segment ``cumsum`` DP performs the same
 sequential additions as the scalar loop), the row-table closures,
 frontiers and stoplines (against the full-scan masks), and the cut
@@ -30,6 +31,7 @@ from repro.analysis import (
     is_consistent_frontier,
 )
 from repro.analysis.critical_path import critical_path
+from repro.analysis.matching import find_intertwined
 from repro.analysis.races import detect_races
 from repro.debugger.stopline import (
     Stopline,
@@ -215,6 +217,15 @@ def test_critical_path_equals_oracle(tr):
     assert ca.length == cb.length  # bitwise: same sequential additions
     assert ca.span == cb.span
     assert ca.weights == cb.weights
+
+
+@settings(max_examples=40, deadline=None)
+@given(trace_records(), hst.integers(0, 17))
+def test_intertwined_equals_oracle(tr, chunk):
+    nprocs, records = tr
+    vec = build_index(nprocs, records, chunk)
+    pairs = [(records[s], records[r]) for s, r in oracles.match(records).pairs]
+    assert find_intertwined(vec.trace, index=vec) == oracles.intertwined(pairs)
 
 
 @settings(max_examples=25, deadline=None)
