@@ -4,8 +4,6 @@ Not tables in the paper, but trade-offs it discusses explicitly:
 
 * the dissemination arc limit (§4.3: "this technique allows us to
   control the size of the history at the cost of some resolution");
-* checkpointing for replay (§6: "we could improve on this by
-  periodically checkpointing ... and keeping a logarithmic backlog");
 * instrumentation granularity (§2: the three methods "vary in ...
   the history event resolution"; §3: trace size is controlled "by
   selectively instrumenting constructs").
@@ -16,7 +14,6 @@ from __future__ import annotations
 from repro import mp
 from repro.apps import fibonacci as fibmod
 from repro.apps import strassen as st
-from repro.debugger import DebugSession
 from repro.graphs import ArcKind, TraceGraph
 from repro.instrument import (
     AimsMonitor,
@@ -76,46 +73,7 @@ def test_ablation_dissemination_limit(benchmark):
 
 
 # ----------------------------------------------------------------------
-# 2. replay cost vs checkpoint backlog
-# ----------------------------------------------------------------------
-def test_ablation_checkpoint_fast_skip(benchmark):
-    def stepper(comm):
-        for _ in range(60):
-            comm.compute(1.0)
-        return comm.rank
-
-    def replay_with(use_checkpoint: bool) -> int:
-        """Replay to marker 50 after stops at 10/20/30/40; returns how
-        many trace records the replay re-recorded."""
-        session = DebugSession(stepper, 1, checkpoint_base=8)
-        for m in (10, 20, 30, 40):
-            session.set_threshold(0, m)
-            session.run() if m == 10 else session.cont()
-        session.replay(thresholds={0: 50}, use_checkpoint=use_checkpoint)
-        n_records = len(session.trace().by_proc(0))
-        session.shutdown()
-        return n_records
-
-    with_cp = benchmark.pedantic(
-        lambda: replay_with(True), rounds=3, iterations=1
-    )
-    without_cp = replay_with(False)
-
-    write_artifact(
-        "ablation_checkpoints.txt",
-        "replay-to-marker-50 re-recorded trace records\n"
-        f"  without checkpoint skip: {without_cp}\n"
-        f"  with    checkpoint skip: {with_cp}\n"
-        "(the checkpoint at marker 40 gates recording; §6's backlog)",
-    )
-
-    # The fast-skip suppresses the prefix: far fewer records re-recorded.
-    assert with_cp < without_cp
-    assert with_cp <= 50 - 40 + 2  # roughly the post-checkpoint suffix
-
-
-# ----------------------------------------------------------------------
-# 3. marker granularity vs trace size
+# 2. marker granularity vs trace size
 # ----------------------------------------------------------------------
 LOOPY_SRC_FN = None  # instrumented lazily below
 

@@ -18,7 +18,7 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.analysis` -- causality, frontiers, matching anomalies,
   deadlock and race detection;
 * :mod:`repro.debugger` -- the p2d2 analog: sessions, breakpoints,
-  stoplines, controlled replay, parallel undo, checkpoints;
+  stoplines, controlled replay, parallel undo;
 * :mod:`repro.explore` -- schedule-space exploration: race-driven
   steer + replay fuzzing with clean/divergent/deadlock/crash verdicts;
 * :mod:`repro.viz` -- time-space diagrams (ASCII/SVG) and animation;

@@ -449,7 +449,6 @@ class HistoryIndex:
         paged: bool = False,
         cache_blocks: Optional[int] = None,
         cache_bytes: Optional[int] = None,
-        prefetch_blocks: Optional[int] = None,
     ) -> "HistoryIndex | OutOfCoreIndex":
         """Index a trace file through the bulk columnar path.
 
@@ -463,10 +462,8 @@ class HistoryIndex:
         ``paged=True`` returns an
         :class:`~repro.analysis.paged.OutOfCoreIndex` instead: only
         block metadata is read now, record data is paged in per window
-        query through a bounded LRU (``cache_blocks``/``cache_bytes``),
-        with background readahead of adjacent blocks
-        (``prefetch_blocks``) -- resident memory stays O(cache) rather
-        than O(trace).  The paged facade serves window queries only;
+        query through a bounded LRU (``cache_blocks``/``cache_bytes``)
+        -- resident memory stays O(cache) rather than O(trace).  The paged facade serves window queries only;
         build an in-memory index for the global derivations (clocks,
         matching).
         """
@@ -478,15 +475,11 @@ class HistoryIndex:
                 kwargs["cache_blocks"] = cache_blocks
             if cache_bytes is not None:
                 kwargs["cache_bytes"] = cache_bytes
-            if prefetch_blocks is not None:
-                kwargs["prefetch_blocks"] = prefetch_blocks
             return OutOfCoreIndex(reader, **kwargs)
         if cache_blocks is not None or cache_bytes is not None:
             raise ValueError(
                 "cache_blocks/cache_bytes apply to paged=True only"
             )
-        if prefetch_blocks is not None:
-            raise ValueError("prefetch_blocks applies to paged=True only")
         index = cls(nprocs=reader.nprocs, generation=generation)
         index.extend_columns(reader.read_columns())
         return index

@@ -27,18 +27,11 @@ are then paged per shard).  The facade is deliberately *not* a full
 whole history and would defeat the memory bound; build an in-memory
 index (``paged=False``) when you need those.
 
-The zoom pattern is sequential in time, so after every window query a
-**background prefetcher** speculatively pages in the blocks adjacent
-(in t-order) to the queried span: by the time the user pans or zooms to
-the neighbouring window its blocks are already cache hits.  Readahead
-is bounded (``prefetch_blocks`` per query), canceled by the next query
-(a generation counter), deduplicated against demand loads (a
-single-flight table guarantees a block is never decoded twice
-concurrently), and can be disabled globally with the
-``REPRO_NO_PREFETCH`` environment variable.
-
-All query entry points, the cache, and the loader are thread-safe:
-the prefetcher shares them with any number of demand-query threads.
+Blocks are read only on demand, when a query needs them: nothing is
+decoded speculatively and no thread is started.  One lock, held across
+the cache lookup, the decode and the insert, makes the queries safe to
+call from several threads: a block is never decoded twice while it
+stays cached.
 
 Construct directly, or via
 ``HistoryIndex.from_file(reader, paged=True)``.
@@ -46,12 +39,9 @@ Construct directly, or via
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
-from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import TYPE_CHECKING, Optional
 
@@ -66,31 +56,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: default LRU capacity: 32 blocks x 512 records x ~100 B/record keeps
 #: the hot set of a zoom session under a couple of MB
 DEFAULT_CACHE_BLOCKS = 32
-#: blocks speculatively paged in after each window query
-DEFAULT_PREFETCH_BLOCKS = 4
-#: set (to anything non-empty) to disable readahead globally
-NO_PREFETCH_ENV_VAR = "REPRO_NO_PREFETCH"
-
-
-def prefetch_enabled() -> bool:
-    """Whether readahead is allowed in this process (the
-    ``REPRO_NO_PREFETCH`` opt-out wins over any constructor argument,
-    so one environment variable keeps the demand-only path honest)."""
-    return not os.environ.get(NO_PREFETCH_ENV_VAR)
 
 
 @dataclass
 class PagedStats:
     """Cache/paging economics of one :class:`OutOfCoreIndex`.
 
-    ``block_loads`` counts blocks decoded off disk *on demand* (a query
-    thread waited for the decode), ``prefetch_loads`` blocks decoded
-    speculatively by the readahead thread, ``cache_hits`` demand
-    accesses served from the LRU -- of which ``prefetch_hits`` touched a
-    block that readahead brought in (first touch only; once a
-    prefetched block is demand-hit it counts as an ordinary resident
-    block).  ``evictions`` counts blocks dropped to stay inside the
-    bound; ``queries`` counts window queries answered.
+    ``block_loads`` counts blocks decoded off disk, ``cache_hits``
+    block accesses served from the LRU, ``evictions`` blocks dropped to
+    stay inside the bound, and ``queries`` window queries answered.
+
+    ``prefetch_loads`` and ``prefetch_hits`` always read 0: ``bench/``
+    still reads them, and the next benchmark change removes them.
     """
 
     block_loads: int = 0
@@ -102,32 +79,23 @@ class PagedStats:
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of demand block accesses that did not wait for a
-        disk decode (readahead raises this on sequential zooms)."""
+        """Fraction of block accesses that did not wait for a disk
+        decode."""
         total = self.block_loads + self.cache_hits
         return self.cache_hits / total if total else 0.0
 
     def snapshot(self) -> "PagedStats":
-        return PagedStats(
-            self.block_loads,
-            self.cache_hits,
-            self.evictions,
-            self.queries,
-            self.prefetch_loads,
-            self.prefetch_hits,
-        )
+        return replace(self)
 
     def as_text(self) -> str:
         """Human-readable dump (the debugger ``stats`` command)."""
         lines = [
             f"paged index: {self.queries} window quer"
             f"{'y' if self.queries == 1 else 'ies'}",
-            f"  demand loads   : {self.block_loads} block(s)",
-            f"  cache hits     : {self.cache_hits} "
-            f"(hit rate {self.hit_rate:.1%}, "
-            f"{self.prefetch_hits} served by readahead)",
-            f"  prefetch loads : {self.prefetch_loads} speculative block(s)",
-            f"  evictions      : {self.evictions}",
+            f"  demand loads : {self.block_loads} block(s)",
+            f"  cache hits   : {self.cache_hits} "
+            f"(hit rate {self.hit_rate:.1%})",
+            f"  evictions    : {self.evictions}",
         ]
         return "\n".join(lines)
 
@@ -143,9 +111,8 @@ class BlockCache:
 
     Bounded by block count and optionally by the decoded columns' total
     bytes (whichever bound trips first evicts the least recently used
-    block).  All operations are atomic under an internal lock: the
-    cache is shared between demand-query threads and the readahead
-    thread, and eviction accounting must never interleave mid-update.
+    block).  Not thread-safe on its own: :class:`OutOfCoreIndex` calls
+    it under its lock.
     """
 
     def __init__(
@@ -158,45 +125,34 @@ class BlockCache:
         self.max_blocks = max_blocks
         self.max_bytes = max_bytes
         self._blocks: "OrderedDict[BlockRef, ColumnBlock]" = OrderedDict()
-        self._lock = threading.RLock()
         #: decoded bytes currently resident
         self.nbytes = 0
         #: blocks evicted over the cache's lifetime
         self.evictions = 0
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._blocks)
-
-    def __contains__(self, ref: "BlockRef") -> bool:
-        """Residency probe that does *not* touch recency -- the
-        prefetcher uses it so speculative planning never promotes a
-        block the user has not actually asked for."""
-        with self._lock:
-            return ref in self._blocks
+        return len(self._blocks)
 
     def get(self, ref: "BlockRef") -> Optional[ColumnBlock]:
-        with self._lock:
-            block = self._blocks.get(ref)
-            if block is not None:
-                self._blocks.move_to_end(ref)
-            return block
+        block = self._blocks.get(ref)
+        if block is not None:
+            self._blocks.move_to_end(ref)
+        return block
 
     def put(self, ref: "BlockRef", block: ColumnBlock) -> None:
-        with self._lock:
-            if ref in self._blocks:
-                self._blocks.move_to_end(ref)
-                return
-            self._blocks[ref] = block
-            self.nbytes += _block_nbytes(block)
-            while len(self._blocks) > self.max_blocks or (
-                self.max_bytes is not None
-                and self.nbytes > self.max_bytes
-                and len(self._blocks) > 1
-            ):
-                _, evicted = self._blocks.popitem(last=False)
-                self.nbytes -= _block_nbytes(evicted)
-                self.evictions += 1
+        if ref in self._blocks:
+            self._blocks.move_to_end(ref)
+            return
+        self._blocks[ref] = block
+        self.nbytes += _block_nbytes(block)
+        while len(self._blocks) > self.max_blocks or (
+            self.max_bytes is not None
+            and self.nbytes > self.max_bytes
+            and len(self._blocks) > 1
+        ):
+            _, evicted = self._blocks.popitem(last=False)
+            self.nbytes -= _block_nbytes(evicted)
+            self.evictions += 1
 
 
 class OutOfCoreIndex:
@@ -216,12 +172,6 @@ class OutOfCoreIndex:
         The LRU bound: at most ``cache_blocks`` decoded blocks resident,
         additionally capped at ``cache_bytes`` decoded column bytes when
         given.
-    prefetch_blocks:
-        Readahead depth: after each window query, up to this many
-        blocks adjacent (in t-order) to the queried span are decoded in
-        the background.  ``0`` disables readahead; ``None`` picks the
-        default.  The ``REPRO_NO_PREFETCH`` environment variable
-        disables readahead regardless of this argument.
     """
 
     def __init__(
@@ -230,7 +180,6 @@ class OutOfCoreIndex:
         *,
         cache_blocks: int = DEFAULT_CACHE_BLOCKS,
         cache_bytes: Optional[int] = None,
-        prefetch_blocks: Optional[int] = None,
     ) -> None:
         self.reader = reader
         self.nprocs = reader.nprocs
@@ -249,31 +198,10 @@ class OutOfCoreIndex:
         )
         self._cache = BlockCache(cache_blocks, cache_bytes)
         self._stats = PagedStats()
-        # -- concurrency state -----------------------------------------
-        # one lock guards the stats, the single-flight table, and the
-        # prefetch bookkeeping; BlockCache carries its own (leaf) lock
-        self._lock = threading.RLock()
-        self._inflight: "dict[BlockRef, Future]" = {}
-        self._prefetched: "set[BlockRef]" = set()
-        if prefetch_blocks is None:
-            prefetch_blocks = DEFAULT_PREFETCH_BLOCKS
-        if prefetch_blocks < 0:
-            raise ValueError(
-                f"prefetch_blocks must be >= 0, got {prefetch_blocks}"
-            )
-        if not prefetch_enabled():
-            prefetch_blocks = 0
-        # never let readahead churn the whole working set out
-        self.prefetch_blocks = min(prefetch_blocks, max(0, cache_blocks - 1))
-        # blocks sorted by span start: "adjacent" for readahead purposes
-        # means neighbouring in this order, not in file/shard layout
-        self._t_order = np.argsort(self._t_min, kind="stable")
-        self._t_rank = np.empty(len(self._refs), dtype=np.int64)
-        self._t_rank[self._t_order] = np.arange(len(self._refs))
-        self._prefetch_pool: Optional[ThreadPoolExecutor] = None
-        self._prefetch_pending: Optional[Future] = None
-        self._prefetch_gen = 0
-        self._closed = False
+        # guards the cache and the stats; held across a block's lookup,
+        # decode and insert, so concurrent queries never decode a block
+        # twice while it stays cached
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -286,12 +214,14 @@ class OutOfCoreIndex:
 
     @property
     def cached_blocks(self) -> int:
-        return len(self._cache)
+        with self._lock:
+            return len(self._cache)
 
     @property
     def resident_bytes(self) -> int:
         """Decoded column bytes currently held by the LRU."""
-        return self._cache.nbytes
+        with self._lock:
+            return self._cache.nbytes
 
     @property
     def span(self) -> tuple[float, float]:
@@ -301,61 +231,17 @@ class OutOfCoreIndex:
         return (float(self._t_min.min()), float(self._t_max.max()))
 
     # ------------------------------------------------------------------
-    def _load(self, ref: "BlockRef", *, speculative: bool = False) -> ColumnBlock:
-        """Fetch one block through the cache.
-
-        Single-flight: when several threads (demand queries, the
-        prefetcher) want the same non-resident block, exactly one
-        decodes it and the rest wait on its future -- a block is never
-        decoded twice concurrently.  ``speculative`` marks prefetcher
-        calls, which are accounted separately and never counted as
-        demand traffic.
-        """
-        fut: Optional[Future] = None
-        leader = False
+    def _load(self, ref: "BlockRef") -> ColumnBlock:
+        """Fetch one block through the cache, decoding it on a miss."""
         with self._lock:
             block = self._cache.get(ref)
             if block is not None:
-                if not speculative:
-                    self._stats.cache_hits += 1
-                    if ref in self._prefetched:
-                        self._prefetched.discard(ref)
-                        self._stats.prefetch_hits += 1
+                self._stats.cache_hits += 1
                 return block
-            fut = self._inflight.get(ref)
-            if fut is None:
-                fut = Future()
-                self._inflight[ref] = fut
-                leader = True
-        if not leader:
-            block = fut.result()
-            if not speculative:
-                with self._lock:
-                    # served by someone else's in-flight decode: no disk
-                    # wait of our own, so it counts as a hit (and as a
-                    # readahead hit when the prefetcher led the load)
-                    self._stats.cache_hits += 1
-                    if ref in self._prefetched:
-                        self._prefetched.discard(ref)
-                        self._stats.prefetch_hits += 1
-            return block
-        try:
             block = self.reader.load_block(ref)
-        except BaseException as exc:
-            with self._lock:
-                self._inflight.pop(ref, None)
-            fut.set_exception(exc)
-            raise
-        with self._lock:
             self._cache.put(ref, block)
-            if speculative:
-                self._stats.prefetch_loads += 1
-                self._prefetched.add(ref)
-            else:
-                self._stats.block_loads += 1
-            self._inflight.pop(ref, None)
-        fut.set_result(block)
-        return block
+            self._stats.block_loads += 1
+            return block
 
     def _select_idx(
         self, t_lo: float, t_hi: float, procs: Optional[set[int]]
@@ -375,90 +261,16 @@ class OutOfCoreIndex:
         ]
         return np.array(keep, dtype=np.int64)
 
-    def _select(
-        self, t_lo: float, t_hi: float, procs: Optional[set[int]]
-    ) -> "list[BlockRef]":
-        return [
-            self._refs[i] for i in self._select_idx(t_lo, t_hi, procs).tolist()
-        ]
-
-    # ------------------------------------------------------------------
-    # readahead
-    # ------------------------------------------------------------------
-    def _schedule_prefetch(self, sel_idx: np.ndarray) -> None:
-        """Queue speculative loads of the blocks t-adjacent to the
-        window just answered.  Bounded (``prefetch_blocks``), biased
-        forward (zooms advance in time more often than they rewind),
-        and superseded by the next query via a generation counter."""
-        if self.prefetch_blocks <= 0 or sel_idx.size == 0 or self._closed:
-            return
-        ranks = self._t_rank[sel_idx]
-        lo, hi = int(ranks.min()), int(ranks.max())
-        after = self._t_order[hi + 1 : hi + 1 + self.prefetch_blocks]
-        before = self._t_order[max(0, lo - self.prefetch_blocks) : lo][::-1]
-        candidates = after.tolist() + before.tolist()
-        refs = [
-            self._refs[i]
-            for i in candidates[: self.prefetch_blocks]
-            if self._refs[i] not in self._cache
-        ]
-        if not refs:
-            return
-        with self._lock:
-            if self._closed:
-                return
-            self._prefetch_gen += 1
-            gen = self._prefetch_gen
-            stale = self._prefetch_pending
-            if self._prefetch_pool is None:
-                self._prefetch_pool = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix="repro-prefetch"
-                )
-            pool = self._prefetch_pool
-        if stale is not None:
-            stale.cancel()  # drop queued-but-unstarted stale readahead
-        fut = pool.submit(self._prefetch_task, refs, gen)
-        with self._lock:
-            self._prefetch_pending = fut
-
-    def _prefetch_task(self, refs: "list[BlockRef]", gen: int) -> None:
-        for ref in refs:
-            with self._lock:
-                if gen != self._prefetch_gen or self._closed:
-                    return  # a newer query superseded this readahead
-            if ref in self._cache:
-                continue
-            try:
-                self._load(ref, speculative=True)
-            except Exception:
-                return  # the demand path will surface decode errors
-
     def wait_prefetch(self, timeout: Optional[float] = None) -> bool:
-        """Block until the pending readahead (if any) finishes; True
-        when nothing is left in flight.  Deterministic hook for tests
-        and benchmarks -- production queries never need it."""
-        with self._lock:
-            fut = self._prefetch_pending
-        if fut is None:
-            return True
-        try:
-            fut.result(timeout)
-        except FutureTimeoutError:
-            return False
-        except (CancelledError, Exception):
-            pass
+        """Return True at once: no load is ever in flight after a query.
+        ``bench/`` still uses this as its idle hook, and the next
+        benchmark change removes it."""
         return True
 
     def close(self) -> None:
-        """Stop the readahead thread.  Queries keep working (demand
-        loads only).  Idempotent."""
-        with self._lock:
-            self._closed = True
-            self._prefetch_gen += 1  # wake/retire any running task
-            pool, self._prefetch_pool = self._prefetch_pool, None
-            self._prefetch_pending = None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
+        """Nothing to release; queries keep working after it.
+        ``bench/`` still calls this, and the next benchmark change
+        removes it."""
 
     # ------------------------------------------------------------------
     def window_columns(
@@ -482,7 +294,6 @@ class OutOfCoreIndex:
                 parts.append(block)
             elif mask.any():
                 parts.append(block.filter(mask))
-        self._schedule_prefetch(sel)
         merged = ColumnBlock.concat(parts)
         index_col = merged.columns["index"]
         if index_col.size and np.any(index_col[1:] < index_col[:-1]):
@@ -513,7 +324,6 @@ class OutOfCoreIndex:
                 out.extend(block.to_records())
             elif mask.any():
                 out.extend(block.filter(mask).to_records())
-        self._schedule_prefetch(sel)
         out.sort(key=attrgetter("index"))
         return out
 
@@ -526,17 +336,12 @@ class OutOfCoreIndex:
         """A point-in-time copy of the paging counters (evictions are
         folded in from the cache)."""
         with self._lock:
-            snap = self._stats.snapshot()
-        snap.evictions = self._cache.evictions
-        return snap
+            return replace(self._stats, evictions=self._cache.evictions)
 
 
 __all__ = [
     "DEFAULT_CACHE_BLOCKS",
-    "DEFAULT_PREFETCH_BLOCKS",
-    "NO_PREFETCH_ENV_VAR",
     "BlockCache",
     "OutOfCoreIndex",
     "PagedStats",
-    "prefetch_enabled",
 ]

@@ -6,16 +6,14 @@
 * :mod:`~repro.debugger.stopline` -- timeline breakpoints (vertical
   slice or past/future frontier placement).
 * :mod:`~repro.debugger.replay` -- the marker-threshold replay engine
-  with nondeterminism control.
+  with nondeterminism control; every replay re-executes from the start
+  and records the whole history.
 * :mod:`~repro.debugger.breakpoints` -- conventional location
   breakpoints over instrumentation points.
-* :mod:`~repro.debugger.checkpoints` -- the §6 logarithmic-backlog
-  checkpoint extension.
 * :mod:`~repro.debugger.commands` -- a text command front end.
 """
 
 from .breakpoints import Breakpoint, BreakpointManager, Watchpoint
-from .checkpoints import Checkpoint, LogBacklog
 from .commands import CommandError, CommandInterpreter, run_script
 from .replay import (
     ReplayExecution,
@@ -36,11 +34,9 @@ from .stopline import (
 __all__ = [
     "Breakpoint",
     "BreakpointManager",
-    "Checkpoint",
     "CommandError",
     "CommandInterpreter",
     "DebugSession",
-    "LogBacklog",
     "ReplayExecution",
     "ReplaySpec",
     "StopSummary",

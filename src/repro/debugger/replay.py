@@ -21,7 +21,9 @@ encountered") with two controls applied:
 (program, nprocs, policy, seed, cost model, instrumentation choices);
 :func:`execute_replay` performs one controlled re-execution and returns
 the new runtime + instrumentation, leaving the caller (the debug
-session) in charge from the stop onward.
+session) in charge from the stop onward.  A replay records its whole
+re-execution, so the trace after a replay or an undo is the full
+history up to the stop, never a suffix of it.
 """
 
 from __future__ import annotations
@@ -66,23 +68,12 @@ class ReplayExecution:
     wrapper_lib: WrapperLibrary
     uinst: Optional[Uinst] = None
     report: Optional[RunReport] = None
-    #: markers each process should fast-record from (checkpoint skip)
-    record_from: Optional[MarkerVector] = None
 
 
 def build_execution(
-    spec: ReplaySpec,
-    replay_log: Optional[CommLog] = None,
-    record_from: Optional[MarkerVector] = None,
+    spec: ReplaySpec, replay_log: Optional[CommLog] = None
 ) -> ReplayExecution:
-    """Construct and launch (but do not run) an execution of ``spec``.
-
-    ``record_from`` implements the checkpoint fast-skip: trace recording
-    for each rank stays off until its marker counter reaches the given
-    value, making replays to deep stoplines cheaper (the §6 checkpoint
-    extension, adapted: state cannot be snapshotted, but the expensive
-    part of a replay -- instrumentation recording -- can be skipped).
-    """
+    """Construct and launch (but do not run) an execution of ``spec``."""
     runtime = Runtime(
         spec.nprocs,
         backend=spec.backend,
@@ -105,41 +96,15 @@ def build_execution(
     if spec.lifecycle_records:
         wrappers.append(lifecycle_wrapper(recorder))
     runtime.launch(spec.program, target_wrappers=wrappers)
-
-    if record_from is not None and len(record_from):
-        _install_record_gates(runtime, recorder, record_from)
-
     return ReplayExecution(
-        runtime=runtime,
-        recorder=recorder,
-        wrapper_lib=wrapper_lib,
-        uinst=uinst,
-        record_from=record_from,
+        runtime=runtime, recorder=recorder, wrapper_lib=wrapper_lib, uinst=uinst
     )
-
-
-def _install_record_gates(
-    runtime: Runtime, recorder: TraceRecorder, record_from: MarkerVector
-) -> None:
-    """Disable recording per rank until its marker reaches the gate."""
-    for proc in runtime.procs:
-        gate = record_from.get(proc.rank)
-        if gate is None or gate <= 0:
-            continue
-        recorder.set_enabled(False, proc=proc.rank)
-
-        def hook(p, loc, args, _gate=gate):
-            if p.marker >= _gate and not recorder.is_enabled(p.rank):
-                recorder.set_enabled(True, proc=p.rank)
-
-        proc.marker_hooks.append(hook)
 
 
 def execute_replay(
     spec: ReplaySpec,
     replay_log: CommLog,
     thresholds: MarkerVector,
-    record_from: Optional[MarkerVector] = None,
     on_build: Optional[Callable[[ReplayExecution], None]] = None,
 ) -> ReplayExecution:
     """One controlled replay: rebuild, program thresholds, run to stop.
@@ -153,7 +118,7 @@ def execute_replay(
     shutdown.  Processes without a threshold run until they exit or
     block (they were past their last marker at the stopline).
     """
-    execution = build_execution(spec, replay_log, record_from)
+    execution = build_execution(spec, replay_log)
     if on_build is not None:
         on_build(execution)
     execution.runtime.set_thresholds(thresholds.as_dict())
@@ -172,12 +137,17 @@ def replay_matches_markers(
     execution is a caller error, reported as such.
     """
     procs = execution.runtime.procs
+    check_threshold_ranks(thresholds, len(procs))
+    return all(procs[rank].marker == thresholds[rank] for rank in thresholds)
+
+
+def check_threshold_ranks(thresholds: MarkerVector, nprocs: int) -> None:
+    """Raise ``ValueError`` unless every threshold names a rank in
+    ``0..nprocs-1``.  (Counters need no check: a :class:`MarkerVector`
+    refuses negative ones when it is built.)"""
     for rank in thresholds:
-        if not 0 <= rank < len(procs):
+        if not 0 <= rank < nprocs:
             raise ValueError(
                 f"marker threshold names rank {rank}, but the execution "
-                f"has {len(procs)} rank(s) (valid: 0..{len(procs) - 1})"
+                f"has {nprocs} rank(s) (valid: 0..{nprocs - 1})"
             )
-        if procs[rank].marker != thresholds[rank]:
-            return False
-    return True

@@ -11,10 +11,10 @@ a method, so the worked Figure 5-7 debugging session is a script (see
 Replay discipline: the session's *generation* counts re-executions.
 Every replay rebuilds the runtime from the :class:`ReplaySpec`, forces
 recorded nondeterminism from the accumulated master communication log,
-installs thresholds, and runs to the stop.  Location breakpoints are
-re-registered across generations.  Marker vectors at every stop are
-recorded (they are the undo targets) and fed to the logarithmic
-checkpoint backlog.
+installs thresholds, and runs to the stop, recording the whole
+re-execution.  Location breakpoints are re-registered across
+generations.  Marker vectors at every stop are recorded: they are the
+undo targets.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ from repro.trace.sinks import CallbackSink, TraceSink
 from repro.trace.trace import Trace
 
 from .breakpoints import Breakpoint, BreakpointManager
-from .checkpoints import LogBacklog
 from .replay import (
     ReplayExecution,
     ReplaySpec,
     build_execution,
+    check_threshold_ranks,
     execute_replay,
 )
 from .stopline import Stopline, StoplinePlacement, compute_stopline
@@ -86,7 +86,6 @@ class DebugSession:
         cost_model: Optional[CostModel] = None,
         uinst_functions: Sequence[Callable] = (),
         uinst_modules: Sequence[Any] = (),
-        checkpoint_base: int = 4,
     ) -> None:
         self.spec = ReplaySpec(
             program=program,
@@ -103,7 +102,6 @@ class DebugSession:
         #: marker vectors recorded at each stop, oldest first (undo targets)
         self.stop_history: list[MarkerVector] = []
         self.generation = 0
-        self.checkpoints = LogBacklog(base=checkpoint_base)
         self.current_stopline: Optional[Stopline] = None
         self._saved_breakpoints: list[Breakpoint] = []
         #: sinks the user subscribed to the live trace stream; they are
@@ -117,7 +115,7 @@ class DebugSession:
         self._index: Optional[HistoryIndex] = None
         #: an out-of-core paged index over an on-disk trace, when the
         #: user is debugging against a recorded file (``stats`` folds
-        #: its cache/prefetch counters into the report)
+        #: its cache counters into the report)
         self.paged_index = None
 
     # ------------------------------------------------------------------
@@ -159,7 +157,7 @@ class DebugSession:
 
     def attach_paged_index(self, paged) -> None:
         """Bind an :class:`~repro.analysis.paged.OutOfCoreIndex` so the
-        ``stats`` command reports its cache and readahead behavior."""
+        ``stats`` command reports its block loads and cache hits."""
         self.paged_index = paged
 
     @property
@@ -232,10 +230,8 @@ class DebugSession:
         wa = dict(self.master_log.waitany_choices)
         wa.update(self.runtime.comm_log.waitany_choices)
         self.master_log.waitany_choices = wa
-        # Record the stop vector (undo target + checkpoint).
-        vector = self.markers()
-        self.stop_history.append(vector)
-        self.checkpoints.add(vector)
+        # Record the stop vector (the undo target).
+        self.stop_history.append(self.markers())
         return self._summary(report)
 
     def _summary(self, report: RunReport) -> StopSummary:
@@ -384,7 +380,12 @@ class DebugSession:
 
         The old execution is torn down; the new one stops each process
         at its threshold marker, giving the consistent cross-process
-        breakpoint set of §4.1.
+        breakpoint set of §4.1, and records its whole history.
+        Thresholds naming a rank outside ``0..nprocs-1`` raise
+        ``ValueError`` before anything is torn down.
+
+        ``use_checkpoint`` is accepted and ignored: ``bench/`` still
+        passes it, and the next benchmark change removes it.
         """
         if thresholds is None:
             if self.current_stopline is None:
@@ -394,12 +395,7 @@ class DebugSession:
             vector = thresholds
         else:
             vector = MarkerVector(thresholds)
-
-        record_from = None
-        if use_checkpoint:
-            cp = self.checkpoints.nearest_before(vector)
-            if cp is not None:
-                record_from = cp.markers
+        check_threshold_ranks(vector, self.nprocs)
 
         saved_bps = self.breakpoints.list()
         self.runtime.shutdown()
@@ -420,8 +416,7 @@ class DebugSession:
                 execution.recorder.subscribe(sink, backfill=True)
 
         self._execution = execute_replay(
-            self.spec, self.master_log, vector, record_from=record_from,
-            on_build=_resubscribe,
+            self.spec, self.master_log, vector, on_build=_resubscribe
         )
         self.breakpoints = BreakpointManager(self.runtime)
         for bp in saved_bps:

@@ -4,7 +4,7 @@ An *execution marker* (paper Section 2) is a tag "that allow[s] mapping
 from a particular trace record to the point of its generation": here, the
 pair (rank, counter) where the counter is the per-process count of
 instrumentation points.  A *marker vector* assigns one counter value per
-rank; stoplines, undo targets, and checkpoints are all marker vectors.
+rank; stoplines and undo targets are marker vectors.
 
 Semantics used throughout: a threshold of ``m`` stops the process when
 its counter *reaches* ``m``, i.e. **before** the construct whose record
@@ -89,8 +89,7 @@ class MarkerVector:
 
     def dominates(self, other: "MarkerVector") -> bool:
         """True if this vector is componentwise >= ``other`` on the
-        ranks both constrain (checkpoint usability test: a checkpoint at
-        ``other`` can fast-forward a replay targeting ``self``)."""
+        ranks both constrain."""
         for rank in other:
             mine = self.get(rank)
             if mine is not None and mine < other[rank]:

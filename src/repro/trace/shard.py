@@ -433,8 +433,8 @@ class ShardSet:
         self.path = path
         self.manifest = ShardManifest.from_jsonable(header)
         self._readers: dict[int, object] = {}
-        # guards the memoization: the paged index's prefetcher thread
-        # opens shards concurrently with demand queries
+        # guards the memoization: one reader may serve queries from
+        # several threads
         self._open_lock = threading.Lock()
         #: shard files actually opened (the short-circuit observable)
         self.opened = 0

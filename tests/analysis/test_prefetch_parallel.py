@@ -1,15 +1,13 @@
-"""The shard pipeline's read side: background readahead and the
+"""The shard pipeline's read side: concurrent paged queries and the
 bulk ``HistoryIndex.from_file`` build over every storage layout.
 
 Contracts:
 
-* Readahead only ever *adds* cached blocks -- query results, the
-  hit-rate formula, and the LRU bound are unchanged, and on a
-  sequential window sweep the prefetcher measurably raises the hit
-  rate over the same sweep without it.
-* ``BlockCache`` plus the single-flight loader survive concurrent
-  window queries and the prefetcher without corrupting the LRU or
-  decoding any block twice while cached.
+* A paged query session reads blocks on demand only: it starts no
+  thread.
+* ``BlockCache`` under the paged index's lock survives concurrent
+  window queries without corrupting the LRU or decoding any block
+  twice while cached.
 * ``HistoryIndex.from_file`` over a single file, ``by="proc"`` shards,
   ``by="hash"`` shards or a zlib-compressed file is *exactly*
   ``HistoryIndex.from_trace`` of the same batch: same columns, records,
@@ -21,8 +19,8 @@ Contracts:
 
 from __future__ import annotations
 
-import os
 import random
+import sys
 import tempfile
 import threading
 from dataclasses import replace
@@ -34,12 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from repro.analysis.history import HistoryIndex
-from repro.analysis.paged import (
-    DEFAULT_PREFETCH_BLOCKS,
-    NO_PREFETCH_ENV_VAR,
-    OutOfCoreIndex,
-    prefetch_enabled,
-)
+from repro.analysis.paged import OutOfCoreIndex
 from repro.mp.datatypes import SourceLocation
 from repro.trace import (
     EventKind,
@@ -51,11 +44,6 @@ from repro.trace import (
 
 NPROCS = 4
 KINDS = list(EventKind)
-
-no_prefetch_env = pytest.mark.skipif(
-    bool(os.environ.get(NO_PREFETCH_ENV_VAR)),
-    reason=f"{NO_PREFETCH_ENV_VAR} is set: readahead is disabled",
-)
 
 
 def make_batch(seed: int, n: int, sequential_time: bool = False):
@@ -89,110 +77,21 @@ def write_plain(path, batch, index_block=64, compression=None):
 
 
 # ----------------------------------------------------------------------
-# readahead behavior
+# demand-only paging
 # ----------------------------------------------------------------------
-@no_prefetch_env
-class TestPrefetch:
-    @pytest.fixture()
-    def store(self, tmp_path):
-        # sequential time: block k spans [k*0.64, (k+1)*0.64) -- the
-        # prefetcher's best case, a debugger panning forward in time
-        return write_plain(tmp_path / "seq.trace", make_batch(3, 2000, True))
-
-    def sweep(self, paged, steps=10, width=1.2):
-        for k in range(steps):
-            lo = k * width
-            paged.seek_window(lo, lo + width)
-            assert paged.wait_prefetch(10.0)
-
-    def test_sequential_sweep_hits_readahead(self, store):
-        paged = OutOfCoreIndex(
-            TraceFileReader(store), cache_blocks=16, prefetch_blocks=4
-        )
-        self.sweep(paged)
-        stats = paged.stats()
-        assert stats.prefetch_loads > 0
-        assert stats.prefetch_hits > 0
-        # a prefetch hit is a cache hit by definition
-        assert stats.prefetch_hits <= stats.cache_hits
-        paged.close()
-
-    def test_readahead_beats_no_readahead_on_same_sweep(self, store):
-        with_pf = OutOfCoreIndex(
-            TraceFileReader(store), cache_blocks=16, prefetch_blocks=4
-        )
-        without = OutOfCoreIndex(
-            TraceFileReader(store), cache_blocks=16, prefetch_blocks=0
-        )
-        self.sweep(with_pf)
-        self.sweep(without)
-        assert with_pf.stats().hit_rate > without.stats().hit_rate
-        with_pf.close()
-        without.close()
-
-    def test_results_identical_with_and_without_readahead(self, store):
-        with_pf = OutOfCoreIndex(
-            TraceFileReader(store), cache_blocks=8, prefetch_blocks=4
-        )
-        without = OutOfCoreIndex(
-            TraceFileReader(store), cache_blocks=8, prefetch_blocks=0
-        )
-        for lo, hi in [(0.0, 3.0), (5.5, 9.0), (2.0, 2.5), (15.0, 19.9)]:
-            a = with_pf.seek_window(lo, hi)
-            b = without.seek_window(lo, hi)
-            assert [r.index for r in a] == [r.index for r in b]
-        with_pf.close()
-        without.close()
-
-    def test_prefetch_bounded_by_cache(self, store):
-        paged = OutOfCoreIndex(
-            TraceFileReader(store), cache_blocks=3, prefetch_blocks=100
-        )
-        # readahead must never be allowed to churn the whole LRU
-        assert paged.prefetch_blocks <= 2
-        self.sweep(paged, steps=5)
-        assert paged.cached_blocks <= 3
-        paged.close()
-
-    def test_negative_prefetch_rejected(self, store):
-        with pytest.raises(ValueError, match="prefetch_blocks"):
-            OutOfCoreIndex(TraceFileReader(store), prefetch_blocks=-1)
-
-    def test_stats_text_reports_readahead(self, store):
-        paged = OutOfCoreIndex(
-            TraceFileReader(store), cache_blocks=16, prefetch_blocks=4
-        )
-        self.sweep(paged)
-        text = paged.stats().as_text()
-        assert "readahead" in text
-        assert "prefetch loads" in text
-        paged.close()
-
-
-class TestPrefetchEnvVar:
-    def test_env_var_wins_over_argument(self, tmp_path, monkeypatch):
-        store = write_plain(tmp_path / "t.trace", make_batch(5, 800, True))
-        monkeypatch.setenv(NO_PREFETCH_ENV_VAR, "1")
-        assert not prefetch_enabled()
-        paged = OutOfCoreIndex(
-            TraceFileReader(store), cache_blocks=8, prefetch_blocks=4
-        )
-        assert paged.prefetch_blocks == 0
-        paged.seek_window(0.0, 2.0)
-        paged.wait_prefetch(1.0)
-        assert paged.stats().prefetch_loads == 0
-        paged.close()
-
-    def test_default_depth_applies_when_enabled(self, tmp_path, monkeypatch):
-        store = write_plain(tmp_path / "t.trace", make_batch(5, 800, True))
-        monkeypatch.delenv(NO_PREFETCH_ENV_VAR, raising=False)
-        paged = OutOfCoreIndex(TraceFileReader(store), cache_blocks=32)
-        assert paged.prefetch_blocks == DEFAULT_PREFETCH_BLOCKS
-        paged.close()
+def test_paged_query_session_starts_no_thread(tmp_path):
+    store = write_plain(tmp_path / "seq.trace", make_batch(3, 2000, True))
+    before = threading.active_count()
+    paged = HistoryIndex.from_file(TraceFileReader(store), paged=True)
+    for k in range(10):
+        paged.seek_window(k * 1.2, k * 1.2 + 1.2)
+        paged.window_columns(k * 1.2, k * 1.2 + 1.2, {0, 2})
+    assert paged.stats().block_loads > 0
+    assert threading.active_count() == before
 
 
 # ----------------------------------------------------------------------
-# cache thread-safety under concurrent queries + readahead
+# cache thread-safety under concurrent queries
 # ----------------------------------------------------------------------
 class TestConcurrentAccess:
     def _counting_reader(self, path):
@@ -215,7 +114,7 @@ class TestConcurrentAccess:
             tmp_path / "c.trace", make_batch(11, 3000, True)
         )
         reader, counts = self._counting_reader(store)
-        paged = OutOfCoreIndex(reader, cache_blocks=256, prefetch_blocks=4)
+        paged = OutOfCoreIndex(reader, cache_blocks=256)
         nthreads = 6
         barrier = threading.Barrier(nthreads)
         errors: list[BaseException] = []
@@ -233,25 +132,41 @@ class TestConcurrentAccess:
             threading.Thread(target=worker, args=(t,))
             for t in range(nthreads)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        paged.wait_prefetch(10.0)
-        paged.close()
+        # switch threads often, so a check-then-decode race would show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
-        # cache never evicts (256 >> nblocks), so the single-flight
-        # loader must have decoded every touched block exactly once
+        # cache never evicts (256 >> nblocks), so the locked loader
+        # must have decoded every touched block exactly once
         assert counts and max(counts.values()) == 1
         stats = paged.stats()
-        assert stats.block_loads + stats.prefetch_loads == len(counts)
+        assert stats.block_loads == len(counts)
+        # every block access was counted once, as a load or a hit: the
+        # same queries run serially make as many accesses
+        serial = OutOfCoreIndex(TraceFileReader(store), cache_blocks=256)
+        for tid in range(nthreads):
+            for k in range(12):
+                lo = ((tid + k) % 12) * 2.5
+                serial.seek_window(lo, lo + 2.5)
+        expected = serial.stats()
+        assert stats.block_loads + stats.cache_hits == (
+            expected.block_loads + expected.cache_hits
+        )
 
     def test_lru_bound_holds_under_contention(self, tmp_path):
         store = write_plain(
             tmp_path / "s.trace", make_batch(13, 3000, True)
         )
         reader = TraceFileReader(store)
-        paged = OutOfCoreIndex(reader, cache_blocks=4, prefetch_blocks=2)
+        paged = OutOfCoreIndex(reader, cache_blocks=4)
         expected = {}
         plain = TraceFileReader(store)
         windows = [(k * 2.0, k * 2.0 + 2.0) for k in range(15)]
@@ -280,7 +195,6 @@ class TestConcurrentAccess:
             t.start()
         for t in threads:
             t.join()
-        paged.close()
         assert not errors
         assert paged.cached_blocks <= 4
         assert paged.resident_bytes >= 0
@@ -375,11 +289,6 @@ class TestFromFileLayouts:
         idx = HistoryIndex.from_file(TraceFileReader(path))
         write_plain(path, make_batch(42, 40), index_block=512)
         assert list(idx.records) == batch
-
-    def test_prefetch_arg_requires_paged(self, tmp_path):
-        path = write_plain(tmp_path / "y.trace", make_batch(31, 40))
-        with pytest.raises(ValueError, match="prefetch"):
-            HistoryIndex.from_file(TraceFileReader(path), prefetch_blocks=2)
 
 
 def well_formed(batch):

@@ -97,7 +97,7 @@ def test_stats_command(session):
 
 def test_stats_command_reports_paged_index(session, tmp_path):
     """With an out-of-core index attached, ``stats`` folds in its
-    cache/readahead counters next to the history-index report."""
+    cache counters next to the history-index report."""
     from repro.analysis.paged import OutOfCoreIndex
     from repro.trace import TraceFileReader, save_trace
 

@@ -1,4 +1,4 @@
-"""Session mechanics, breakpoints, checkpoints, commands -- and the
+"""Session mechanics, breakpoints, replay history, commands -- and the
 paper's worked Figure 5-7 debugging scenario end to end."""
 
 from __future__ import annotations
@@ -7,13 +7,12 @@ import pytest
 
 from repro import mp
 from repro.apps import strassen as st
+from repro.apps.ring import halo_program
 from repro.debugger import (
     CommandError,
     CommandInterpreter,
     DebugSession,
-    LogBacklog,
 )
-from repro.trace import MarkerVector
 
 
 def stepper(n):
@@ -84,42 +83,48 @@ class TestBreakpoints:
         session.shutdown()
 
 
-class TestCheckpointBacklog:
-    def test_logarithmic_thinning(self):
-        backlog = LogBacklog(base=4)
-        for i in range(64):
-            backlog.add(MarkerVector({0: i + 1}))
-        assert len(backlog) < 30  # far fewer than 64 retained
-        assert backlog.latest().markers[0] == 64
-        # Recent checkpoints are dense.
-        seqs = [cp.seq for cp in backlog.checkpoints()]
-        assert {60, 61, 62, 63} <= set(seqs)
-
-    def test_nearest_before(self):
-        backlog = LogBacklog(base=2)
-        for i in (2, 5, 9):
-            backlog.add(MarkerVector({0: i, 1: i}))
-        cp = backlog.nearest_before(MarkerVector({0: 6, 1: 7}))
-        assert cp is not None and cp.markers[0] == 5
-        assert backlog.nearest_before(MarkerVector({0: 1, 1: 1})) is None
-
-    def test_base_validation(self):
-        with pytest.raises(ValueError):
-            LogBacklog(base=0)
-
-    def test_session_uses_checkpoints_on_replay(self):
-        # base=4 keeps all four stop checkpoints (no thinning yet), so
-        # the replay to 12 is guaranteed to gate on the one at 10.
-        session = DebugSession(stepper(30), 1, checkpoint_base=4)
+class TestReplayHistory:
+    def test_replay_records_whole_history(self):
+        # earlier stops at 5, 10, 15 and 20 must not shorten a replay's
+        # recording: it re-executes from the start and records it all
+        session = DebugSession(stepper(30), 1)
         for m in (5, 10, 15, 20):
             session.set_threshold(0, m)
             session.run() if m == 5 else session.cont()
-        # Replay back to 12: the checkpoint at 10 should gate recording.
         session.replay(thresholds={0: 12})
         assert session.markers()[0] == 12
-        tr = session.trace()
-        # Fast-skip: records before marker 10 were suppressed.
-        assert all(r.marker >= 10 for r in tr.by_proc(0))
+        markers = [r.marker for r in session.trace().by_proc(0)]
+        assert markers == list(range(12))  # the start record carries 0
+        session.shutdown()
+
+    def test_halo_history_survives_replay_and_cont(self):
+        session = DebugSession(halo_program(steps=4), 16)
+        session.cont()
+        assert len(session.trace()) == 336
+        session.set_stopline(168)
+        session.replay()
+        session.clear_thresholds()
+        session.cont()
+        assert len(session.trace()) == 336
+        # an index from the full history resolves: the stopline works
+        assert len(session.set_stopline(268).thresholds) > 0
+        session.shutdown()
+
+    @pytest.mark.parametrize("thresholds, message", [
+        ({7: 3}, r"rank 7.*valid: 0\.\.3"),
+        ({-1: 2}, r"rank -1"),
+        ({0: -1}, r"marker counter must be >= 0"),
+    ])
+    def test_bad_thresholds_leave_the_session_intact(self, thresholds, message):
+        session = DebugSession(halo_program(steps=2), 4)
+        session.run()
+        trace, index = session.trace(), session.index()
+        with pytest.raises(ValueError, match=message):
+            session.replay(thresholds)
+        assert session.generation == 0
+        assert list(session.trace()) == list(trace)
+        assert session.index() is index and not index.stale
+        assert session.runtime.procs[0].terminated
         session.shutdown()
 
 

@@ -1,12 +1,11 @@
 """Property tests of the pure data structures: marker vectors, trace
-records, viewports, the checkpoint backlog, and dissemination."""
+records, viewports, and dissemination."""
 
 from __future__ import annotations
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
-from repro.debugger import LogBacklog
 from repro.mp.datatypes import SourceLocation
 from repro.trace import EventKind, MarkerVector, Trace, TraceRecord
 from repro.viz import Viewport
@@ -129,35 +128,6 @@ def test_zoom_out_then_in_preserves_center(vp, factor):
     back = vp.zoom(factor).zoom(1.0 / factor)
     assert abs(((back.t0 + back.t1) / 2) - center) <= max(1e-6, abs(center) * 1e-9)
     assert abs(back.width - vp.width) <= max(1e-6, vp.width * 1e-9)
-
-
-# ----------------------------------------------------------------------
-# LogBacklog
-# ----------------------------------------------------------------------
-@settings(max_examples=100, deadline=None)
-@given(hst.integers(1, 6), hst.integers(1, 200))
-def test_backlog_retains_latest_and_is_logarithmic(base, n):
-    backlog = LogBacklog(base=base)
-    for i in range(n):
-        backlog.add(MarkerVector({0: i + 1}))
-    assert backlog.latest() is not None
-    assert backlog.latest().markers[0] == n
-    # O(base * log n) retention: generous constant bound.
-    import math
-
-    assert len(backlog) <= base * (int(math.log2(n + 1)) + 3)
-
-
-@settings(max_examples=100, deadline=None)
-@given(hst.integers(1, 4), hst.lists(hst.integers(1, 100), min_size=1, max_size=50),
-       hst.integers(1, 100))
-def test_backlog_nearest_before_never_exceeds_target(base, values, target):
-    backlog = LogBacklog(base=base)
-    for v in values:
-        backlog.add(MarkerVector({0: v}))
-    cp = backlog.nearest_before(MarkerVector({0: target}))
-    if cp is not None:
-        assert cp.markers[0] <= target
 
 
 # ----------------------------------------------------------------------
