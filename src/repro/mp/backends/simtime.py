@@ -13,11 +13,15 @@ How the token changes hands:
   controller owns one more.  A grant is one ``release`` on the grantee's
   semaphore plus one ``acquire`` on the controller's -- O(1), touching
   exactly the two parties involved, however many ranks are parked.
-* **Lazy carriers.**  A rank's carrier thread is created on its *first*
-  grant, not at launch.  Launching 1024 ranks allocates 1024 semaphores
-  and no threads; ranks that never run (e.g. a trace truncated by
-  ``max_grants`` or an early stop) never pay thread creation, and
-  teardown retires them without unwinding a stack that was never built.
+* **Lazy, reused carriers.**  A rank gets its carrier thread on its
+  *first* grant, not at launch.  Launching 1024 ranks allocates 1024
+  semaphores and no threads; ranks that never run (e.g. a trace
+  truncated by ``max_grants`` or an early stop) never take a carrier,
+  and teardown retires them without unwinding a stack that was never
+  built.  A finished rank's carrier parks in a process-wide pool, where
+  a later first grant -- of any runtime, e.g. a replay -- takes it
+  instead of starting an OS thread; it exits after
+  :data:`CARRIER_IDLE_S` idle.
 
 Why carrier threads at all?  Plain-callable rank targets (required so
 the same program runs unmodified under the debugger) cannot be
@@ -45,6 +49,7 @@ consumption) are the same.
 from __future__ import annotations
 
 import heapq
+import os
 import threading
 from typing import Any, Callable, Optional, Sequence
 
@@ -58,9 +63,72 @@ from ..scheduler import (
 )
 from .base import ExecutionBackend
 
+#: seconds an idle carrier waits for its next rank before it exits
+CARRIER_IDLE_S = 0.5
+
+
+class _Carrier:
+    """A carrier thread: runs one rank's job at a time and, between
+    jobs, waits in :data:`_POOL` for the next one."""
+
+    def __init__(self) -> None:
+        self._wake = threading.Semaphore(0)
+        self._job: Optional[tuple[Callable[[], None], threading.Event]] = None
+        self.thread = threading.Thread(
+            target=self._loop, name="simtime-carrier", daemon=True
+        )
+        self.thread.start()
+
+    def run(self, job: Callable[[], None]) -> threading.Event:
+        """Start ``job``; the event is set once it returned and this
+        carrier is back in the pool."""
+        done = threading.Event()
+        self._job = (job, done)
+        self._wake.release()
+        return done
+
+    def _loop(self) -> None:
+        while True:
+            if not self._wake.acquire(timeout=CARRIER_IDLE_S):
+                with _POOL.lock:
+                    if self in _POOL.idle:
+                        _POOL.idle.remove(self)
+                        return
+                self._wake.acquire()  # taken as the timeout fired
+            (job, done), self._job = self._job, None
+            job()
+            del job  # hold no runtime while idle
+            with _POOL.lock:
+                _POOL.idle.append(self)
+            done.set()
+
+
+class _CarrierPool:
+    """Idle carriers, shared by every runtime in the process.
+
+    Taking a carrier and a timed-out carrier's self-removal both hold
+    ``lock``, so a carrier that is exiting is never handed a job.
+    """
+
+    def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        self.lock = threading.Lock()
+        self.idle: list[_Carrier] = []
+
+    def take(self) -> Optional[_Carrier]:
+        with self.lock:
+            return self.idle.pop() if self.idle else None
+
+
+_POOL = _CarrierPool()
+# A forked child inherits the pool but none of its threads.
+os.register_at_fork(after_in_child=_POOL.reset)
+
 
 class SimtimeBackend(ExecutionBackend):
-    """Deterministic token-passing engine with lazy carriers and
+    """Deterministic token-passing engine with lazy, reused carriers and
     per-rank semaphore handoffs."""
 
     name = "simtime"
@@ -102,8 +170,11 @@ class SimtimeBackend(ExecutionBackend):
         #: worker-context (thread ident) -> proc, registered eagerly when
         #: a carrier starts; ``current_proc`` is a plain dict lookup.
         self._ident_to_proc: dict[int, Process] = {}
-        #: rank -> carrier thread, created on the rank's first grant
-        self._threads: dict[int, threading.Thread] = {}
+        #: rank -> (carrier, set once the rank's job returned), taken on
+        #: the rank's first grant
+        self._carriers: dict[int, tuple[_Carrier, threading.Event]] = {}
+        #: carriers this backend had to start (the idle pool was empty)
+        self.carriers_started = 0
         #: controller's token-return semaphore (binary in practice)
         self._controller = threading.Semaphore(0)
         #: rank -> that rank's token-arrival semaphore
@@ -141,13 +212,14 @@ class SimtimeBackend(ExecutionBackend):
         self._sems[proc.rank] = threading.Semaphore(0)
 
     def _ensure_carrier(self, proc: Process) -> None:
-        if proc.rank in self._threads:
+        if proc.rank in self._carriers:
             return
-        thread = threading.Thread(
-            target=self._carrier_body, args=(proc,), name=proc.name, daemon=True
-        )
-        self._threads[proc.rank] = thread
-        thread.start()
+        carrier = _POOL.take()
+        if carrier is None:
+            carrier = _Carrier()
+            self.carriers_started += 1
+        done = carrier.run(lambda: self._carrier_body(proc))
+        self._carriers[proc.rank] = (carrier, done)
 
     def _carrier_body(self, proc: Process) -> None:
         # Attribute this execution context to ``proc`` before user code.
@@ -164,18 +236,20 @@ class SimtimeBackend(ExecutionBackend):
             ) from None
 
     def carrier_ident(self, proc: Process) -> Optional[int]:
-        """Thread ident of ``proc``'s carrier, if one has started.
+        """Thread ident of ``proc``'s carrier, if it has one.
 
         The debugger reads a parked process's live user frames through
-        ``sys._current_frames()`` keyed by this ident.
+        ``sys._current_frames()`` keyed by this ident.  Once the rank is
+        terminal its carrier may be carrying another rank.
         """
-        thread = self._threads.get(proc.rank)
-        return thread.ident if thread is not None else None
+        entry = self._carriers.get(proc.rank)
+        return entry[0].thread.ident if entry is not None else None
 
     def join_proc(self, proc: Process) -> None:
-        thread = self._threads.get(proc.rank)
-        if thread is not None:
-            thread.join(timeout=5.0)
+        """Wait until ``proc``'s job returned and its carrier parked."""
+        entry = self._carriers.get(proc.rank)
+        if entry is not None:
+            entry[1].wait(timeout=5.0)
 
     # ------------------------------------------------------------------
     # ready-set accounting (token holder only; no extra locking needed)
@@ -303,7 +377,7 @@ class SimtimeBackend(ExecutionBackend):
         if proc.terminated:
             return
         self._ready_discard(proc)
-        if proc.rank not in self._threads:
+        if proc.rank not in self._carriers:
             # The carrier never started, so no user code ever ran and
             # there is no stack to unwind; retire the rank directly.
             proc.state = ProcState.EXITED

@@ -29,12 +29,18 @@ def is_infrastructure_file(filename: str) -> bool:
     return any(frag in filename for frag in _INFRA_FRAGMENTS)
 
 
+#: memos keyed by strings, so that no code object is kept alive
+_infra_by_file: dict[str, bool] = {}
+_locations: dict[tuple[str, int, str], SourceLocation] = {}
+
+
 def caller_location(skip: int = 1, max_depth: int = 30) -> SourceLocation:
     """The nearest non-infrastructure frame above the caller.
 
     ``skip`` frames are unconditionally discarded first (the helper's own
     caller chain).  Returns :meth:`SourceLocation.unknown` when the whole
-    stack is infrastructure (e.g. runtime-internal self-tests).
+    stack is infrastructure (e.g. runtime-internal self-tests).  Every
+    call from the same line returns the same (frozen) object.
     """
     try:
         frame = sys._getframe(skip + 1)
@@ -42,13 +48,17 @@ def caller_location(skip: int = 1, max_depth: int = 30) -> SourceLocation:
         return SourceLocation.unknown()
     depth = 0
     while frame is not None and depth < max_depth:
-        filename = frame.f_code.co_filename
-        if not is_infrastructure_file(filename):
-            return SourceLocation(
-                filename=filename,
-                lineno=frame.f_lineno,
-                function=frame.f_code.co_name,
-            )
+        code = frame.f_code
+        filename = code.co_filename
+        infra = _infra_by_file.get(filename)
+        if infra is None:
+            infra = _infra_by_file[filename] = is_infrastructure_file(filename)
+        if not infra:
+            key = (filename, frame.f_lineno, code.co_name)
+            loc = _locations.get(key)
+            if loc is None:
+                loc = _locations[key] = SourceLocation(*key)
+            return loc
         frame = frame.f_back
         depth += 1
     return SourceLocation.unknown()

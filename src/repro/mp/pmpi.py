@@ -73,6 +73,8 @@ class PMPILayer:
 
     def __init__(self) -> None:
         self._wrappers: dict[str, list[Wrapper]] = {op: [] for op in INTERPOSABLE_OPS}
+        #: op -> its built wrapper chain; dropped whenever a stack changes
+        self._chains: dict[str, Callable[..., Any]] = {}
 
     # ------------------------------------------------------------------
     def check_op(self, op: str) -> None:
@@ -86,6 +88,7 @@ class PMPILayer:
         """Push ``wrapper`` onto the stack for ``op``."""
         self.check_op(op)
         self._wrappers[op].append(wrapper)
+        self._chains.pop(op, None)
 
     def install_all(self, ops: Iterable[str], wrapper_factory: Callable[[str], Wrapper]) -> None:
         """Install ``wrapper_factory(op)`` for each op in ``ops``."""
@@ -95,6 +98,7 @@ class PMPILayer:
     def uninstall(self, op: str, wrapper: Wrapper) -> bool:
         """Remove a previously-installed wrapper; returns success."""
         self.check_op(op)
+        self._chains.pop(op, None)
         try:
             self._wrappers[op].remove(wrapper)
             return True
@@ -105,6 +109,7 @@ class PMPILayer:
         """Remove every wrapper (unlink all profiling libraries)."""
         for stack in self._wrappers.values():
             stack.clear()
+        self._chains.clear()
 
     def wrapper_count(self, op: str) -> int:
         self.check_op(op)
@@ -113,16 +118,19 @@ class PMPILayer:
     # ------------------------------------------------------------------
     def call(self, op: str, comm: "Comm", *args: Any, **kwargs: Any) -> Any:
         """Invoke ``op`` on ``comm`` through the wrapper chain."""
-        base = getattr(comm, f"pmpi_{op}")
-        stack = self._wrappers.get(op)
-        if stack is None:
-            raise ValueError(f"unknown interposable operation {op!r}")
-        call: Callable[..., Any] = lambda c, *a, **kw: base(*a, **kw)  # noqa: E731
-        # Build the chain inner-to-outer so the last-installed wrapper
-        # runs first.
-        for wrapper in stack:
-            call = _bind(wrapper, call)
-        return call(comm, *args, **kwargs)
+        chain = self._chains.get(op)
+        if chain is None:
+            stack = self._wrappers.get(op)
+            if stack is None:
+                raise ValueError(f"unknown interposable operation {op!r}")
+            name = f"pmpi_{op}"
+            chain = lambda c, *a, **kw: getattr(c, name)(*a, **kw)  # noqa: E731
+            # Build the chain inner-to-outer so the last-installed
+            # wrapper runs first.
+            for wrapper in stack:
+                chain = _bind(wrapper, chain)
+            self._chains[op] = chain
+        return chain(comm, *args, **kwargs)
 
 
 def _bind(wrapper: Wrapper, next_call: Callable[..., Any]) -> Callable[..., Any]:

@@ -43,6 +43,7 @@ installed -- the CI lever proving the zlib fallback path.
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 import zlib
@@ -81,14 +82,21 @@ class Codec:
         return f"columnar+{self.name}"
 
 
-def _zstd_module():
-    if os.environ.get(NO_ZSTD_ENV):
-        return None
+@functools.cache
+def _import_zstd():
+    """``zstandard``, or None; tried once per process, because a failed
+    import rescans ``sys.path`` and every writer asks."""
     try:
         import zstandard
     except ImportError:
         return None
     return zstandard
+
+
+def _zstd_module():
+    if os.environ.get(NO_ZSTD_ENV):
+        return None
+    return _import_zstd()
 
 
 def _zstd_compress(data: bytes) -> bytes:

@@ -150,3 +150,47 @@ class TestWrapperMechanics:
 
         rt.run(prog)
         assert ops_seen == {"send", "recv", "compute"}
+
+    def test_chain_follows_install_and_uninstall_between_calls(self):
+        """The per-op chain is built once, but a library linked or
+        unlinked after an op's first call takes effect on the next call,
+        and two libraries keep the order B -> A -> pmpi."""
+        calls = []
+
+        def make(tagname):
+            def wrapper(next_call, comm, *args, **kw):
+                calls.append(tagname)
+                return next_call(comm, *args, **kw)
+
+            return wrapper
+
+        a, b = make("A"), make("B")
+        layer = None
+
+        def step(comm, *edits):
+            calls.clear()
+            for edit in edits:
+                edit()
+            comm.compute(1.0)
+            calls.append("pmpi")
+            return list(calls)
+
+        def prog(comm):
+            return [
+                step(comm),
+                step(comm, lambda: layer.install("compute", a)),
+                step(comm, lambda: layer.install("compute", b)),
+                step(comm, lambda: layer.uninstall("compute", a)),
+                step(comm, layer.clear),
+            ]
+
+        rt = mp.Runtime(1)
+        layer = rt.pmpi_layer
+        rt.run(prog)
+        assert rt.results()[0] == [
+            ["pmpi"],
+            ["A", "pmpi"],
+            ["B", "A", "pmpi"],
+            ["B", "pmpi"],
+            ["pmpi"],
+        ]

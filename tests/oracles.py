@@ -12,11 +12,13 @@ Every function is pure and takes a positional record list
 (the send-of-receive map, the clock matrix, the matched pairs) -- the
 same inputs the production kernel reads from the index.  :func:`frontiers` and
 :func:`cut_is_consistent` are the full-scan and set-based forms of the
-row-table frontier, stopline and cut queries.
+row-table frontier, stopline and cut queries.  :func:`caller_location`
+is the uncached stack walk the runtime's memoized one must agree with.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +26,8 @@ import numpy as np
 from repro.analysis.critical_path import ZERO_WEIGHT_KINDS, CriticalPath
 from repro.analysis.matching import IntertwinedPair
 from repro.analysis.races import MessageRace
-from repro.mp.datatypes import ANY_SOURCE, ANY_TAG
+from repro.mp.datatypes import ANY_SOURCE, ANY_TAG, SourceLocation
+from repro.mp.locutil import is_infrastructure_file
 from repro.trace.events import TraceRecord
 
 
@@ -289,3 +292,24 @@ def critical_path(
         span=span,
         weights=[work(rec) for rec in path],
     )
+
+
+def caller_location(skip: int = 1, max_depth: int = 30) -> SourceLocation:
+    """The nearest non-infrastructure frame above the caller, found by
+    testing every frame and building a new location each call."""
+    try:
+        frame = sys._getframe(skip + 1)
+    except ValueError:
+        return SourceLocation.unknown()
+    depth = 0
+    while frame is not None and depth < max_depth:
+        filename = frame.f_code.co_filename
+        if not is_infrastructure_file(filename):
+            return SourceLocation(
+                filename=filename,
+                lineno=frame.f_lineno,
+                function=frame.f_code.co_name,
+            )
+        frame = frame.f_back
+        depth += 1
+    return SourceLocation.unknown()

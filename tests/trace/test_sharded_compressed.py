@@ -9,8 +9,10 @@ the new features stay byte-for-byte what they always were.
 
 from __future__ import annotations
 
+import importlib.abc
 import json
 import random
+import sys
 
 import pytest
 
@@ -218,6 +220,27 @@ class TestCompression:
             TraceFileWriter(tmp_path / "t.trace", 2, compression="zstd")
         # auto degrades to zlib instead of failing
         assert resolve_codec("auto") is ZLIB_CODEC
+
+    def test_zstd_import_tried_once_per_process(self, tmp_path, monkeypatch):
+        """A failed ``import zstandard`` rescans ``sys.path``; the second
+        writer must not try again (a 64-shard sink opens 64 writers)."""
+        monkeypatch.delenv(NO_ZSTD_ENV, raising=False)
+        TraceFileWriter(tmp_path / "a.trace", 2, compression="auto").close()
+        attempts = []
+
+        class CountingFinder(importlib.abc.MetaPathFinder):
+            def find_spec(self, name, path=None, target=None):
+                if name == "zstandard":
+                    attempts.append(name)
+                return None
+
+        finder = CountingFinder()
+        sys.meta_path.insert(0, finder)
+        try:
+            TraceFileWriter(tmp_path / "b.trace", 2, compression="auto").close()
+        finally:
+            sys.meta_path.remove(finder)
+        assert attempts == []
 
     def test_unknown_compression_name_refuses(self, tmp_path):
         with pytest.raises(TraceFileError, match="unknown compression"):
