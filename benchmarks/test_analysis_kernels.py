@@ -1,17 +1,19 @@
 """Vectorized analysis kernels vs the scalar reference oracles.
 
 The tentpole claim behind the columnar HistoryIndex core: on a
-200k-event trace, the numpy kernels (segment-broadcast vector clocks,
+200k-event trace, the index kernels (segment-broadcast vector clocks,
 lexsort matching, searchsorted windows, mask-based race detection,
-cumsum critical-path DP, row-table frontier stoplines) beat the
+a critical-path DP over the column lists, row-table frontier stoplines)
+beat the
 references in ``tests/oracles.py`` by a wide margin *while producing
 identical output* -- the equality is asserted here record-for-record,
 then the speedups are gated:
 
 * clocks + matching: >= 5x (absolute floor),
-* race detection:    >= 10x (absolute floor), and
+* race detection:    >= 10x (absolute floor),
 * past-frontier stopline: >= 20x (absolute floor) over the full-scan
-  frontier masks,
+  frontier masks, and
+* critical path:     >= 2x (absolute floor),
 
 plus a >2x regression gate against the committed baseline in
 ``benchmarks/results/analysis_kernels_baseline.json`` (same pattern as
@@ -55,6 +57,7 @@ REGRESSION_FACTOR = 2.0
 MIN_CLOCKS_MATCHING_SPEEDUP = 5.0
 MIN_RACES_SPEEDUP = 10.0
 MIN_STOPLINE_SPEEDUP = 20.0
+MIN_CRITICAL_PATH_SPEEDUP = 2.0
 #: stopline anchors, spread over the trace
 STOPLINE_ANCHORS = 16
 
@@ -160,12 +163,18 @@ def test_vectorized_kernels_speedup_and_regression_gate():
     assert race_results["python"] == race_results["numpy"]
     assert len(race_results["numpy"]) > 0  # wildcards produced real races
 
-    start = time.perf_counter()
-    ref_path = oracles.critical_path(records, ref.send_of_recv)
-    kernel_walls["path_python"] = time.perf_counter() - start
-    start = time.perf_counter()
-    path = critical_path(idx.trace, index=idx)
-    kernel_walls["path_numpy"] = time.perf_counter() - start
+    kernel_walls["path_python"] = kernel_walls["path_numpy"] = float("inf")
+    for _rep in range(2):  # min-of-2, as above: the 2x floor is gated
+        start = time.perf_counter()
+        ref_path = oracles.critical_path(records, ref.send_of_recv)
+        kernel_walls["path_python"] = min(
+            kernel_walls["path_python"], time.perf_counter() - start
+        )
+        start = time.perf_counter()
+        path = critical_path(idx.trace, index=idx)
+        kernel_walls["path_numpy"] = min(
+            kernel_walls["path_numpy"], time.perf_counter() - start
+        )
     assert [r.index for r in ref_path.records] == [r.index for r in path.records]
     assert ref_path.length == path.length
 
@@ -233,6 +242,10 @@ def test_vectorized_kernels_speedup_and_regression_gate():
         f"past-frontier stopline speedup {stopline_speedup:.1f}x below the "
         f"{MIN_STOPLINE_SPEEDUP}x floor"
     )
+    assert path_speedup >= MIN_CRITICAL_PATH_SPEEDUP, (
+        f"critical-path speedup {path_speedup:.1f}x below the "
+        f"{MIN_CRITICAL_PATH_SPEEDUP}x floor"
+    )
 
     # -- regression gate against the recorded baseline -----------------
     gate_lines = ["baseline: (none; recorded this run)"]
@@ -243,6 +256,7 @@ def test_vectorized_kernels_speedup_and_regression_gate():
             ("clocks_matching_speedup", cm_speedup),
             ("races_speedup", races_speedup),
             ("stopline_speedup", stopline_speedup),
+            ("critical_path_speedup", path_speedup),
         ):
             floor = baseline[key] / REGRESSION_FACTOR
             gate_lines.append(
@@ -260,6 +274,7 @@ def test_vectorized_kernels_speedup_and_regression_gate():
                     "clocks_matching_speedup": round(cm_speedup, 1),
                     "races_speedup": round(races_speedup, 1),
                     "stopline_speedup": round(stopline_speedup, 1),
+                    "critical_path_speedup": round(path_speedup, 1),
                     "events": n,
                 }
             )
@@ -293,7 +308,7 @@ def test_vectorized_kernels_speedup_and_regression_gate():
                 f"  critical path   : python "
                 f"{kernel_walls['path_python'] * 1e3:8.1f} ms | numpy "
                 f"{kernel_walls['path_numpy'] * 1e3:8.1f} ms | "
-                f"{path_speedup:6.1f}x",
+                f"{path_speedup:6.1f}x (floor {MIN_CRITICAL_PATH_SPEEDUP}x)",
                 "  equality: clocks, pairs, unmatched, windows, races,",
                 "            stoplines, critical path identical to",
                 "            tests/oracles.py",

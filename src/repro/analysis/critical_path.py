@@ -102,9 +102,8 @@ def critical_path(
     send-of-recv map and span come from the shared
     :class:`~repro.analysis.history.HistoryIndex`.
 
-    The DP runs as per-process cumulative-sum segments delimited by
-    receive joins (Python touches only the joins).  Wall-clock goes into
-    the index's per-kernel stats (``critical_path``).
+    Wall-clock goes into the index's per-kernel stats
+    (``critical_path``).
     """
     from .history import ensure_index
 
@@ -117,28 +116,26 @@ def critical_path(
 
 
 def _critical_path(idx: "HistoryIndex") -> CriticalPath:
-    """Vectorized kernel over the index's column store.
+    """Kernel over the index's column store: weights vectorized, the DP
+    one scalar pass in trace order.
 
-    Between receive joins, a process's DP is a pure running sum (every
-    weight and distance is non-negative, so the program-order candidate
-    always wins or ties the fresh-start one), so each process's rows
-    split into segments delimited by its matched receives and a segment
-    is one chained ``np.cumsum`` flush -- sequential additions, hence
-    bitwise-identical to a per-record loop.  Python touches only the
-    joins (O(messages) iterations), where the send edge competes with
-    the program edge under a fixed tie-break (program first, send wins
-    only strictly).
+    Each row starts from its own weight; the program edge (the process's
+    previous row) is taken only when strictly longer, then the message
+    edge (the matched send) only when strictly longer still -- the same
+    sequential float additions and tie-breaks as the per-record
+    reference, hence bitwise-identical lengths, negative durations
+    included.  The pass runs over Python lists: on message-dense traces
+    numpy segments between receive joins are one or two rows long, and
+    per-call overhead would dominate.
     """
     n = len(idx)
     if n == 0:
         return CriticalPath([], 0.0, 0.0, [])
     cols = idx.columns
-    sends, joins = idx.pair_indexes()  # joins ascend: pairs are in recv order
-    nprocs = idx.nprocs
+    sends, joins = idx.pair_indexes()
     t0 = cols["t0"]
     t1 = cols["t1"]
     kind = cols["kind"]
-    proc_col = cols["proc"]
 
     # --- weights, vectorized ------------------------------------------
     from .history import RECV_CODES
@@ -148,90 +145,39 @@ def _critical_path(idx: "HistoryIndex") -> CriticalPath:
     w[kind == RECV_CODES[0]] = 0.0  # unmatched receives contribute nothing
     w[joins] = np.maximum(0.0, t1[joins] - np.maximum(t1[sends], t0[joins]))
 
-    # --- per-process segment machinery --------------------------------
-    order = np.argsort(proc_col, kind="stable").astype(np.int64)
-    bounds = np.searchsorted(proc_col[order], np.arange(nprocs + 1))
-    idxs_by_proc = [order[bounds[p]: bounds[p + 1]] for p in range(nprocs)]
-    rowpos = np.empty(n, dtype=np.int64)
-    for p in range(nprocs):
-        rows = idxs_by_proc[p]
-        rowpos[rows] = np.arange(rows.size, dtype=np.int64)
-
-    dist = np.zeros(n, dtype=np.float64)
-    pred = np.full(n, -1, dtype=np.int64)
-    tail = [0.0] * nprocs  # dist of each process's last flushed record
-    flushed = [0] * nprocs  # rowpos high-water mark per process
-    # contiguous per-process weight views: flushes slice, never gather
-    w_by_proc = [w[idxs_by_proc[p]] for p in range(nprocs)]
-
-    def flush(p: int, upto: int) -> None:
-        a = flushed[p]
-        if upto > a:
-            rows = idxs_by_proc[p][a:upto]
-            wseg = w_by_proc[p][a:upto]
-            buf = np.empty(rows.size + 1, dtype=np.float64)
-            buf[0] = tail[p]
-            buf[1:] = wseg
-            np.add.accumulate(buf, out=buf)  # sequential adds, bitwise
-            seg = buf[1:]
-            dist[rows] = seg
-            prev_i = np.empty(rows.size, dtype=np.int64)
-            prev_i[0] = idxs_by_proc[p][a - 1] if a > 0 else -1
-            prev_i[1:] = rows[:-1]
-            # the program edge is taken only when strictly better than a
-            # fresh start
-            pred[rows] = np.where(seg > wseg, prev_i, -1)
-            tail[p] = float(seg[-1])
-            flushed[p] = upto
-
-    s_list = sends.tolist()
-    jp_l = proc_col[joins].tolist()
-    jrp_l = rowpos[joins].tolist()
-    jw_l = w[joins].tolist()
-    sq_l = proc_col[sends].tolist()
-    srp_l = rowpos[sends].tolist()
-    for k, i in enumerate(joins.tolist()):
-        s = s_list[k]
-        p = jp_l[k]
-        rp = jrp_l[k]
-        flush(p, rp)
-        wi = jw_l[k]
-        best = wi
-        best_pred = -1
-        if rp > 0:
-            prev = int(idxs_by_proc[p][rp - 1])
-            cand = float(dist[prev]) + wi
-            if cand > best:
-                best, best_pred = cand, prev
-        q = sq_l[k]
-        if srp_l[k] >= flushed[q]:
-            # the send's distance is still pending in q's open segment;
-            # every q-row up to it is join-free (joins are processed in
-            # ascending trace order), so flushing through it is exact
-            flush(q, srp_l[k] + 1)
-        cand = float(dist[s]) + wi
-        if cand > best:
-            best, best_pred = cand, s
+    # --- longest-path DP, one step per row in trace order -------------
+    w_l = w.tolist()
+    send_l = idx.matched_sends().tolist()
+    dist = [0.0] * n
+    pred = [-1] * n
+    last = [-1] * idx.nprocs  # each process's previous row
+    for i, p in enumerate(cols["proc"].tolist()):
+        wi = w_l[i]
+        best, best_pred = wi, -1
+        j = last[p]
+        if j >= 0 and dist[j] + wi > best:
+            best, best_pred = dist[j] + wi, j
+        s = send_l[i]
+        if s >= 0 and dist[s] + wi > best:
+            best, best_pred = dist[s] + wi, s
         dist[i] = best
         pred[i] = best_pred
-        tail[p] = best
-        flushed[p] = rp + 1
-    for p in range(nprocs):
-        flush(p, idxs_by_proc[p].size)
+        last[p] = i
 
-    end = int(np.argmax(dist))  # first maximum
+    length = max(dist)
+    end = dist.index(length)  # first maximum
     path = []
     i = end
     while i >= 0:
         path.append(i)
-        i = int(pred[i])
+        i = pred[i]
     path.reverse()
     t_lo, t_hi = idx.span
     # the path's records are built here, in one batch: a lazy view
     # would keep the whole index alive for as long as the path is held
     return CriticalPath(
         records=idx.records_at(path),
-        length=float(dist[end]),
+        length=length,
         span=t_hi - t_lo,
         weights=w[path].tolist(),
     )

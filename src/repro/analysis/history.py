@@ -591,24 +591,30 @@ class HistoryIndex:
         self._check_live()
         return self._records_at(rows)
 
-    def row_extras(self, rows: np.ndarray) -> list[dict]:
-        """The ``extra`` dict of each of ``rows``: from its block's side
-        table for a column-ingested row, else from its streamed record
-        -- no record is built."""
+    def row_extras(self, rows: np.ndarray) -> dict[int, dict]:
+        """``{position in rows: extra}`` for those of ``rows`` whose
+        ``extra`` dict is non-empty: from its block's side table for a
+        column-ingested row, else from its streamed record -- no record
+        is built."""
         self._check_live()
         rows = np.asarray(rows, dtype=np.int64)
-        out: list[Optional[dict]] = [None] * rows.size
+        out: dict[int, dict] = {}
+        streamed = np.ones(rows.size, dtype=bool)
         for payload, mask in self._payload_groups(rows):
+            streamed &= ~mask
             extras = payload.block.extras
             ks = np.flatnonzero(mask)
             xids = payload.block.columns["extra"][rows[ks] - payload.start]
-            for k, x in zip(ks.tolist(), xids.tolist()):
-                out[k] = extras[x] if x >= 0 else {}
+            has = xids >= 0
+            for k, x in zip(ks[has].tolist(), xids[has].tolist()):
+                out[k] = extras[x]
         built = self._built
-        return [
-            built[i].extra if x is None else x  # type: ignore[union-attr]
-            for i, x in zip(rows.tolist(), out)
-        ]
+        ks = np.flatnonzero(streamed)
+        for k, i in zip(ks.tolist(), rows[ks].tolist()):
+            extra = built[i].extra  # type: ignore[union-attr]
+            if extra:
+                out[k] = extra
+        return out
 
     # ------------------------------------------------------------------
     # extension (the IndexSink feed)

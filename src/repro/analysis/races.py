@@ -137,10 +137,9 @@ def _detect_races(
     recv_idx = np.flatnonzero(kind == RECV_CODES[0])
     psrc = cols["src"][recv_idx].tolist()
     ptag = cols["tag"][recv_idx].tolist()
-    for k, extra in enumerate(idx.row_extras(recv_idx)):
-        if extra:
-            psrc[k] = extra.get("posted_src", psrc[k])
-            ptag[k] = extra.get("posted_tag", ptag[k])
+    for k, extra in idx.row_extras(recv_idx).items():
+        psrc[k] = extra.get("posted_src", psrc[k])
+        ptag[k] = extra.get("posted_tag", ptag[k])
     psrc_a = np.asarray(psrc, dtype=np.int64)
     ptag_a = np.asarray(ptag, dtype=np.int64)
     any_src = psrc_a == ANY_SOURCE

@@ -6,6 +6,7 @@ import pytest
 
 from repro import mp
 from repro.analysis import (
+    HistoryIndex,
     communication_matrix,
     critical_path,
     detect_races,
@@ -20,6 +21,9 @@ from repro.analysis import (
 from repro.apps import fibonacci as fibmod
 from repro.apps import master_worker_program
 from repro.apps import strassen as st
+from repro.mp.datatypes import SourceLocation
+from repro.trace.events import EventKind, TraceRecord
+from tests import oracles
 from tests.conftest import traced_run
 
 
@@ -180,6 +184,58 @@ class TestCriticalPath:
     def test_as_text(self, strassen_trace):
         text = critical_path(strassen_trace).as_text(limit=10)
         assert "critical path" in text and "message hops" in text
+
+    @staticmethod
+    def _path(nprocs, records):
+        """Path indexes and length of ``records``, checked against the
+        oracle."""
+        idx = HistoryIndex(records, nprocs=nprocs)
+        cp = critical_path(idx.trace, index=idx)
+        ref = oracles.critical_path(records, idx.send_of_recv)
+        assert [r.index for r in cp.records] == [r.index for r in ref.records]
+        assert cp.length == ref.length and cp.weights == ref.weights
+        return [r.index for r in cp.records], cp.length
+
+    @staticmethod
+    def _rec(i, proc, kind, t0, t1, **kw):
+        return TraceRecord(
+            index=i, proc=proc, kind=kind, t0=t0, t1=t1, marker=i + 1,
+            location=SourceLocation("prog.py", 1, "main"), **kw,
+        )
+
+    def _message(self, recv_proc_work):
+        """Rank 0 sends (weight 1); rank 1 computes ``recv_proc_work``
+        and then receives it (weight 1 after the send completes)."""
+        key = dict(src=0, dst=1, tag=0, seq=0)
+        return [
+            self._rec(0, 0, EventKind.SEND, 0.0, 1.0, **key),
+            self._rec(1, 1, EventKind.COMPUTE, 0.0, recv_proc_work),
+            self._rec(2, 1, EventKind.RECV, 1.0, 2.0, **key),
+        ]
+
+    def test_negative_duration_restarts_fresh(self):
+        """A record that ends before it starts weighs negative: the next
+        record starts a fresh path rather than extend the negative one."""
+        records = [
+            self._rec(0, 0, EventKind.COMPUTE, 5.0, 2.0),
+            self._rec(1, 0, EventKind.COMPUTE, 2.0, 3.0),
+        ]
+        assert self._path(1, records) == ([1], 1.0)
+
+    def test_tie_keeps_program_edge(self):
+        """Program and message edges of equal length: program wins."""
+        assert self._path(2, self._message(1.0)) == ([1, 2], 2.0)
+
+    def test_longer_message_edge_is_taken(self):
+        assert self._path(2, self._message(0.5)) == ([0, 2], 2.0)
+
+    def test_first_of_equal_maxima_ends_the_path(self):
+        records = [
+            self._rec(0, 0, EventKind.COMPUTE, 0.0, 2.0),
+            self._rec(1, 1, EventKind.COMPUTE, 0.0, 1.0),
+            self._rec(2, 1, EventKind.COMPUTE, 1.0, 2.0),
+        ]
+        assert self._path(2, records) == ([0], 2.0)
 
 
 class TestRaceSteering:

@@ -2,14 +2,16 @@
 implementations in ``tests/oracles.py`` exactly.
 
 Random synthetic traces -- messages with wildcard-receive patterns,
-duplicate message keys, unmatched sends/receives, waits/collectives and
-compute -- are indexed batch and incrementally (streamed in chunks with
-catch-up queries between chunks), and every derived artifact must equal
-the oracle's: clock matrices (integer-exact), matching pairs and
-unmatched lists, intertwined messages (in order), window queries, race
-reports, critical paths
-(bitwise float equality: the segment ``cumsum`` DP performs the same
-sequential additions as the scalar loop), the row-table closures,
+duplicate message keys, unmatched sends/receives, waits/collectives,
+compute and some records that end before they start (negative
+durations) -- are indexed batch, incrementally (streamed in chunks with
+catch-up queries between chunks), as column blocks (the
+``HistoryIndex.from_file`` feed) and as a mix of blocks and streamed
+records, and every derived artifact must equal the oracle's: clock
+matrices (integer-exact), matching pairs and unmatched lists,
+intertwined messages (in order), window queries, race reports, critical
+paths (bitwise float equality: the DP performs the same sequential
+additions as the scalar loop), the row-table closures,
 frontiers and stoplines (against the full-scan masks), and the cut
 checks (against the set-based definition, on consistent and
 inconsistent cuts alike).
@@ -40,6 +42,7 @@ from repro.debugger.stopline import (
     verify_stopline_consistency,
 )
 from repro.mp.datatypes import ANY_SOURCE, ANY_TAG, SourceLocation
+from repro.trace.columnar import ColumnBlock
 from repro.trace.events import EventKind, TraceRecord
 from repro.trace.markers import MarkerVector
 from tests import oracles
@@ -66,16 +69,24 @@ def _record(i, proc, kind, **kw):
 def trace_records(draw, max_events=120, max_procs=5):
     """A causally-valid random record list with adversarial structure:
     wildcard receives, optional duplicate keys, drops (unmatched sends),
-    stray receives (unmatched), zero-weight kinds."""
+    stray receives (unmatched), zero-weight kinds, and -- in some
+    traces -- records whose ``t1`` precedes their ``t0``."""
     nprocs = draw(hst.integers(1, max_procs))
     n = draw(hst.integers(1, max_events))
     dup_keys = draw(hst.booleans())
+    negative = draw(hst.booleans())
     rng_seed = draw(hst.integers(0, 2**31))
     rng = np.random.default_rng(rng_seed)
     records, open_sends, seqs = [], [], {}
     t = 0.0
     for i in range(n):
         t += float(rng.random())
+        if negative and rng.random() < 0.2:
+            # this record ends before it starts: the DP must restart
+            # fresh rather than extend a negative running total
+            t_end = t - 3.0 * float(rng.random())
+        else:
+            t_end = None
         p = int(rng.integers(nprocs))
         roll = float(rng.random())
         if roll < 0.30:
@@ -88,7 +99,7 @@ def trace_records(draw, max_events=120, max_procs=5):
                 seqs[(p, q)] = seq + 1
             rec = _record(i, p, EventKind.SEND, src=p, dst=q, tag=tag,
                           seq=seq, size=int(rng.integers(100)),
-                          t0=t, t1=t + 0.1)
+                          t0=t, t1=t + 0.1 if t_end is None else t_end)
             open_sends.append(rec)
             records.append(rec)
         elif roll < 0.55 and open_sends:
@@ -101,32 +112,48 @@ def trace_records(draw, max_events=120, max_procs=5):
                 extra["posted_tag"] = ANY_TAG
             records.append(
                 _record(i, s.dst, EventKind.RECV, src=s.src, dst=s.dst,
-                        tag=s.tag, seq=s.seq, extra=extra, t0=t, t1=t + 0.2)
+                        tag=s.tag, seq=s.seq, extra=extra, t0=t,
+                        t1=t + 0.2 if t_end is None else t_end)
             )
         elif roll < 0.62:
             # stray receive: no matching send exists
             records.append(
                 _record(i, p, EventKind.RECV, src=int(rng.integers(nprocs)),
-                        dst=p, tag=9, seq=10_000 + i, t0=t, t1=t + 0.2)
+                        dst=p, tag=9, seq=10_000 + i, t0=t,
+                        t1=t + 0.2 if t_end is None else t_end)
             )
         else:
             kind = OTHER_KINDS[int(rng.integers(len(OTHER_KINDS)))]
-            records.append(_record(i, p, kind, t0=t, t1=t + 0.05))
+            records.append(_record(
+                i, p, kind, t0=t, t1=t + 0.05 if t_end is None else t_end
+            ))
     return nprocs, records
 
 
-def build_index(nprocs, records, chunk):
-    """The index under test; ``chunk`` > 0 streams with interleaved
-    catch-up queries (incremental path), 0 builds in batch."""
+#: how :func:`build_index` feeds records: streamed one by one, as column
+#: blocks (``ColumnBlock.from_records`` + ``extend_columns``, the
+#: ``from_file`` path ``analyze`` runs), or alternating chunk by chunk
+FEEDS = ("records", "columns", "mixed")
+
+
+def build_index(nprocs, records, chunk, feed="records"):
+    """The index under test; ``chunk`` > 0 feeds chunks of that size
+    with interleaved catch-up queries (incremental path), 0 builds in
+    one batch."""
     idx = HistoryIndex(nprocs=nprocs)
-    if chunk:
-        for lo in range(0, len(records), chunk):
-            for rec in records[lo:lo + chunk]:
+    size = chunk or max(len(records), 1)
+    for k, lo in enumerate(range(0, len(records), size)):
+        batch = records[lo:lo + size]
+        if feed == "columns" or (feed == "mixed" and k % 2):
+            idx.extend_columns(ColumnBlock.from_records(batch))
+        elif chunk:
+            for rec in batch:
                 idx.extend(rec)
+        else:
+            idx.extend_many(batch)
+        if chunk:
             idx.message_pairs()  # force incremental catch-up paths
             _ = idx.clocks
-    else:
-        idx.extend_many(records)
     return idx
 
 
@@ -155,10 +182,10 @@ def assert_same_matching(a, b):
 
 
 @settings(max_examples=60, deadline=None)
-@given(trace_records(), hst.integers(0, 17))
-def test_clocks_and_matching_equal_oracle(tr, chunk):
+@given(trace_records(), hst.integers(0, 17), hst.sampled_from(FEEDS))
+def test_clocks_and_matching_equal_oracle(tr, chunk, feed):
     nprocs, records = tr
-    vec = build_index(nprocs, records, chunk)
+    vec = build_index(nprocs, records, chunk, feed)
     ref = assert_matches_oracle(vec, records)
     np.testing.assert_array_equal(
         oracles.clocks(records, nprocs, ref.send_of_recv), vec.clocks
@@ -172,7 +199,7 @@ def test_clocks_and_matching_equal_oracle(tr, chunk):
 def test_window_equals_oracle(tr, chunk, data):
     nprocs, records = tr
     vec = build_index(nprocs, records, chunk)
-    t_lo, t_hi = vec.span
+    t_lo, t_hi = sorted(vec.span)  # inverted if every record ends first
     a = data.draw(hst.floats(t_lo - 1.0, t_hi + 1.0, allow_nan=False))
     b = data.draw(hst.floats(t_lo - 1.0, t_hi + 1.0, allow_nan=False))
     for lo, hi in [(min(a, b), max(a, b)), (t_lo, t_hi), (t_hi, t_lo)]:
@@ -182,10 +209,13 @@ def test_window_equals_oracle(tr, chunk, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(trace_records(), hst.booleans())
-def test_races_equal_oracle(tr, include_tag_wildcards):
+@given(
+    trace_records(), hst.booleans(), hst.integers(0, 17),
+    hst.sampled_from(FEEDS),
+)
+def test_races_equal_oracle(tr, include_tag_wildcards, chunk, feed):
     nprocs, records = tr
-    vec = build_index(nprocs, records, 0)
+    vec = build_index(nprocs, records, chunk, feed)
     ref = oracles.match(records)
 
     def key(races):
@@ -207,10 +237,10 @@ def test_races_equal_oracle(tr, include_tag_wildcards):
 
 
 @settings(max_examples=40, deadline=None)
-@given(trace_records())
-def test_critical_path_equals_oracle(tr):
+@given(trace_records(), hst.integers(0, 17), hst.sampled_from(FEEDS))
+def test_critical_path_equals_oracle(tr, chunk, feed):
     nprocs, records = tr
-    vec = build_index(nprocs, records, 0)
+    vec = build_index(nprocs, records, chunk, feed)
     ca = oracles.critical_path(records, oracles.match(records).send_of_recv)
     cb = critical_path(vec.trace, index=vec)
     assert [r.index for r in ca.records] == [r.index for r in cb.records]
@@ -239,7 +269,7 @@ def test_streamed_equals_batch(tr, chunk):
             streamed.extend(rec)
         streamed.message_pairs()
         _ = streamed.clocks
-        t0, t1 = streamed.span
+        t0, t1 = sorted(streamed.span)  # inverted if every record ends first
         streamed.window(t0, (t0 + t1) / 2)
     np.testing.assert_array_equal(batch.clocks, streamed.clocks)
     assert_same_matching(batch, streamed)
