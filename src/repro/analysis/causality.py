@@ -214,10 +214,6 @@ class CausalOrder:
         """Events neither in the past nor the future of ``e``."""
         return self.cones(e).concurrent()
 
-    # ------------------------------------------------------------------
-    def vector_of(self, e: int) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.clocks[e])
-
 
 def compute_causal_order(trace: Trace) -> CausalOrder:
     """The causal order of a trace, from its shared

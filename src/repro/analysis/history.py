@@ -655,10 +655,13 @@ class HistoryIndex:
         cols["marker"][pos] = record.marker
         cols["size"][pos] = record.size
         self._n = pos + 1
-        if self._t_lo is None or record.t0 < self._t_lo:
-            self._t_lo = record.t0
-        if self._t_hi is None or record.t1 > self._t_hi:
-            self._t_hi = record.t1
+        t_lo, t_hi = record.t0, record.t1
+        if t_hi < t_lo:
+            t_lo, t_hi = t_hi, t_lo
+        if self._t_lo is None or t_lo < self._t_lo:
+            self._t_lo = t_lo
+        if self._t_hi is None or t_hi > self._t_hi:
+            self._t_hi = t_hi
         self._stats.records = self._n
 
     def extend_many(self, records: Iterable[TraceRecord]) -> int:
@@ -716,8 +719,8 @@ class HistoryIndex:
         self._payloads.append(_Payload(pos, pos + n, block))
         self._built.extend([None] * n)
         self._unbuilt += n
-        t_lo = float(bcols["t0"].min())
-        t_hi = float(bcols["t1"].max())
+        t_lo = float(min(bcols["t0"].min(), bcols["t1"].min()))
+        t_hi = float(max(bcols["t0"].max(), bcols["t1"].max()))
         if self._t_lo is None or t_lo < self._t_lo:
             self._t_lo = t_lo
         if self._t_hi is None or t_hi > self._t_hi:
@@ -752,7 +755,11 @@ class HistoryIndex:
 
     @property
     def span(self) -> tuple[float, float]:
-        """(earliest t0, latest t1); (0, 0) while empty."""
+        """(earliest, latest) over every t0 and t1; (0, 0) while empty.
+
+        A record that ends before it starts still lies inside the span,
+        so ``window(*span)`` returns every record.
+        """
         self._check_live()
         if self._t_lo is None or self._t_hi is None:
             return (0.0, 0.0)

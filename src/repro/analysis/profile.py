@@ -184,10 +184,6 @@ class FunctionStats:
     inclusive: float = 0.0  # time between entry and exit
     exclusive: float = 0.0  # inclusive minus time in instrumented callees
 
-    @property
-    def mean_inclusive(self) -> float:
-        return self.inclusive / self.calls if self.calls else 0.0
-
 
 def function_profile(
     trace: Trace,

@@ -15,13 +15,10 @@ Application code deliberately lives *outside* the runtime packages so
 the instrumentation layers treat it as user code (source locations in
 traces point here).
 
-:data:`CONFORMANCE_PROGRAMS` is the shared registry the backend
+:data:`CONFORMANCE_PROGRAMS` is the shared registry the engine
 conformance suite iterates: one small, rank-count-agnostic
 configuration of every app, each entry a ``factory(nprocs, seed)``
-returning a launchable target.  ``WILDCARD_PROGRAMS`` names the subset
-whose message matching involves wildcards -- the only apps whose traces
-may legitimately differ on backends that do not implement the
-cooperative scheduling contract (the multiprocessing backend).
+returning a launchable target.
 """
 
 from .dptrain import dptrain_program, make_shard
@@ -83,9 +80,6 @@ CONFORMANCE_PROGRAMS = {
     ),
 }
 
-#: conformance programs whose receives use ANY_SOURCE / ANY_TAG.
-WILDCARD_PROGRAMS = frozenset({"master_worker", "schedbug"})
-
 __all__ = [
     "CONFORMANCE_PROGRAMS",
     "LUConfig",
@@ -94,7 +88,6 @@ __all__ = [
     "TAG_OPERAND_A",
     "TAG_OPERAND_B",
     "TAG_RESULT",
-    "WILDCARD_PROGRAMS",
     "combine_products",
     "distributed_fib_program",
     "dptrain_program",

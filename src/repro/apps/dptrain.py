@@ -7,16 +7,16 @@ average the loss -- before the local SGD update.  Collective traffic
 therefore dominates, the complementary stress profile to the
 point-to-point :mod:`~repro.apps.halo2d` stencil: the ring/tree
 collectives inside the runtime generate O(size) messages per step, so
-at 256-1024 ranks this workload measures how cheaply an execution
-backend schedules long dependency chains.
+at 256-1024 ranks this workload measures how cheaply the engine
+schedules long dependency chains.
 
 The model is linear least-squares on synthetic shards drawn around a
 shared ground-truth weight vector, so the averaged loss is guaranteed
 to decrease monotonically under a small enough step size -- a property
-the tests assert, and one that only holds if every backend delivers
-the collectives correctly.
+the tests assert, and one that only holds if the runtime delivers the
+collectives correctly.
 
-Deterministic end to end (no wildcards, seeded shards): every backend
+Deterministic end to end (no wildcards, seeded shards): every policy
 must return the identical loss history on every rank.
 """
 

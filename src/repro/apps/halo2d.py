@@ -7,14 +7,13 @@ edge halos with its four torus neighbours using nonblocking
 averaging update.  Unlike the 1-D :func:`repro.apps.ring.halo_program`
 smoke workload this exercises a genuine 2-D neighbourhood (the paper's
 target programs are grid codes of exactly this shape) and is the
-scaling workload for the 64-1024-rank backend benchmarks: per-rank work
-is constant, so wall-clock is dominated by the execution backend's
-scheduling cost.
+scaling workload for the 64-1024-rank benchmarks: per-rank work is
+constant, so wall-clock is dominated by the engine's scheduling cost.
 
-Communication is fully deterministic (no wildcards), so every backend
--- including the multiprocessing one -- must reproduce the same
-numerics, and the pure-numpy :func:`reference_halo2d` gives the
-ground-truth global evolution to check tiles against.
+Communication is fully deterministic (no wildcards), so every policy
+and seed must reproduce the same numerics, and the pure-numpy
+:func:`reference_halo2d` gives the ground-truth global evolution to
+check tiles against.
 """
 
 from __future__ import annotations

@@ -49,8 +49,8 @@ class ReplaySpec:
     nprocs: int
     policy: str = "run_to_block"
     seed: int = 0
-    #: execution backend name; must be cooperative, since replay drives
-    #: the debugger surface
+    #: only ``"simtime"``; kept while ``bench/`` passes it (see
+    #: :class:`~repro.mp.runtime.Runtime`)
     backend: str = "simtime"
     cost_model: Optional[CostModel] = None
     #: functions / modules to instrument with uinst (function entries)

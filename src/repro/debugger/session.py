@@ -296,7 +296,7 @@ class DebugSession:
                 f"p{rank} is {proc.state.value}; stacks are readable only "
                 "while stopped or blocked"
             )
-        ident = self.runtime.backend.carrier_ident(proc)
+        ident = self.runtime.scheduler.carrier_ident(proc)
         assert ident is not None
         frame = sys._current_frames().get(ident)
         out: list[str] = []
@@ -325,7 +325,7 @@ class DebugSession:
         proc = self.runtime.procs[rank]
         if proc.state not in (ProcState.STOPPED, ProcState.BLOCKED):
             raise ValueError(f"p{rank} is {proc.state.value}")
-        ident = self.runtime.backend.carrier_ident(proc)
+        ident = self.runtime.scheduler.carrier_ident(proc)
         assert ident is not None
         frame = sys._current_frames().get(ident)
         user_frames = []

@@ -5,11 +5,11 @@ The driver hands both the same JSON-able job dicts; they differ only in
 
 * :class:`SerialReplayExecutor` -- in the calling process, one job at a
   time.
-* :class:`MprocReplayExecutor` -- a persistent pool of ``fork``-ed
-  worker processes (the same start method and queue transport as the
-  ``mproc`` execution backend).  Workers inherit the program, base
-  trace, and context at fork time, so only forcing logs and outcome
-  summaries cross the queues, and multiple replays overlap across OS
+* :class:`MprocReplayExecutor` (``batch="mproc"``) -- a persistent pool
+  of ``fork``-ed worker processes, each replaying on its own simtime
+  runtime.  Workers inherit the program, base trace, and context at fork
+  time, so only forcing logs and outcome summaries cross the
+  ``multiprocessing`` queues, and multiple replays overlap across OS
   processes.
 """
 

@@ -45,7 +45,8 @@ class ExploreContext:
     nprocs: int
     policy: str = "run_to_block"
     seed: int = 0
-    #: execution backend; must be cooperative (wrappers record the trace)
+    #: only ``"simtime"``; kept while ``bench/`` passes it (see
+    #: :class:`~repro.mp.runtime.Runtime`)
     backend: str = "simtime"
     include_tag_wildcards: bool = True
     #: cap on alternatives steered per race point (None = all)

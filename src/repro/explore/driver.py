@@ -15,8 +15,8 @@ item 4, after MAD's event manipulation):
    crash, with :func:`~repro.trace.diff.diff_traces` locating the first
    divergent event per process) and, below the depth bound, expand the
    replayed trace's *new* races into the next candidates;
-5. batch replays through a pluggable executor -- serial, or the forked
-   mproc pool for throughput.
+5. batch replays through an executor -- serial, or a pool of forked
+   workers (``batch="mproc"``) for throughput.
 
 The result is an :class:`~repro.explore.report.ExplorationReport`: a
 verdict ("schedule-insensitive over the explored space" or the precise
@@ -71,8 +71,8 @@ def explore(
         ``"serial"`` replays in-process; ``"mproc"`` fans replays out
         over ``workers`` forked processes.
     backend:
-        Execution backend for the base run and every replay; it must be
-        cooperative (the trace wrappers need in-process execution).
+        Only ``"simtime"``; kept while ``bench/`` passes it (see
+        :class:`~repro.mp.runtime.Runtime`).
     max_alternatives:
         Cap on alternatives steered per race point.  Cut alternatives
         are counted in the report's ``truncated``; alternatives that

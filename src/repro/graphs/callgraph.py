@@ -69,12 +69,6 @@ class CallGraph:
             names.add(callee)
         return sorted(names)
 
-    def callees_of(self, fn: str) -> list[CallEdge]:
-        return [e for e in self.edges.values() if e.caller == fn]
-
-    def callers_of(self, fn: str) -> list[CallEdge]:
-        return [e for e in self.edges.values() if e.callee == fn]
-
     def total_calls(self) -> int:
         return sum(e.calls for e in self.edges.values())
 

@@ -318,13 +318,6 @@ class TraceGraph:
         before any record object exists; v1/v2 bridge transparently."""
         return cls.from_columns(reader.read_columns(), reader.nprocs, arc_limit)
 
-    @classmethod
-    def from_index(cls, index, arc_limit: Optional[int] = 64) -> "TraceGraph":
-        """Build from a :class:`~repro.analysis.history.HistoryIndex` --
-        the graph reads the already-indexed records and the index serves
-        as the zoom-rescan source for :meth:`reconstruct_arc`."""
-        return cls.from_records(index.records, index.nprocs, arc_limit)
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------

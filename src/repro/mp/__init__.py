@@ -4,8 +4,7 @@ A deterministic, single-machine stand-in for the MPI/PVM layer the paper
 runs on (see DESIGN.md, "Substitutions").  Public surface:
 
 * :class:`Runtime` / :func:`run_program` -- build and execute programs
-  on the deterministic ``simtime`` engine (default) or the forked
-  ``mproc`` workers (see :mod:`repro.mp.backends`);
+  on the deterministic ``simtime`` engine (:mod:`repro.mp.simtime`);
 * :class:`Comm` -- the per-rank communicator (mpi4py-flavoured API);
 * wildcards and constants (:data:`ANY_SOURCE`, :data:`ANY_TAG`, ...);
 * :class:`CostModel` -- virtual-time tuning;
@@ -13,13 +12,6 @@ runs on (see DESIGN.md, "Substitutions").  Public surface:
 * the error types, most importantly :class:`DeadlockError`.
 """
 
-from .backends import (
-    ExecutionBackend,
-    MprocBackend,
-    SimtimeBackend,
-    available_backends,
-    make_backend,
-)
 from .channel import Mailbox, PendingRecv
 from .clock import CostModel, VirtualClock
 from .comm import Comm, OpDetail
@@ -58,6 +50,7 @@ from .scheduler import (
     VirtualTimePolicy,
     make_policy,
 )
+from .simtime import SimtimeBackend
 from .status import Status
 
 __all__ = [
@@ -67,8 +60,6 @@ __all__ = [
     "TAG_UB",
     "CollectiveTag",
     "Comm",
-    "ExecutionBackend",
-    "MprocBackend",
     "SimtimeBackend",
     "CommLog",
     "CostModel",
@@ -109,8 +100,6 @@ __all__ = [
     "VirtualTimePolicy",
     "WaitInfo",
     "WaitKind",
-    "available_backends",
-    "make_backend",
     "make_policy",
     "payload_size",
     "run_program",

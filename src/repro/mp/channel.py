@@ -247,10 +247,6 @@ class Mailbox:
         """Snapshot of unmatched posted receives."""
         return tuple(self._posted)
 
-    def unmatched_counts(self) -> tuple[int, int]:
-        """(queued message count, posted receive count) for analysis."""
-        return len(self._queued), len(self._posted)
-
 
 def iter_unmatched_sends(mailboxes: Iterable[Mailbox]) -> list[Message]:
     """All queued-but-unreceived messages across mailboxes.

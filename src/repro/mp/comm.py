@@ -190,7 +190,7 @@ class Comm:
 
     def _poll_yield(self) -> None:
         """Give other READY processes a turn after an unsuccessful poll
-        (``test``/``iprobe`` spin loops); see the backend's
+        (``test``/``iprobe`` spin loops); see the engine's
         ``poll_yield`` for why a cooperative runtime requires this."""
         self.runtime.scheduler.poll_yield(self.proc)
 
@@ -737,19 +737,7 @@ class Comm:
             self.runtime.scheduler.yield_blocked(proc, wait)
             proc.check_killed()
         self._clock.advance(self._cost.probe_overhead)
-        st = Status(
-            source=self._to_group(msg.envelope.src),
-            tag=msg.envelope.tag,
-            count=payload_size(msg.payload),
-        )
-        if status is not None:
-            status.set_from(st)
-        self.last_op = OpDetail(
-            op="probe", t0=t0, t1=self._clock.now, location=loc,
-            src=msg.envelope.src, dst=self.world_rank, tag=msg.envelope.tag,
-            size=st.count,
-        )
-        return st
+        return self._probed("probe", t0, loc, msg, status)
 
     def pmpi_iprobe(
         self,
@@ -765,23 +753,40 @@ class Comm:
         t0 = self._clock.now
         self._clock.advance(self._cost.probe_overhead)
         msg = self.runtime.mailboxes[self.world_rank].probe(source, tag, self.comm_id)
-        flag = msg is not None
-        if not flag:
+        if msg is None:
             self._poll_yield()
-        if flag and status is not None:
-            assert msg is not None
-            status.set_from(
-                Status(
-                    source=self._to_group(msg.envelope.src),
-                    tag=msg.envelope.tag,
-                    count=payload_size(msg.payload),
-                )
+            self.last_op = OpDetail(
+                op="iprobe", t0=t0, t1=self._clock.now, location=loc,
+                extra={"flag": False},
             )
-        self.last_op = OpDetail(
-            op="iprobe", t0=t0, t1=self._clock.now, location=loc,
-            extra={"flag": flag},
+            return False
+        self._probed("iprobe", t0, loc, msg, status, flag=True)
+        return True
+
+    def _probed(
+        self,
+        op: str,
+        t0: float,
+        loc: SourceLocation,
+        msg: Message,
+        status: Optional[Status],
+        **extra: Any,
+    ) -> Status:
+        """Status of a message a probe found; fills ``status`` and a
+        ``last_op`` carrying the message's envelope."""
+        st = Status(
+            source=self._to_group(msg.envelope.src),
+            tag=msg.envelope.tag,
+            count=payload_size(msg.payload),
         )
-        return flag
+        if status is not None:
+            status.set_from(st)
+        self.last_op = OpDetail(
+            op=op, t0=t0, t1=self._clock.now, location=loc,
+            src=msg.envelope.src, dst=self.world_rank, tag=msg.envelope.tag,
+            size=st.count, extra=extra,
+        )
+        return st
 
     def pmpi_sendrecv(
         self,

@@ -90,16 +90,6 @@ class SourceLocation:
         return SourceLocation("<unknown>", 0, "<unknown>")
 
 
-def is_wildcard_source(source: int) -> bool:
-    """Return True if ``source`` is the ``ANY_SOURCE`` wildcard."""
-    return source == ANY_SOURCE
-
-
-def is_wildcard_tag(tag: int) -> bool:
-    """Return True if ``tag`` is the ``ANY_TAG`` wildcard."""
-    return tag == ANY_TAG
-
-
 def check_rank(rank: int, size: int, *, wildcard_ok: bool = False) -> None:
     """Validate a rank argument against a communicator of ``size``.
 

@@ -55,10 +55,6 @@ class RequestError(MPIError):
     """Misuse of a nonblocking request (double wait, freed request, ...)."""
 
 
-class CancelledError(MPIError):
-    """An operation completed against a cancelled request."""
-
-
 class DeadlockError(MPError):
     """All live processes are blocked and none can make progress.
 

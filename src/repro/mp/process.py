@@ -1,12 +1,11 @@
 """The per-rank process abstraction.
 
-How a rank's code physically executes (an OS thread per rank, a lazy
-simulated-time carrier, a real worker process) is owned by the
-execution backend (:mod:`repro.mp.backends`); this class is the
-backend-independent state of one rank.  Under the cooperative backends
-at most one process executes at any instant, so the program behaves
-like the single-threaded message-passing processes the paper targets,
-with fully deterministic interleaving.
+How a rank's code physically executes (a lazily taken carrier thread,
+granted the token by the deterministic engine) is owned by
+:mod:`repro.mp.simtime`; this class is the state of one rank.  At most
+one process executes at any instant, so the program behaves like the
+single-threaded message-passing processes the paper targets, with fully
+deterministic interleaving.
 
 A process carries the state the paper's debugging machinery needs:
 
@@ -32,14 +31,14 @@ from .datatypes import SourceLocation
 from .errors import ProcessKilled
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .backends.simtime import SimtimeBackend
+    from .simtime import SimtimeBackend
     from .comm import Comm
 
 
 class ProcState(enum.Enum):
     """Lifecycle states of a simulated process."""
 
-    CREATED = "created"  # not yet started by the backend
+    CREATED = "created"  # not yet started by the engine
     READY = "ready"  # runnable, waiting for the scheduler token
     RUNNING = "running"  # currently holds the token
     BLOCKED = "blocked"  # waiting on a communication condition
@@ -130,8 +129,8 @@ class StopState:
 class Process:
     """One rank: clock, marker counter, and stop control.
 
-    The execution backend (``self.scheduler``, a
-    :class:`~repro.mp.backends.simtime.SimtimeBackend`) drives the
+    The execution engine (``self.scheduler``, a
+    :class:`~repro.mp.simtime.SimtimeBackend`) drives the
     process through :meth:`run_target` and the grant handshakes.  User
     code never sees this class directly -- it receives a
     :class:`~repro.mp.comm.Comm` bound to it.
@@ -195,13 +194,13 @@ class Process:
         return self.state not in TERMINAL_STATES and self.state != ProcState.CREATED
 
     # ------------------------------------------------------------------
-    # worker-context entry (called by the backend's carrier)
+    # worker-context entry (called by the engine's carrier)
     # ------------------------------------------------------------------
     def run_target(self) -> None:
         """Wait for the first grant, run the target, report completion.
 
-        The backend invokes this from whatever execution context carries
-        the rank; it returns only when the rank is terminal.
+        The engine invokes this from the carrier thread that carries the
+        rank; it returns only when the rank is terminal.
         """
         try:
             self.scheduler.await_grant(self)
@@ -282,7 +281,3 @@ class Process:
     def request_kill(self) -> None:
         """Mark the process for termination at its next scheduling point."""
         self._kill = True
-
-    def last_stop_marker(self) -> Optional[int]:
-        """Marker recorded at the most recent stop (undo target)."""
-        return self.stop_markers[-1] if self.stop_markers else None

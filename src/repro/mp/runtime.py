@@ -1,6 +1,6 @@
 """The runtime: program launch, message transport, and debugger control.
 
-A :class:`Runtime` wires together an execution backend, one process +
+A :class:`Runtime` wires together the execution engine, one process +
 mailbox + communicator per rank, the PMPI interposition layer, and the
 communication log used for controlled replay.  It is the object the
 debugger (:mod:`repro.debugger`) drives:
@@ -12,12 +12,11 @@ debugger (:mod:`repro.debugger`) drives:
 * :meth:`unmatched_sends` / :meth:`blocked_waits` feed the Section 4.4
   history analysis.
 
-The runtime owns the *backend-neutral protocol* (mailboxes, matching,
-sequence numbers, the CommLog, replay forcing); *how ranks execute* is
-delegated to an :class:`~repro.mp.backends.ExecutionBackend` selected
-by name: the deterministic ``simtime`` engine (the default) or the
-forked ``mproc`` workers -- ``Runtime(n, backend="mproc")``.  See
-DESIGN.md, "Execution backends".
+The runtime owns the protocol (mailboxes, matching, sequence numbers,
+the CommLog, replay forcing); *how ranks execute* -- the token, the
+carriers, suspension and resumption -- is the deterministic engine in
+:mod:`repro.mp.simtime`, reachable as ``runtime.scheduler``.  See
+DESIGN.md §8, "The execution engine".
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
-from .backends import BackendSpec, ExecutionBackend, make_backend
-from .channel import Mailbox, PendingRecv
+from .channel import Mailbox, PendingRecv, iter_unmatched_sends
 from .clock import CostModel
 from .comm import Comm
 from .errors import MPError
@@ -35,6 +33,7 @@ from .pmpi import PMPILayer
 from .process import ProcState, Process, WaitInfo
 from .record import CommLog
 from .scheduler import RunOutcome, RunReport, SchedulingPolicy
+from .simtime import SimtimeBackend
 
 #: A program is one SPMD callable, or one callable per rank.
 Target = Callable[[Comm], Any]
@@ -49,13 +48,14 @@ class Runtime:
     nprocs:
         Number of ranks.
     backend:
-        Execution backend -- ``"simtime"`` (default) or ``"mproc"``, or
-        an :class:`ExecutionBackend` instance.
+        Must be ``"simtime"``, the one execution engine; any other value
+        raises :class:`MPError`.  The keyword goes once ``bench/`` stops
+        passing it (ROADMAP item 1).
     policy, seed:
         Scheduling policy name/instance and seed (see
         :mod:`repro.mp.scheduler`).  Everything downstream -- traces,
         matching, markers -- is a deterministic function of (program,
-        policy, seed, replay log) on deterministic backends.
+        policy, seed, replay log).
     cost_model:
         Virtual-time costs; default :class:`CostModel`.
     replay_log:
@@ -70,7 +70,7 @@ class Runtime:
         self,
         nprocs: int,
         *,
-        backend: BackendSpec = "simtime",
+        backend: str = "simtime",
         policy: "str | SchedulingPolicy" = "run_to_block",
         seed: int = 0,
         cost_model: Optional[CostModel] = None,
@@ -79,12 +79,16 @@ class Runtime:
     ) -> None:
         if nprocs < 1:
             raise ValueError(f"nprocs must be >= 1, got {nprocs}")
+        if backend != "simtime":
+            raise MPError(
+                f"unknown execution backend {backend!r}; choose from ['simtime']"
+            )
         self.nprocs = nprocs
         self.cost_model = cost_model or CostModel()
-        self.backend: ExecutionBackend = make_backend(
-            backend, policy=policy, seed=seed, max_grants=max_grants
+        #: the execution engine (the comm layer yields through it)
+        self.scheduler = SimtimeBackend(
+            self, policy=policy, seed=seed, max_grants=max_grants
         )
-        self.backend.bind(self)
         self.pmpi_layer = PMPILayer()
         self.replay_log = replay_log
         #: matching decisions recorded during THIS run (always on; cheap)
@@ -108,16 +112,6 @@ class Runtime:
         #: total messages deposited (statistics / tests)
         self.messages_sent = 0
 
-    @property
-    def scheduler(self) -> ExecutionBackend:
-        """The execution backend (kept under the historical name: tests
-        and the comm layer address grant hooks and yields through it)."""
-        return self.backend
-
-    def _require_debugger(self, what: str) -> None:
-        if not self.backend.supports_debugger:
-            raise self.backend._debugger_unsupported(what)
-
     # ------------------------------------------------------------------
     # launch / run / teardown
     # ------------------------------------------------------------------
@@ -137,23 +131,15 @@ class Runtime:
         ``target_wrappers`` are applied to each rank's target in order
         (``wrapper(target, rank) -> target``); instrumentation layers use
         them to install per-thread hooks (uinst's profile function) and
-        lifecycle trace records.  They require a backend with in-process
-        execution (``supports_wrappers``).
+        lifecycle trace records.
         """
         if self._launched:
             raise RuntimeError("runtime already launched")
-        if target_wrappers and not self.backend.supports_wrappers:
-            raise MPError(
-                "target_wrappers require an in-process execution backend; "
-                f"backend {self.backend.name!r} runs ranks out of process"
-            )
-        if stop_on_entry:
-            self._require_debugger("stop-on-entry")
         self._launched = True
         targets = self._resolve_targets(program)
         for wrapper in target_wrappers:
             targets = [wrapper(t, rank) for rank, t in enumerate(targets)]
-        self.backend.launch(targets, stop_on_entry=stop_on_entry)
+        self.scheduler.launch(targets, stop_on_entry=stop_on_entry)
 
     def _resolve_targets(self, program: ProgramSpec) -> list[Target]:
         if callable(program):
@@ -177,13 +163,13 @@ class Runtime:
         Used by monitors shared across ranks (the AIMS monitor object of
         the source instrumentation) to attribute an event to a rank.
         """
-        return self.backend.current_proc()
+        return self.scheduler.current_proc()
 
     def run_until_idle(self) -> RunReport:
         """Schedule until completion / debugger stop / deadlock."""
         if not self._launched:
             raise RuntimeError("launch() a program first")
-        return self.backend.run_until_idle()
+        return self.scheduler.run_until_idle()
 
     def run(
         self,
@@ -214,7 +200,7 @@ class Runtime:
             return
         self._shut_down = True
         if self._launched:
-            self.backend.shutdown()
+            self.scheduler.shutdown()
 
     def __enter__(self) -> "Runtime":
         return self
@@ -259,9 +245,9 @@ class Runtime:
             # 2. Release a rendezvous sender, if any.
             sender_rank = self._ssend_pending.pop(msg.msg_id, None)
             if sender_rank is not None:
-                self.backend.unblock(self.procs[sender_rank])
+                self.scheduler.unblock(self.procs[sender_rank])
             # 3. Wake the receiving process if it is blocked.
-            self.backend.unblock(self.procs[rank])
+            self.scheduler.unblock(self.procs[rank])
 
         return _on_match
 
@@ -269,7 +255,7 @@ class Runtime:
         def _on_deposit(msg: Message) -> None:
             # Wake the destination even when nothing matched: blocked
             # probes and replay-forced receives re-check their condition.
-            self.backend.unblock(self.procs[rank])
+            self.scheduler.unblock(self.procs[rank])
 
         return _on_deposit
 
@@ -294,12 +280,11 @@ class Runtime:
         self.comm_log.record_waitany(rank, call_index, choice)
 
     # ------------------------------------------------------------------
-    # debugger-facing control surface (needs a cooperative backend)
+    # debugger-facing control surface
     # ------------------------------------------------------------------
     def set_threshold(self, rank: int, marker: Optional[int]) -> None:
         """Store a UserMonitor threshold: the process parks when its
         execution-marker counter reaches ``marker`` (Section 2.2)."""
-        self._require_debugger("marker thresholds")
         self.procs[rank].set_threshold(marker)
 
     def set_thresholds(self, thresholds: Mapping[int, int]) -> None:
@@ -309,26 +294,22 @@ class Runtime:
 
     def interrupt_all(self) -> None:
         """Ask every live process to park at its next marker."""
-        self._require_debugger("interrupts")
         for proc in self.procs:
             if proc.live:
                 proc.request_interrupt()
 
     def clear_interrupts(self) -> None:
-        self._require_debugger("interrupts")
         for proc in self.procs:
             proc.clear_interrupt()
 
     def resume(self, ranks: Optional[Sequence[int]] = None) -> RunReport:
         """Resume STOPPED processes (all, or the given ranks) and run on."""
-        self._require_debugger("resume")
         procs = None if ranks is None else [self.procs[r] for r in ranks]
-        self.backend.resume_stopped(procs)
+        self.scheduler.resume_stopped(procs)
         return self.run_until_idle()
 
     def step(self, rank: int) -> RunReport:
         """Single-step one process: run it to its next marker point."""
-        self._require_debugger("single-step")
         proc = self.procs[rank]
         proc.request_step()
         return self.resume([rank])
@@ -338,7 +319,7 @@ class Runtime:
     # ------------------------------------------------------------------
     def unmatched_sends(self) -> list[Message]:
         """Messages deposited but never received (missed messages)."""
-        return self.backend.unmatched_sends()
+        return iter_unmatched_sends(self.mailboxes)
 
     def unmatched_recvs(self) -> list[PendingRecv]:
         """Posted receives never matched."""
@@ -382,7 +363,7 @@ def run_program(
     program: ProgramSpec,
     nprocs: int,
     *,
-    backend: BackendSpec = "simtime",
+    backend: str = "simtime",
     policy: "str | SchedulingPolicy" = "run_to_block",
     seed: int = 0,
     cost_model: Optional[CostModel] = None,
@@ -390,6 +371,8 @@ def run_program(
     raise_errors: bool = True,
 ) -> Runtime:
     """One-shot helper: build a runtime, run ``program``, return the runtime.
+
+    ``backend`` is :class:`Runtime`'s: only ``"simtime"`` is accepted.
 
     Most tests and examples use this; the debugger builds runtimes
     directly because it needs to interleave control with execution.

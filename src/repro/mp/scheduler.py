@@ -1,7 +1,7 @@
 """Scheduling policies and run-outcome reporting.
 
 At most one simulated process executes at any instant under the
-cooperative engine (:class:`~repro.mp.backends.simtime.SimtimeBackend`),
+cooperative engine (:class:`~repro.mp.simtime.SimtimeBackend`),
 which grants an
 execution *token* to one READY process, waits for it to yield (block,
 stop, finish, or volunteer preemption), and picks the next.  All
@@ -13,7 +13,7 @@ sufficient for p2d2 to perform a replay").
 
 This module owns the *decisions* (policies) and the *verdicts*
 (:class:`RunOutcome` / :class:`RunReport`); the token machinery itself
-lives in :mod:`repro.mp.backends`.
+lives in :mod:`repro.mp.simtime`.
 """
 
 from __future__ import annotations

@@ -54,13 +54,6 @@ class TraceRecorder:
         If given, in-memory retention is a ring buffer of this many
         records (bounded memory for long runs); :meth:`snapshot` then
         covers only the retained tail.  None keeps the full history.
-    index_start / index_step:
-        The arithmetic progression of global indices this recorder
-        stamps (default ``0, 1, 2, ...``).  A per-worker recorder in a
-        multi-process run uses ``index_start=rank, index_step=nprocs``
-        so every rank mints a disjoint, globally ordered slice of the
-        index space with no coordination: merging the per-rank streams
-        by index yields one strictly increasing sequence.
     """
 
     def __init__(
@@ -68,19 +61,14 @@ class TraceRecorder:
         nprocs: int,
         kinds: Optional[Iterable[EventKind]] = None,
         memory_limit: Optional[int] = None,
-        index_start: int = 0,
-        index_step: int = 1,
     ) -> None:
-        if index_step < 1:
-            raise ValueError(f"index_step must be >= 1, got {index_step}")
         self.nprocs = nprocs
         self.bus = TraceBus()
         self._memory: "MemorySink | RingBufferSink" = (
             RingBufferSink(memory_limit) if memory_limit is not None else MemorySink()
         )
         self.bus.attach(self._memory)
-        self._next_index = index_start
-        self._index_step = index_step
+        self._next_index = 0
         self._recorded = 0
         self._enabled_global = True
         self._enabled_proc = [True] * nprocs
@@ -137,7 +125,7 @@ class TraceRecorder:
             location=location or SourceLocation.unknown(),
             **fields,
         )
-        self._next_index += self._index_step
+        self._next_index += 1
         self._recorded += 1
         self.bus.publish(rec)
         return rec

@@ -173,11 +173,7 @@ def write_manifest(
     kinds: Optional[Sequence[str]] = None,
 ) -> ShardManifest:
     """Aggregate ``infos`` into a :class:`ShardManifest` and write it to
-    ``path`` as one JSON line.  Shared by :meth:`TraceShardWriter.close`
-    and by writers that produce shard files *without* a central writer
-    object (the mproc backend's merge-free per-worker recording, where
-    each forked rank streams its own shard and the parent only writes
-    this manifest at exit)."""
+    ``path`` as one JSON line (:meth:`TraceShardWriter.close`)."""
     path = Path(path)
     populated = [s for s in infos if s.records]
     manifest = ShardManifest(
@@ -193,51 +189,6 @@ def write_manifest(
     payload = json.dumps(manifest.to_jsonable(), separators=(",", ":"))
     path.write_text(payload + "\n")
     return manifest
-
-
-def scan_shard_info(path: Union[str, Path]) -> Optional[ShardInfo]:
-    """Recover a :class:`ShardInfo` by inspecting a shard file directly.
-
-    Used when the process that wrote the shard died before reporting its
-    stats (a killed mproc worker): reads the footer when present, else
-    tolerantly scans the decodable block prefix.  Returns None when the
-    file is missing or not a readable trace file, so the caller can
-    leave it out of the manifest instead of naming an unreadable shard.
-    """
-    tracefile = _tracefile()
-    path = Path(path)
-    if not path.is_file():
-        return None
-    try:
-        reader = tracefile.TraceFileReader(path)
-        if reader.sharded:
-            return None
-        index = reader.index
-        if index is not None:
-            procs: frozenset[int] = frozenset().union(
-                *(b.procs for b in index.blocks)
-            ) if index.blocks else frozenset()
-            return ShardInfo(
-                path=path.name,
-                records=index.records,
-                t_min=index.t_min,
-                t_max=index.t_max,
-                procs=procs,
-                nbytes=path.stat().st_size,
-            )
-        block = reader.read_columns(tolerant=True)
-    except (tracefile.TraceFileError, OSError, ValueError):
-        return None
-    if len(block) == 0:
-        return ShardInfo(path.name, 0, 0.0, 0.0, frozenset(), path.stat().st_size)
-    return ShardInfo(
-        path=path.name,
-        records=len(block),
-        t_min=float(block.columns["t0"].min()),
-        t_max=float(block.columns["t1"].max()),
-        procs=frozenset(np.unique(block.columns["proc"]).tolist()),
-        nbytes=path.stat().st_size,
-    )
 
 
 class TraceShardWriter:
@@ -465,10 +416,9 @@ class ShardSet:
 
     def _require_shards(self, op: str) -> None:
         """Record access over a manifest with an *empty* shard list is a
-        malformed-store error, not a silently empty result: every writer
-        (TraceShardWriter, the mproc per-worker mode) lists at least one
-        shard, so an empty list means the manifest was truncated or
-        hand-edited."""
+        malformed-store error, not a silently empty result: the writer
+        (TraceShardWriter) lists at least one shard, so an empty list
+        means the manifest was truncated or hand-edited."""
         if not self.manifest.shards:
             tracefile = _tracefile()
             raise tracefile.TraceFileError(
@@ -600,6 +550,5 @@ __all__ = [
     "ShardManifest",
     "ShardSet",
     "TraceShardWriter",
-    "scan_shard_info",
     "write_manifest",
 ]

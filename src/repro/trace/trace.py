@@ -128,7 +128,9 @@ class Trace:
 
     @property
     def span(self) -> tuple[float, float]:
-        """(earliest t0, latest t1) over the whole trace; (0, 0) if empty.
+        """(earliest, latest) over every t0 and t1 of the trace; (0, 0)
+        if empty (see :attr:`HistoryIndex.span
+        <repro.analysis.history.HistoryIndex.span>`).
 
         Computed once: a Trace is immutable once constructed, so the two
         full scans happen on first access only.
@@ -140,8 +142,8 @@ class Trace:
             if not self._records:
                 return (0.0, 0.0)
             self._span = (
-                min(r.t0 for r in self._records),
-                max(r.t1 for r in self._records),
+                min(min(r.t0, r.t1) for r in self._records),
+                max(max(r.t0, r.t1) for r in self._records),
             )
         return self._span
 

@@ -104,6 +104,27 @@ class TestAutomaticCollection:
         _, tr = traced_run(prog, 1)
         assert tr.of_kind(EventKind.IPROBE) == []
 
+    def test_iprobe_records_envelope_like_probe(self):
+        statuses = {}
+
+        def prog(comm):
+            if comm.rank == 0:
+                comm.send(np.arange(4), dest=1, tag=7)
+                return
+            found = mp.Status()
+            while not comm.iprobe(0, 7, found):
+                pass
+            statuses["iprobe"], statuses["probe"] = found, comm.probe(0, 7)
+            comm.recv(source=0, tag=7)
+
+        _, tr = traced_run(prog, 2)
+        assert statuses["iprobe"] == statuses["probe"]
+        (iprobe,) = tr.of_kind(EventKind.IPROBE)
+        (probe,) = tr.of_kind(EventKind.PROBE)
+        envelope = (probe.src, probe.dst, probe.tag, probe.size)
+        assert envelope == (0, 1, 7, statuses["probe"].count)
+        assert (iprobe.src, iprobe.dst, iprobe.tag, iprobe.size) == envelope
+
     def test_uninstall_stops_collection(self):
         rt = mp.Runtime(2)
         recorder = TraceRecorder(2)

@@ -1,12 +1,9 @@
-"""Shared backend conformance suite.
+"""Engine conformance suite.
 
-One contract, every backend.  The cooperative ``simtime`` engine must
-reproduce the committed schedule of every (program, seed) bit for bit
-(``golden_schedules.json``) and give identical results when the same
-seed runs twice -- the determinism the paper's replay machinery rests
-on.  The multiprocessing backend, which cannot promise a schedule, must
-still produce an equivalent matched communication structure and
-identical numerics on wildcard-free programs.  Everything here is
+The cooperative ``simtime`` engine must reproduce the committed
+schedule of every (program, seed) bit for bit (``golden_schedules.json``)
+and give identical results when the same seed runs twice -- the
+determinism the paper's replay machinery rests on.  Everything here is
 parametrized over :data:`repro.apps.CONFORMANCE_PROGRAMS`, so a new app
 is automatically held to the same bar.
 
@@ -26,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.apps import CONFORMANCE_PROGRAMS, WILDCARD_PROGRAMS, ring_program
+from repro.apps import CONFORMANCE_PROGRAMS, ring_program
 from repro.debugger.replay import ReplaySpec, build_execution
 from repro.mp import DeadlockError, ProcState, Runtime, RunOutcome, run_program
 
@@ -110,43 +107,6 @@ class TestTraceIdentity:
             )
 
 
-def comm_structure(rt: Runtime):
-    """Backend-independent view of who-matched-whom: the multiset of
-    (src, dst, tag, seq) pairings, per receiving rank in post order."""
-    out = {}
-    for (rank, post), env in sorted(rt.comm_log.recv_matches.items()):
-        out.setdefault(rank, []).append((env.src, env.dst, env.tag, env.seq))
-    return out
-
-
-class TestMprocEquivalence:
-    """mproc cannot promise a schedule, but wildcard-free programs must
-    produce the same numerics and matched-communication structure."""
-
-    @pytest.mark.parametrize(
-        "app", sorted(set(CONFORMANCE_PROGRAMS) - WILDCARD_PROGRAMS)
-    )
-    def test_results_and_structure_match_simtime(self, app):
-        rt_t = run_program(CONFORMANCE_PROGRAMS[app](NPROCS, 0), nprocs=NPROCS)
-        rt_m = run_program(
-            CONFORMANCE_PROGRAMS[app](NPROCS, 0), nprocs=NPROCS, backend="mproc"
-        )
-        assert [repr(r) for r in rt_m.results()] == [
-            repr(r) for r in rt_t.results()
-        ]
-        assert comm_structure(rt_m) == comm_structure(rt_t)
-        assert all(p.state is ProcState.EXITED for p in rt_m.procs)
-
-    def test_wildcard_program_still_completes(self):
-        rt = run_program(
-            CONFORMANCE_PROGRAMS["master_worker"](NPROCS, 0),
-            nprocs=NPROCS,
-            backend="mproc",
-        )
-        results = rt.results()[0]
-        assert sorted(results) == sorted(i * i for i in range(2 * NPROCS))
-
-
 def recv_ring(comm):
     # Everyone receives first: a textbook cycle, deadlocks immediately.
     left = (comm.rank - 1) % comm.size
@@ -155,7 +115,7 @@ def recv_ring(comm):
 
 
 class TestDeadlockClassification:
-    @pytest.mark.parametrize("backend", ["simtime", "mproc"])
+    @pytest.mark.parametrize("backend", ["simtime"])
     def test_recv_cycle_detected(self, backend):
         rt = Runtime(3, backend=backend)
         report = rt.run(recv_ring, raise_errors=False)
@@ -174,7 +134,7 @@ class TestDeadlockClassification:
 
 
 class TestDebuggerSurfaceOnSimtime:
-    """The paper's control machinery, unchanged, on the new backend."""
+    """The paper's control machinery on the engine."""
 
     @staticmethod
     def _stepper(n):
@@ -188,7 +148,7 @@ class TestDebuggerSurfaceOnSimtime:
     def test_marker_thresholds_stop_exactly(self):
         # Markers advance at instrumentation points, so build the
         # execution with the wrapper library installed (as the debug
-        # session does) -- on the simtime backend.
+        # session does).
         spec = ReplaySpec(
             program=self._stepper(12), nprocs=2, backend="simtime"
         )
@@ -227,7 +187,7 @@ class TestDebuggerSurfaceOnSimtime:
 
         session = DebugSession(self._stepper(20), 2, backend="simtime")
         try:
-            assert session.runtime.backend.name == "simtime"
+            assert session.runtime.scheduler.name == "simtime"
             session.set_threshold(0, 5)
             session.set_threshold(1, 5)
             session.run()

@@ -1,4 +1,4 @@
-"""Carrier reuse in the simtime backend: ranks of later runs ride the
+"""Carrier reuse in the simtime engine: ranks of later runs ride the
 threads earlier runs started, idle carriers exit, and forked children
 start with an empty pool."""
 
@@ -12,7 +12,7 @@ import time
 
 from repro import mp
 from repro.debugger import DebugSession
-from repro.mp.backends import simtime
+from repro.mp import simtime
 
 
 def exchange(comm):
@@ -38,7 +38,7 @@ def wait_for(predicate, timeout: float = 5.0) -> bool:
 
 def test_second_run_starts_no_carrier():
     run_once(64)
-    assert run_once(64).backend.carriers_started == 0
+    assert run_once(64).scheduler.carriers_started == 0
 
 
 def drained() -> bool:
@@ -65,7 +65,7 @@ def test_forked_child_runs_on_fresh_carriers():
         ok = False
         try:
             ok = len(simtime._POOL.idle) == 0
-            ok = ok and run_once(4).backend.carriers_started > 0
+            ok = ok and run_once(4).scheduler.carriers_started > 0
         finally:
             os._exit(0 if ok else 1)
     deadline = time.monotonic() + 30.0
@@ -93,9 +93,9 @@ def test_parked_rank_frames_readable_on_reused_carrier():
     session = DebugSession(parked_prog, 2)
     session.set_threshold(1, 2)
     session.run()
-    backend = session.runtime.backend
-    assert backend.carriers_started == 0
-    ident = backend.carrier_ident(session.runtime.procs[1])
+    engine = session.runtime.scheduler
+    assert engine.carriers_started == 0
+    ident = engine.carrier_ident(session.runtime.procs[1])
     frame = sys._current_frames()[ident]
     names = []
     while frame is not None:

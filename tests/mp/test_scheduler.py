@@ -224,3 +224,41 @@ class TestShutdownAndGuards:
             rt.launch(lambda comm: None)
         rt.run_until_idle()
         rt.shutdown()
+
+
+def lower_rank_poller(poll):
+    """Rank 0 spins on ``iprobe`` or ``test`` for a message rank 1 sends."""
+
+    def prog(comm):
+        if comm.rank == 1:
+            comm.send("hello", dest=0, tag=8)
+            return None
+        if poll == "iprobe":
+            st = mp.Status()
+            while not comm.iprobe(1, 8, st):
+                pass
+            return comm.recv(source=1, tag=8)
+        req = comm.irecv(source=1, tag=8)
+        while True:
+            done, value = comm.test(req)
+            if done:
+                return value
+
+    return prog
+
+
+class TestPolling:
+    @pytest.mark.parametrize("poll", ["iprobe", "test"])
+    @pytest.mark.parametrize(
+        "policy", ["run_to_block", "round_robin", "virtual_time", "random"]
+    )
+    def test_poller_lets_another_ready_rank_run(self, policy, poll):
+        # The budget turns a livelocked spin into LIMIT instead of a hang.
+        rt = mp.Runtime(2, policy=policy, max_grants=10_000)
+        try:
+            rt.launch(lower_rank_poller(poll))
+            report = rt.run_until_idle()
+            assert report.outcome is mp.RunOutcome.FINISHED
+            assert rt.results()[0] == "hello"
+        finally:
+            rt.shutdown()

@@ -285,7 +285,9 @@ def critical_path(
         path.append(records[i])
         i = pred[i]
     path.reverse()
-    span = max(r.t1 for r in records) - min(r.t0 for r in records)
+    span = max(max(r.t0, r.t1) for r in records) - min(
+        min(r.t0, r.t1) for r in records
+    )
     return CriticalPath(
         records=path,
         length=dist[end],

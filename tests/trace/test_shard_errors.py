@@ -23,8 +23,6 @@ from repro.trace import (
 )
 from repro.trace.shard import (
     SHARD_TEMPLATE,
-    ShardInfo,
-    scan_shard_info,
     write_manifest,
 )
 from repro.trace.tracefile import main as tracefile_main
@@ -125,29 +123,6 @@ class TestMissingShardFile:
             pass
         else:  # pragma: no cover - the assertion above must fire
             pytest.fail("expected TraceFileError")
-
-
-# ----------------------------------------------------------------------
-# shard recovery scans (the mproc dead-worker fallback)
-# ----------------------------------------------------------------------
-class TestScanShardInfo:
-    def test_missing_file_is_none(self, tmp_path):
-        assert scan_shard_info(tmp_path / "nope.trace") is None
-
-    def test_manifest_is_not_a_shard(self, tmp_path):
-        path = write_store(tmp_path)
-        assert scan_shard_info(path) is None
-
-    def test_scan_matches_manifest_entry(self, tmp_path):
-        path = write_store(tmp_path)
-        manifest = json.loads(path.read_text())
-        entry = ShardInfo.from_jsonable(manifest["shards"][0])
-        scanned = scan_shard_info(path.parent / entry.path)
-        assert scanned is not None
-        assert scanned.records == entry.records
-        assert scanned.procs == entry.procs
-        assert scanned.t_min == pytest.approx(entry.t_min)
-        assert scanned.t_max == pytest.approx(entry.t_max)
 
 
 # ----------------------------------------------------------------------

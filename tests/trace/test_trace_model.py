@@ -76,6 +76,16 @@ class TestTraceQueries:
         assert make_sample_trace().span == (0.0, 20.0)
         assert Trace([], 2).span == (0.0, 0.0)
 
+    def test_span_holds_a_record_that_ends_before_it_starts(self):
+        from repro.analysis import HistoryIndex, critical_path
+
+        backwards = [rec(0, 0, EventKind.COMPUTE, 0.73, -2.2, 1)]
+        for holder in (Trace(backwards, 1), HistoryIndex(backwards, nprocs=1)):
+            assert holder.span == (-2.2, 0.73)
+            assert [r.index for r in holder.window(*holder.span)] == [0]
+        # the path keeps the record's negative length; its span is positive
+        assert critical_path(Trace(backwards, 1)).span == pytest.approx(2.93)
+
     def test_message_pairs(self):
         tr = make_sample_trace()
         pairs = tr.message_pairs()
