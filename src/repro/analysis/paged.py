@@ -225,7 +225,8 @@ class OutOfCoreIndex:
 
     @property
     def span(self) -> tuple[float, float]:
-        """(earliest t0, latest t1); (0, 0) while empty."""
+        """The footers' (min, max) over every t0 and t1; (0, 0) while
+        empty."""
         if not self._refs:
             return (0.0, 0.0)
         return (float(self._t_min.min()), float(self._t_max.max()))

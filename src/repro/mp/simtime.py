@@ -432,11 +432,20 @@ class SimtimeBackend:
         ready ranks (the policy's choice among them) always runs first;
         a policy that favours the poller -- ``run_to_block`` when it has
         the lowest rank -- would otherwise re-grant it forever.
+
+        With no other rank ready the poller yields straight back into
+        the ready set, so every failed poll still costs a grant: a poll
+        loop that nothing will answer ends in ``LIMIT`` under
+        ``max_grants`` instead of spinning outside the grant count.  It
+        is not parked: its own loop body may still act (send, time out)
+        after any number of polls.
         """
-        if self._ready:
-            self._polled = proc
-            self._release(proc, ProcState.READY)
-            self.await_grant(proc)
+        if not self._ready:
+            self.yield_ready(proc)
+            return
+        self._polled = proc
+        self._release(proc, ProcState.READY)
+        self.await_grant(proc)
 
     def unblock(self, proc: Process) -> None:
         """Any token holder: make a BLOCKED process READY again."""

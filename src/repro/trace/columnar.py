@@ -17,10 +17,10 @@ of one block, usable three ways --
 * as *columns* (``block.columns["t0"]`` is a numpy array) for vectorized
   consumers: window masks, span computation, per-proc grouping;
 * as *records* via :meth:`ColumnBlock.to_records`, a batch
-  materializer that bypasses ``TraceRecord.__init__`` and shares
-  interned :class:`SourceLocation` objects -- the fast path behind the
-  v3 decode-throughput benchmark;
-* as *bytes* via :func:`encode_block` / :func:`decode_block`, the
+  materializer that builds slotted records from whole columns and
+  shares interned :class:`SourceLocation` objects -- the fast path
+  behind the v3 decode-throughput benchmark;
+* as *bytes* via :func:`encode_columns` / :func:`decode_block`, the
   on-disk form (header struct + columns + payload).
 
 Block layout::
@@ -198,18 +198,12 @@ class ColumnBlock:
         """Materialize :class:`TraceRecord` objects in batch (of every
         row, or of the block positions ``rows``).
 
-        ``ndarray.tolist`` converts every column in one C pass, rows are
-        walked with one ``zip`` (no per-field list indexing), records
-        are created through ``__new__`` + a ``__dict__`` literal (no
-        dataclass ``__init__`` per record), and location objects are the
-        interned per-block instances -- together this is where the >=5x
-        over per-line ``json.loads`` comes from.
-
-        Message/peer fields that hold their default are *omitted* from
-        the instance ``__dict__``: a plain dataclass stores simple
-        defaults as class attributes, so attribute lookup, ``__eq__``,
-        ``repr`` and ``dataclasses.replace`` all see the same values
-        while compute-heavy traces skip most of the dict inserts.
+        ``ndarray.tolist`` converts every column in one C pass, the
+        kind, location and ``extra`` ids are resolved with one list
+        comprehension each, and one ``map`` over the columns calls the
+        slotted record constructor positionally.  Location objects are
+        the interned per-block instances; a row without ``extra`` gets a
+        fresh ``{}`` of its own.
         """
         cols = self.columns
         if rows is not None:
@@ -218,52 +212,26 @@ class ColumnBlock:
         locations = self.locations
         peer_locations = self.peer_locations
         extras = self.extras
-        new = TraceRecord.__new__
-        out: list[TraceRecord] = []
-        append = out.append
-        for (idx, proc, kind, t0, t1, marker, src, dst, tag, size, seq,
-             pm, pt, cid, loc, ploc, extra) in zip(
-                cols["index"].tolist(), cols["proc"].tolist(),
-                cols["kind"].tolist(), cols["t0"].tolist(),
-                cols["t1"].tolist(), cols["marker"].tolist(),
-                cols["src"].tolist(), cols["dst"].tolist(),
-                cols["tag"].tolist(), cols["size"].tolist(),
-                cols["seq"].tolist(), cols["peer_marker"].tolist(),
-                cols["peer_time"].tolist(), cols["construct_id"].tolist(),
-                cols["loc"].tolist(), cols["ploc"].tolist(),
-                cols["extra"].tolist()):
-            rec = new(TraceRecord)
-            d = {
-                "index": idx,
-                "proc": proc,
-                "kind": kinds[kind],
-                "t0": t0,
-                "t1": t1,
-                "marker": marker,
-                "location": locations[loc],
-                "extra": extras[extra] if extra >= 0 else {},
-            }
-            if src != -1:
-                d["src"] = src
-            if dst != -1:
-                d["dst"] = dst
-            if tag != -1:
-                d["tag"] = tag
-            if size != 0:
-                d["size"] = size
-            if seq != -1:
-                d["seq"] = seq
-            if ploc >= 0:
-                d["peer_location"] = peer_locations[ploc]
-            if pm != -1:
-                d["peer_marker"] = pm
-            if pt != -1.0:
-                d["peer_time"] = pt
-            if cid != -1:
-                d["construct_id"] = cid
-            rec.__dict__ = d
-            append(rec)
-        return out
+        return list(map(
+            TraceRecord,
+            cols["index"].tolist(),
+            cols["proc"].tolist(),
+            [kinds[k] for k in cols["kind"].tolist()],
+            cols["t0"].tolist(),
+            cols["t1"].tolist(),
+            cols["marker"].tolist(),
+            [locations[i] for i in cols["loc"].tolist()],
+            cols["src"].tolist(),
+            cols["dst"].tolist(),
+            cols["tag"].tolist(),
+            cols["size"].tolist(),
+            cols["seq"].tolist(),
+            [peer_locations[i] if i >= 0 else None for i in cols["ploc"].tolist()],
+            cols["peer_marker"].tolist(),
+            cols["peer_time"].tolist(),
+            cols["construct_id"].tolist(),
+            [extras[i] if i >= 0 else {} for i in cols["extra"].tolist()],
+        ))
 
     # ------------------------------------------------------------------
     # columnar operations
@@ -344,11 +312,17 @@ class ColumnBlock:
     # ------------------------------------------------------------------
     @property
     def t_min(self) -> float:
-        return float(self.columns["t0"].min()) if len(self) else 0.0
+        """Earliest t0 or t1 (a record may end before it starts)."""
+        if not len(self):
+            return 0.0
+        return float(min(self.columns["t0"].min(), self.columns["t1"].min()))
 
     @property
     def t_max(self) -> float:
-        return float(self.columns["t1"].max()) if len(self) else 0.0
+        """Latest t0 or t1."""
+        if not len(self):
+            return 0.0
+        return float(max(self.columns["t0"].max(), self.columns["t1"].max()))
 
     @property
     def procs(self) -> frozenset[int]:
@@ -358,11 +332,6 @@ class ColumnBlock:
 # ----------------------------------------------------------------------
 # on-disk form
 # ----------------------------------------------------------------------
-def encode_block(records: Sequence[TraceRecord]) -> bytes:
-    """Records -> one self-delimiting binary block."""
-    return encode_columns(ColumnBlock.from_records(records))
-
-
 def _compact_side_column(
     col: np.ndarray, table: Sequence
 ) -> tuple[np.ndarray, list]:
@@ -391,7 +360,8 @@ def _compact_side_column(
 def encode_columns(block: ColumnBlock) -> bytes:
     """One :class:`ColumnBlock` -> one self-delimiting binary block.
 
-    The column-side twin of :func:`encode_block`: bulk writers
+    Every v3 writer goes through here: the record path encodes
+    ``ColumnBlock.from_records(chunk)``, and bulk writers
     (``TraceFileWriter.write_columns``, shard re-encoding, format
     conversion) feed decoded or synthesized blocks straight back to
     disk without materializing record objects.  Kind codes carried
@@ -501,7 +471,6 @@ __all__: list[str] = [
     "KIND_CODES",
     "columns_to_records",
     "decode_block",
-    "encode_block",
     "encode_columns",
     "kind_code_lut",
     "kind_table_from_values",

@@ -94,9 +94,15 @@ COLLECTIVE_KINDS = frozenset(
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     """One executed construct.
+
+    The class is slotted: a record has no instance ``__dict__`` (about
+    half the memory of a plain dataclass instance, and less for the
+    garbage collector to walk when a window or index materializes tens
+    of thousands of them).  So a record takes no ad-hoc attributes and
+    no weak references; open-ended data goes in ``extra``.
 
     Attributes
     ----------

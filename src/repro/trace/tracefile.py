@@ -20,7 +20,10 @@ followed by one JSON record per line (see ``TraceRecord.to_jsonable``).
 Format v2 adds an *index footer* as the final line when the writer is
 closed cleanly: ``{"__trace_index__": {"blocks": [...], ...}}``.  Each
 block entry is ``[offset, nbytes, count, t_min, t_max, procs]``
-describing a contiguous byte range of record lines, so
+describing a contiguous byte range of record lines (``t_min``/``t_max``
+are the min and max over both t0 and t1, since a record may end before
+it starts; older files keep the ``(min t0, max t1)`` footer they were
+written with), so
 :meth:`TraceFileReader.seek_window` reads only the blocks overlapping
 the requested window instead of the whole file.
 
@@ -58,13 +61,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-import numpy as np
-
 from .columnar import (
     ColumnBlock,
     ColumnDecodeError,
     decode_block,
-    encode_block,
     encode_columns,
     kind_table_from_values,
 )
@@ -352,16 +352,10 @@ class TraceFileWriter:
         self._buffer.clear()
         return n
 
-    def _append_block(
-        self,
-        raw: bytes,
-        count: int,
-        t_min: float,
-        t_max: float,
-        procs: frozenset[int],
-    ) -> None:
-        """Write one encoded raw block (compressing when configured)
-        and record its footer entry."""
+    def _append_block(self, block: ColumnBlock) -> None:
+        """Encode and write one block (compressing when configured) and
+        record its footer entry."""
+        raw = encode_columns(block)
         if self._codec is not None:
             data = compress_frame(raw, self._codec)
             encoding = self._codec.encoding
@@ -377,10 +371,10 @@ class TraceFileWriter:
             IndexBlock(
                 offset=offset,
                 nbytes=len(data),
-                count=count,
-                t_min=t_min,
-                t_max=t_max,
-                procs=procs,
+                count=len(block),
+                t_min=block.t_min,
+                t_max=block.t_max,
+                procs=block.procs,
                 encoding=encoding,
                 raw_nbytes=raw_nbytes,
             )
@@ -401,13 +395,7 @@ class TraceFileWriter:
         try:
             for start in range(0, len(buf), self.index_block):
                 chunk = buf[start : start + self.index_block]
-                self._append_block(
-                    encode_block(chunk),
-                    count=len(chunk),
-                    t_min=min(r.t0 for r in chunk),
-                    t_max=max(r.t1 for r in chunk),
-                    procs=frozenset(r.proc for r in chunk),
-                )
+                self._append_block(ColumnBlock.from_records(chunk))
                 flushed += len(chunk)
         finally:
             if flushed:
@@ -441,22 +429,10 @@ class TraceFileWriter:
                 self.write(rec)
             return n
         self.flush()
-        t0s = block.columns["t0"]
-        t1s = block.columns["t1"]
-        procs_col = block.columns["proc"]
         try:
             for start in range(0, n, self.index_block):
                 stop = min(start + self.index_block, n)
-                chunk = block.slice(start, stop)
-                self._append_block(
-                    encode_columns(chunk),
-                    count=stop - start,
-                    t_min=float(t0s[start:stop].min()),
-                    t_max=float(t1s[start:stop].max()),
-                    procs=frozenset(
-                        np.unique(procs_col[start:stop]).tolist()
-                    ),
-                )
+                self._append_block(block.slice(start, stop))
                 self._written += stop - start
         finally:
             self._fh.flush()
@@ -481,13 +457,13 @@ class TraceFileWriter:
                     offset=offset,
                     nbytes=nbytes,
                     count=len(chunk),
-                    t_min=min(m[2] for m in chunk),
-                    t_max=max(m[3] for m in chunk),
+                    t_min=min(min(m[2], m[3]) for m in chunk),
+                    t_max=max(max(m[2], m[3]) for m in chunk),
                     procs=frozenset(m[4] for m in chunk),
                 )
             )
-        t_min = min((m[2] for m in self._meta), default=0.0)
-        t_max = max((m[3] for m in self._meta), default=0.0)
+        t_min = min((b.t_min for b in blocks_v2), default=0.0)
+        t_max = max((b.t_max for b in blocks_v2), default=0.0)
         return TraceIndex(tuple(blocks_v2), len(self._meta), t_min, t_max)
 
     def _write_footer(self) -> None:
@@ -661,19 +637,17 @@ class TraceFileReader:
         return self.index is not None or self._shards is not None
 
     def span(self) -> tuple[float, float]:
-        """(earliest t0, latest t1); indexed files answer without a scan."""
+        """(min, max) over every t0 and t1; indexed files answer from
+        the footer without a scan."""
         if self._shards is not None:
             return self._shards.manifest.span
         if self.index is not None:
             return (self.index.t_min, self.index.t_max)
-        t_min, t_max, seen = 0.0, 0.0, False
+        t_min, t_max = math.inf, -math.inf
         for rec in self.iter_records(tolerant=True):
-            if not seen:
-                t_min, t_max, seen = rec.t0, rec.t1, True
-            else:
-                t_min = min(t_min, rec.t0)
-                t_max = max(t_max, rec.t1)
-        return (t_min, t_max)
+            t_min = min(t_min, rec.t0, rec.t1)
+            t_max = max(t_max, rec.t0, rec.t1)
+        return (t_min, t_max) if t_min <= t_max else (0.0, 0.0)
 
     # ------------------------------------------------------------------
     # v3 block access
@@ -1451,8 +1425,8 @@ def _cmd_reindex(args: argparse.Namespace) -> int:
                     offset=chunk[0][0],
                     nbytes=next_off - chunk[0][0],
                     count=len(chunk),
-                    t_min=min(m[1] for m in chunk),
-                    t_max=max(m[2] for m in chunk),
+                    t_min=min(min(m[1], m[2]) for m in chunk),
+                    t_max=max(max(m[1], m[2]) for m in chunk),
                     procs=frozenset(m[3] for m in chunk),
                 )
             )
@@ -1460,8 +1434,8 @@ def _cmd_reindex(args: argparse.Namespace) -> int:
         index = TraceIndex(
             tuple(blocks),
             records,
-            min((m[1] for m in meta), default=0.0),
-            max((m[2] for m in meta), default=0.0),
+            min((b.t_min for b in blocks), default=0.0),
+            max((b.t_max for b in blocks), default=0.0),
         )
         footer = json.dumps(index.to_jsonable()).encode("ascii") + b"\n"
     dropped = size - end

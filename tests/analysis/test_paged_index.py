@@ -200,3 +200,45 @@ class TestBlockCache:
 
     def test_default_capacity_constant(self):
         assert BlockCache().max_blocks == DEFAULT_CACHE_BLOCKS
+
+
+class TestFooterSpans:
+    """Footer and manifest bounds are the min and max over every t0 and
+    t1, so a record that ends before it starts stays inside the span and
+    ``window(*span)`` returns it on every storage layout."""
+
+    BACKWARDS = [
+        TraceRecord(0, 0, EventKind.COMPUTE, 0.73, -2.2, 1),
+        TraceRecord(1, 1, EventKind.COMPUTE, 0.5, 0.6, 1),
+    ]
+
+    def _write(self, path, layout):
+        if layout == "sharded":
+            writer = TraceShardWriter(path, 2)
+        else:
+            writer = TraceFileWriter(path, 2, version=2 if layout == "v2" else 3)
+        with writer as w:
+            if layout == "columns":
+                from repro.trace.columnar import ColumnBlock
+
+                w.write_columns(ColumnBlock.from_records(self.BACKWARDS))
+            else:
+                for rec in self.BACKWARDS:
+                    w.write(rec)
+
+    @pytest.mark.parametrize("layout", ["records", "columns", "v2", "sharded"])
+    def test_span_holds_a_record_that_ends_before_it_starts(self, tmp_path, layout):
+        path = tmp_path / "backwards.trace"
+        self._write(path, layout)
+        reader = TraceFileReader(path)
+        assert reader.has_index
+        assert reader.span() == (-2.2, 0.73)
+        if layout == "sharded":
+            assert reader.manifest.span == (-2.2, 0.73)
+        history = HistoryIndex.from_file(reader)
+        assert history.span == (-2.2, 0.73)
+        if layout != "v2":  # paging needs v3 blocks
+            paged = OutOfCoreIndex(reader)
+            assert paged.span == (-2.2, 0.73)
+            assert [r.index for r in paged.window(*paged.span)] == [0, 1]
+        assert [r.index for r in reader.seek_window(*reader.span())] == [0, 1]

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import mp
@@ -262,3 +268,101 @@ class TestPolling:
             assert rt.results()[0] == "hello"
         finally:
             rt.shutdown()
+
+    @pytest.mark.parametrize("send_after", [1, 2, 5])
+    def test_poller_acting_between_polls_finishes(self, send_after):
+        """Rank 1 waits for the message rank 0 sends only after several
+        failed polls: stopping the poller at any of them would turn a
+        finishing program into a false deadlock."""
+
+        def prog(comm):
+            if comm.rank == 1:
+                comm.recv(source=0, tag=9)
+                comm.send("done", dest=0, tag=8)
+                return None
+            polls = 0
+            while not comm.iprobe(1, 8):
+                polls += 1
+                if polls == send_after:
+                    comm.send("go", dest=1, tag=9)
+            return comm.recv(source=1, tag=8)
+
+        rt = mp.Runtime(2, max_grants=10_000)
+        try:
+            rt.launch(prog)
+            assert rt.run_until_idle().outcome is mp.RunOutcome.FINISHED
+            assert rt.results()[0] == "done"
+        finally:
+            rt.shutdown()
+
+    def test_poller_with_every_peer_blocked_or_stopped_counts_grants(self):
+        """A failed poll that no ready rank can answer still costs a
+        grant, so ``max_grants`` ends the spin with LIMIT, and a later
+        resume lets the stopped sender answer it.  Run in a child
+        process so a spin outside the grant count fails the test on its
+        timeout instead of hanging the suite."""
+        script = """
+import json
+from repro import mp
+from repro.debugger.replay import ReplaySpec, build_execution
+
+def spinning(comm):
+    if comm.rank == 0:
+        while not comm.iprobe(1, 8):
+            pass
+    else:
+        comm.recv(source=0, tag=9)
+
+def stopped_sender(comm):
+    if comm.rank == 1:
+        comm.compute(1.0)
+        comm.send("late", dest=0, tag=8)
+        return None
+    req = comm.irecv(source=1, tag=8)
+    while True:
+        done, value = comm.test(req)
+        if done:
+            return value
+
+def summary(rt, report):
+    return {
+        "outcome": report.outcome.name,
+        "grants": rt.scheduler.total_grants,
+        "states": [p.state.name for p in rt.scheduler.procs],
+    }
+
+out = {}
+rt = mp.Runtime(2, max_grants=1000)
+rt.launch(spinning)
+out["spinning"] = summary(rt, rt.run_until_idle())
+rt.shutdown()
+
+rt = build_execution(ReplaySpec(program=stopped_sender, nprocs=2)).runtime
+rt.scheduler.max_grants = 1000
+rt.set_threshold(1, 1)
+out["stopped"] = summary(rt, rt.run_until_idle())
+rt.set_threshold(1, None)
+rt.scheduler.max_grants = None
+out["resumed"] = summary(rt, rt.resume())
+out["results"] = rt.results()
+rt.shutdown()
+print(json.dumps(out))
+"""
+        src = Path(__file__).resolve().parents[2] / "src"
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True,
+                timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("a poller whose peers are all blocked spun forever")
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["spinning"] == {
+            "outcome": "LIMIT", "grants": 1000, "states": ["READY", "BLOCKED"],
+        }
+        assert out["stopped"] == {
+            "outcome": "LIMIT", "grants": 1000, "states": ["READY", "STOPPED"],
+        }
+        assert out["resumed"]["outcome"] == "FINISHED"
+        assert out["results"] == ["late", None]
