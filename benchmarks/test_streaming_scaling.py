@@ -9,9 +9,10 @@ measures, and asserts the direction of, both halves of that claim:
     straight into ``TraceGraph.from_records`` (peak heap should collapse
     -- the graph is tiny, the record list is not);
 
-(b) window rescans: a linear scan of the file versus ``seek_window``
-    through the v2 index footer (bytes read should collapse -- the
-    acceptance criterion: strictly fewer bytes than a full scan).
+(b) window rescans: ``seek_window(use_index=False)``, which walks
+    every block of the file, versus ``seek_window`` through the index
+    footer of the writer's default format (bytes read should collapse
+    -- the acceptance criterion: strictly fewer bytes than a full scan).
 
 Results land in ``benchmarks/results/streaming_scaling.txt``.  Absolute
 times are machine-dependent; the assertions are on relative shape only.
@@ -67,7 +68,7 @@ def synthesize_records(n: int = N_EVENTS):
 
 @pytest.fixture(scope="module")
 def big_trace_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("scaling") / "big.jsonl"
+    path = tmp_path_factory.mktemp("scaling") / "big.trace"
     with TraceFileWriter(path, nprocs=NPROCS, auto_flush_every=8192) as w:
         for rec in synthesize_records():
             w.write(rec)
@@ -143,7 +144,7 @@ def test_streaming_scaling(big_trace_file):
     lines = [
         "Streaming pipeline scaling",
         f"trace: {N_EVENTS} events, {NPROCS} procs, "
-        f"{file_bytes / 2**20:.1f} MiB on disk (format v2, indexed)",
+        f"{file_bytes / 2**20:.1f} MiB on disk (format v{reader.version}, indexed)",
         f"window for (b): t in [{t_lo}, {t_hi}] -> {len(indexed)} records",
         "",
     ]

@@ -453,8 +453,8 @@ class HistoryIndex:
         """Index a trace file through the bulk columnar path.
 
         Uses :meth:`TraceFileReader.read_columns`, so a v3 file is
-        ingested column-wise (no per-record JSON parsing); v1/v2 files
-        bridge through the record path transparently.  The blocks are
+        ingested column-wise (no per-record JSON parsing); v1/v2 record
+        lines are parsed into blocks on the way.  The blocks are
         decoded serially, in file order, and ingested through
         :meth:`extend_columns`: no record object is built until a
         caller reads its row.

@@ -12,17 +12,20 @@ that rescan must not re-materialize everything; it needs exactly what
 * only the trace file's **per-block metadata** stays resident -- one
   :class:`~repro.trace.tracefile.BlockRef` (byte offsets, record count,
   t-span, proc set) per columnar block, a few hundred bytes each;
-* :meth:`window` / :meth:`seek_window` select overlapping blocks from
-  that metadata, page the needed :class:`ColumnBlock`\\ s in through the
+* :meth:`window_columns` selects overlapping blocks from that
+  metadata, pages the needed :class:`ColumnBlock`\\ s in through the
   reader (decompressing on the fly when the file is compressed), and
-  answer from them;
+  answers with the reader's window kernel
+  (:func:`~repro.trace.columnar.gather_window`); :meth:`seek_window`
+  and :meth:`window` are its rows as records;
 * decoded blocks live in a **bounded LRU cache**, so a query session's
   resident memory is O(cache), not O(trace), and repeated queries over
   the same region (the zoom pattern: narrow, adjacent windows) hit the
   cache instead of the disk.
 
-Works identically over a single v3 file and a shard manifest (blocks
-are then paged per shard).  The facade is deliberately *not* a full
+Works identically over an indexed v3 or v2 file and a shard manifest
+(blocks are then paged per shard; a v2 block is its byte range of
+record lines, parsed on load).  The facade is deliberately *not* a full
 ``HistoryIndex``: global derivations (vector clocks, matching) need the
 whole history and would defeat the memory bound; build an in-memory
 index (``paged=False``) when you need those.
@@ -42,12 +45,11 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from operator import attrgetter
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.trace.columnar import ColumnBlock
+from repro.trace.columnar import ColumnBlock, gather_window
 from repro.trace.events import TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -165,8 +167,8 @@ class OutOfCoreIndex:
     Parameters
     ----------
     reader:
-        An indexed v3 :class:`~repro.trace.tracefile.TraceFileReader`
-        (single file or shard manifest).  Footerless files must be
+        An indexed :class:`~repro.trace.tracefile.TraceFileReader`
+        (a v2 or v3 file, or a shard manifest).  Footerless files must be
         ``reindex``\\ ed first -- paging needs the per-block metadata.
     cache_blocks / cache_bytes:
         The LRU bound: at most ``cache_blocks`` decoded blocks resident,
@@ -280,26 +282,19 @@ class OutOfCoreIndex:
         t_hi: float,
         procs: Optional[set[int]] = None,
     ) -> ColumnBlock:
-        """The window's records as one :class:`ColumnBlock`, in trace
-        order -- the columnar twin of :meth:`seek_window`."""
+        """The window's records as one :class:`ColumnBlock`, in record
+        order: the overlapping blocks, served through the cache, go
+        through the reader's window kernel
+        (:func:`~repro.trace.columnar.gather_window`)."""
         with self._lock:
             self._stats.queries += 1
         if t_lo > t_hi or (procs is not None and not procs):
             return ColumnBlock.empty()
-        sel = self._select_idx(t_lo, t_hi, procs)
-        parts: list[ColumnBlock] = []
-        for i in sel.tolist():
-            block = self._load(self._refs[i])
-            mask = block.window_mask(t_lo, t_hi, procs)
-            if mask.all():
-                parts.append(block)
-            elif mask.any():
-                parts.append(block.filter(mask))
-        merged = ColumnBlock.concat(parts)
-        index_col = merged.columns["index"]
-        if index_col.size and np.any(index_col[1:] < index_col[:-1]):
-            merged = merged.filter(np.argsort(index_col, kind="stable"))
-        return merged
+        blocks = [
+            self._load(self._refs[i])
+            for i in self._select_idx(t_lo, t_hi, procs).tolist()
+        ]
+        return gather_window(blocks, t_lo, t_hi, procs)
 
     def seek_window(
         self,
@@ -308,25 +303,11 @@ class OutOfCoreIndex:
         procs: Optional[set[int]] = None,
     ) -> list[TraceRecord]:
         """Records overlapping ``[t_lo, t_hi]`` (inclusive bounds,
-        optional proc filter), in trace order.  Same result as
-        ``TraceFileReader.seek_window``, but served through the block
-        cache: only overlapping blocks are resident, and a repeat of a
+        optional proc filter), in record order: :meth:`window_columns`,
+        materialized.  Same result as ``TraceFileReader.seek_window``,
+        but only overlapping blocks are resident, and a repeat of a
         nearby window reuses them."""
-        with self._lock:
-            self._stats.queries += 1
-        if t_lo > t_hi or (procs is not None and not procs):
-            return []
-        sel = self._select_idx(t_lo, t_hi, procs)
-        out: list[TraceRecord] = []
-        for i in sel.tolist():
-            block = self._load(self._refs[i])
-            mask = block.window_mask(t_lo, t_hi, procs)
-            if mask.all():
-                out.extend(block.to_records())
-            elif mask.any():
-                out.extend(block.filter(mask).to_records())
-        out.sort(key=attrgetter("index"))
-        return out
+        return self.window_columns(t_lo, t_hi, procs).to_records()
 
     def window(self, t_lo: float, t_hi: float) -> list[TraceRecord]:
         """``HistoryIndex.window``-compatible query (no proc filter)."""

@@ -315,7 +315,8 @@ class TraceGraph:
     ) -> "TraceGraph":
         """Build from a trace file through the bulk columnar path: v3
         files decode column-wise and irrelevant kinds are masked out
-        before any record object exists; v1/v2 bridge transparently."""
+        before any record object exists; v1/v2 lines are parsed into
+        blocks on the way."""
         return cls.from_columns(reader.read_columns(), reader.nprocs, arc_limit)
 
     # ------------------------------------------------------------------
@@ -369,7 +370,7 @@ class TraceGraph:
         ``trace`` may be an in-memory :class:`Trace`, a
         :class:`~repro.analysis.history.HistoryIndex` (both answer
         ``window``), or an (indexed) ``TraceFileReader`` -- with the
-        latter, only the byte ranges covering the arc's time window are
+        latter, only the blocks covering the arc's time window are
         read ("rescanning the appropriate portion of the trace file",
         §4.3).
         """

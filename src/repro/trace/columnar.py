@@ -23,6 +23,10 @@ of one block, usable three ways --
 * as *bytes* via :func:`encode_columns` / :func:`decode_block`, the
   on-disk form (header struct + columns + payload).
 
+:func:`gather_window` is the one window kernel: every windowed read (a
+file, a shard manifest, the paged index) hands it the blocks that may
+overlap the window and gets back one block of the overlapping rows.
+
 Block layout::
 
     +--------------------------------------------------+
@@ -274,39 +278,6 @@ class ColumnBlock:
             mask &= np.isin(cols["proc"], np.fromiter(procs, dtype=np.int64, count=len(procs)))
         return mask
 
-    @classmethod
-    def concat(cls, blocks: "Iterable[ColumnBlock]") -> "ColumnBlock":
-        """One block holding every row of ``blocks``, in order.  Side-
-        table id columns are rebased onto the merged tables."""
-        blocks = [b for b in blocks if len(b) > 0]
-        if not blocks:
-            return cls.empty()
-        if len(blocks) == 1:
-            return blocks[0]
-        locations: list[SourceLocation] = []
-        peer_locations: list[SourceLocation] = []
-        extras: list[dict] = []
-        parts: dict[str, list[np.ndarray]] = {name: [] for name, _ in COLUMN_SPEC}
-        for b in blocks:
-            for name, _ in COLUMN_SPEC:
-                if name == "loc":
-                    parts[name].append(b.columns[name] + len(locations))
-                elif name == "ploc":
-                    col = b.columns[name].copy()
-                    col[col >= 0] += len(peer_locations)
-                    parts[name].append(col)
-                elif name == "extra":
-                    col = b.columns[name].copy()
-                    col[col >= 0] += len(extras)
-                    parts[name].append(col)
-                else:
-                    parts[name].append(b.columns[name])
-            locations.extend(b.locations)
-            peer_locations.extend(b.peer_locations)
-            extras.extend(b.extras)
-        columns = {name: np.concatenate(parts[name]) for name, _ in COLUMN_SPEC}
-        return cls(columns, locations, peer_locations, extras, blocks[0].kind_table)
-
     # ------------------------------------------------------------------
     # block summaries (index building, CLI info)
     # ------------------------------------------------------------------
@@ -327,6 +298,104 @@ class ColumnBlock:
     @property
     def procs(self) -> frozenset[int]:
         return frozenset(np.unique(self.columns["proc"]).tolist())
+
+
+#: side-table id columns and the tables they index
+_SIDE_TABLES = (("loc", "locations"), ("ploc", "peer_locations"), ("extra", "extras"))
+
+
+def gather_window(
+    blocks: Iterable[ColumnBlock],
+    t_lo: Optional[float] = None,
+    t_hi: Optional[float] = None,
+    procs: Optional[set[int]] = None,
+) -> ColumnBlock:
+    """The rows of ``blocks`` overlapping ``[t_lo, t_hi]`` (and ``procs``)
+    as one block in record ``index`` order: the kernel behind every
+    windowed read of a file, a shard manifest or the paged index.
+
+    With no bounds and no proc filter every row is kept.  Each block is
+    masked once (:meth:`ColumnBlock.window_mask`).  Each column then
+    concatenates, per kept block, the row range spanning its kept rows
+    (a time window's rows are nearly contiguous, so this copies little
+    even from large blocks) and gathers the kept rows in one take; the
+    location, peer-location and ``extra`` ids are rebased onto the
+    merged side tables with one ``np.where`` per column.  Rows are
+    reordered (a stable argsort of the ``index`` column) only when the
+    blocks interleave, as the blocks of several shards do.  A single
+    block kept whole and in order is returned as is, its columns still
+    zero-copy views.
+    """
+    windowed = t_lo is not None or t_hi is not None or procs is not None
+    lo = -np.inf if t_lo is None else t_lo
+    hi = np.inf if t_hi is None else t_hi
+    kept: list[ColumnBlock] = []
+    #: per kept block, the row range spanning its kept rows
+    spans: list[slice] = []
+    #: per kept block, its kept rows' positions in the spans' concatenation
+    picks: list[np.ndarray] = []
+    whole = True  # every row of every span is kept
+    offset = 0
+    for block in blocks:
+        if windowed:
+            mask = block.window_mask(lo, hi, procs)
+            pos = np.flatnonzero(mask)
+            if not pos.size:
+                continue
+            start, stop = int(pos[0]), int(pos[-1]) + 1
+            whole = whole and pos.size == stop - start
+            picks.append(pos + (offset - start))
+        elif len(block):
+            start, stop = 0, len(block)
+        else:
+            continue
+        kept.append(block)
+        spans.append(slice(start, stop))
+        offset += stop - start
+    if not kept:
+        return ColumnBlock.empty()
+
+    def column(name: str) -> np.ndarray:
+        if len(kept) == 1:
+            return kept[0].columns[name][spans[0]]
+        return np.concatenate([b.columns[name][s] for b, s in zip(kept, spans)])
+
+    rows = None if whole else np.concatenate(picks)
+    spanned_index = column("index")
+    index = spanned_index if rows is None else spanned_index[rows]
+    if index.size > 1 and bool((index[1:] < index[:-1]).any()):
+        order = np.argsort(index, kind="stable")
+        rows = order if rows is None else rows[order]
+    first = kept[0]
+    if len(kept) == 1 and rows is None and len(index) == len(first):
+        return first
+    columns = {}
+    for name, _ in COLUMN_SPEC:
+        col = spanned_index if name == "index" else column(name)
+        columns[name] = col if rows is None else col[rows]
+    if len(kept) == 1:
+        return ColumnBlock(
+            columns, first.locations, first.peer_locations, first.extras,
+            first.kind_table,
+        )
+    owner = np.repeat(
+        np.arange(len(kept), dtype=np.int32), [s.stop - s.start for s in spans]
+    )
+    if rows is not None:
+        owner = owner[rows]
+    for name, table in _SIDE_TABLES:
+        sizes = [len(getattr(b, table)) for b in kept[:-1]]
+        if any(sizes):
+            base = np.cumsum([0] + sizes, dtype=np.int32)[owner]
+            col = columns[name]
+            columns[name] = np.where(col >= 0, col + base, col)
+    return ColumnBlock(
+        columns,
+        [x for b in kept for x in b.locations],
+        [x for b in kept for x in b.peer_locations],
+        [x for b in kept for x in b.extras],
+        first.kind_table,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -449,18 +518,6 @@ def decode_block(
     return block, offset + total
 
 
-def records_to_columns(records: Iterable[TraceRecord]) -> ColumnBlock:
-    """Alias of :meth:`ColumnBlock.from_records` for callers holding an
-    arbitrary iterable."""
-    records = records if isinstance(records, Sequence) else list(records)
-    return ColumnBlock.from_records(records)
-
-
-def columns_to_records(block: ColumnBlock) -> list[TraceRecord]:
-    """Alias of :meth:`ColumnBlock.to_records`."""
-    return block.to_records()
-
-
 __all__: list[str] = [
     "BLOCK_HEADER",
     "BLOCK_MAGIC",
@@ -469,11 +526,10 @@ __all__: list[str] = [
     "ColumnDecodeError",
     "DEFAULT_KIND_TABLE",
     "KIND_CODES",
-    "columns_to_records",
     "decode_block",
     "encode_columns",
+    "gather_window",
     "kind_code_lut",
     "kind_table_from_values",
     "peek_block",
-    "records_to_columns",
 ]

@@ -25,15 +25,18 @@ Routing: ``by="proc"`` writes one shard per process rank (the paper's
 per-process trace shape); ``by="hash"`` buckets ranks into a fixed
 number of shards (``rank % nshards``) for very wide runs.  Either way
 a record's global ``index`` (assigned at recording time) rides along,
-and the reader *merges the shard streams by that index*, so a sharded
+and the reader *orders the shards' rows by that index*, so a sharded
 read is record-for-record identical to the single-file read.
 
 :class:`TraceFileReader` consumes manifests transparently: pass the
 manifest path and ``read_all`` / ``read_columns`` / ``seek_window``
-read each selected shard in turn and merge the results by record
-index.  Shard files are opened lazily -- a degenerate window, an empty
-shard, or a proc filter that excludes a shard short-circuits without
-opening that file (``reader.shards_opened`` observes this).
+feed the blocks of every shard that may overlap the window to the one
+window kernel (:func:`~repro.trace.columnar.gather_window`), which
+sorts the kept rows by record index; ``iter_records`` merges the
+shards' record streams by index.  Shard files are opened lazily -- a
+degenerate window, an empty shard, or a proc filter that excludes a
+shard short-circuits without opening that file
+(``reader.shards_opened`` observes this).
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import heapq
 import json
 import threading
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, Union
@@ -375,9 +379,9 @@ class ShardSet:
 
     Owned by a manifest-mode :class:`~repro.trace.tracefile.
     TraceFileReader`, which delegates every record access here.  Shard
-    readers are opened lazily and memoized; all merges are ordered by
-    the global record ``index``, making every result record-for-record
-    identical to the equivalent single-file read.
+    readers are opened lazily and memoized; every result is ordered by
+    the global record ``index``, making it record-for-record identical
+    to the equivalent single-file read.
     """
 
     def __init__(self, path: Path, header: dict) -> None:
@@ -454,68 +458,43 @@ class ShardSet:
             if s.overlaps(t_lo, t_hi, procs)
         ]
 
+    def _start_read(self, op: str) -> None:
+        """Check the shard list and zero every open shard's per-read
+        damage count, so :attr:`last_skipped_lines` sums this read's
+        damage alone, not that of shards an earlier read touched."""
+        self._require_shards(op)
+        for reader in self._readers.values():
+            reader.last_skipped_lines = 0
+
     # ------------------------------------------------------------------
     def iter_records(
         self,
         where: Optional[Callable[[TraceRecord], bool]],
         tolerant: bool,
     ) -> Iterator[TraceRecord]:
-        self._require_shards("iterate records")
+        self._start_read("iterate records")
         streams = [
             self._reader(k).iter_records(where, tolerant)
             for k in self._populated()
         ]
         return heapq.merge(*streams, key=attrgetter("index"))
 
-    def read_all(self, tolerant: bool) -> list[TraceRecord]:
-        self._require_shards("read records")
-        parts = [
-            self._reader(k).read_all(tolerant=tolerant)
-            for k in self._populated()
-        ]
-        return list(heapq.merge(*parts, key=attrgetter("index")))
-
-    def seek_window(
+    def window_blocks(
         self,
         t_lo: float,
         t_hi: float,
         procs: Optional[set[int]],
-    ) -> list[TraceRecord]:
-        self._require_shards("seek a window")
-        parts = [
-            self._reader(k).seek_window(t_lo, t_hi, procs)
-            for k in self._select(t_lo, t_hi, procs)
-        ]
-        return list(heapq.merge(*parts, key=attrgetter("index")))
-
-    def read_columns(
-        self,
-        t_lo: float,
-        t_hi: float,
-        procs: Optional[set[int]],
-        windowed: bool,
         tolerant: bool,
-    ) -> ColumnBlock:
-        self._require_shards("read columns")
-        if windowed:
-            shard_ids = self._select(t_lo, t_hi, procs)
-        else:
-            shard_ids = self._populated()
-        if not shard_ids:
-            return ColumnBlock.empty()
-        lo = None if not windowed else t_lo
-        hi = None if not windowed else t_hi
-        parts = [
-            self._reader(k).read_columns(
-                t_lo=lo, t_hi=hi, procs=procs, tolerant=tolerant
-            )
-            for k in shard_ids
-        ]
-        merged = ColumnBlock.concat(parts)
-        index_col = merged.columns["index"]
-        if index_col.size and np.any(index_col[1:] < index_col[:-1]):
-            merged = merged.filter(np.argsort(index_col, kind="stable"))
-        return merged
+        use_index: bool,
+    ) -> Iterator[ColumnBlock]:
+        """The blocks a window read masks, from every shard the manifest
+        says may overlap it (shard by shard; the window kernel orders
+        the rows by record index)."""
+        self._start_read("read a window")
+        return chain.from_iterable(
+            self._reader(k)._blocks(t_lo, t_hi, procs, tolerant, use_index)
+            for k in self._select(t_lo, t_hi, procs)
+        )
 
     # ------------------------------------------------------------------
     def block_entries(self) -> list:

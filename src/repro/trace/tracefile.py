@@ -33,20 +33,24 @@ footer but stores the records themselves as binary *columnar* blocks
 decoded as zero-copy numpy views of an ``mmap``, plus one interned JSON
 side table per block for variable-length payloads.  The footer's block
 entries grow a seventh element recording the segment encoding
-(``"columnar"``); v2 footers are unchanged byte-for-byte.  On top of
-the columnar decode the reader offers :meth:`TraceFileReader.read_columns`
-(bulk column ingest for ``HistoryIndex``/graph/viz consumers).  Every
-indexed read -- :meth:`~TraceFileReader.read_all`,
-:meth:`~TraceFileReader.read_columns`,
-:meth:`~TraceFileReader.seek_window` -- decodes the footer-selected
-blocks serially, in file order.
+(``"columnar"``); v2 footers are unchanged byte-for-byte.
 
-Compatibility: v1 files, v2 files, and *footerless* files of either
-(writer crashed before close) keep working through the linear path; v3
-files are self-delimiting, so a footerless v3 file is walked block by
-block.  ``python -m repro.trace.tracefile`` offers ``info``,
-``convert`` (v1/v2 <-> v3) and ``reindex`` (rebuild a missing footer
-in place, recovering crashed-writer files from the slow path).
+Every window read -- :meth:`TraceFileReader.read_columns`,
+:meth:`~TraceFileReader.seek_window`, the paged index, the window
+diagrams -- takes one path on every format version: a block source
+yields the blocks that may overlap the window, and
+:func:`~repro.trace.columnar.gather_window` masks them and gathers the
+kept rows in record order.  The source is the footer-selected blocks of
+an indexed file (a v2 ``"jsonl"`` entry is a byte range of record
+lines, parsed into one block), or a linear walk of every block when the
+file has no footer (v1, or a writer that crashed before close; v1/v2
+lines are parsed in chunks), or each overlapping shard of a manifest.
+Damage a linear walk meets (a torn final line or block) is skipped by
+a tolerant read and counted in ``last_skipped_lines``.
+
+``python -m repro.trace.tracefile`` offers ``info``, ``convert``
+(v1/v2 <-> v3) and ``reindex`` (rebuild a missing footer in place,
+recovering crashed-writer files from the slow path).
 """
 
 from __future__ import annotations
@@ -58,14 +62,16 @@ import mmap
 import os
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .columnar import (
     ColumnBlock,
     ColumnDecodeError,
     decode_block,
     encode_columns,
+    gather_window,
     kind_table_from_values,
 )
 from .compression import (
@@ -92,8 +98,8 @@ FORMAT_VERSION = 3
 SUPPORTED_VERSIONS = frozenset({1, 2, 3})
 #: key marking the index footer line (v2 and v3)
 INDEX_KEY = "__trace_index__"
-#: records per index block (granularity of seek_window byte ranges; in
-#: v3 also the records-per-columnar-block encoding granularity)
+#: records per index block (granularity of window reads: the footer
+#: selects whole blocks; in v3 also the records per columnar block)
 DEFAULT_INDEX_BLOCK = 512
 
 
@@ -643,11 +649,23 @@ class TraceFileReader:
             return self._shards.manifest.span
         if self.index is not None:
             return (self.index.t_min, self.index.t_max)
+        _, _, t_min, t_max = self._scan()
+        return (t_min, t_max)
+
+    def _scan(self) -> tuple[int, int, float, float]:
+        """``(records, blocks, t_min, t_max)`` of one tolerant linear
+        walk: a footerless file's span and ``info`` report.  The span
+        is ``(0, 0)`` when no record survives."""
+        self.last_skipped_lines = 0
+        count = blocks = 0
         t_min, t_max = math.inf, -math.inf
-        for rec in self.iter_records(tolerant=True):
-            t_min = min(t_min, rec.t0, rec.t1)
-            t_max = max(t_max, rec.t0, rec.t1)
-        return (t_min, t_max) if t_min <= t_max else (0.0, 0.0)
+        for block in self._linear_blocks(tolerant=True):
+            blocks += 1
+            if len(block):
+                count += len(block)
+                t_min = min(t_min, block.t_min)
+                t_max = max(t_max, block.t_max)
+        return (count, blocks, t_min, t_max) if count else (0, blocks, 0.0, 0.0)
 
     # ------------------------------------------------------------------
     # v3 block access
@@ -709,9 +727,11 @@ class TraceFileReader:
             offset = nxt
 
     def _decode_index_blocks(
-        self, entries: Sequence[IndexBlock]
+        self, entries: Sequence[IndexBlock], tolerant: bool
     ) -> list[ColumnBlock]:
-        """Decode footer-selected blocks, in file order."""
+        """Decode footer-selected blocks, in file order.  A ``"jsonl"``
+        entry (v2) is a byte range of record lines, parsed into one
+        block; damaged lines in it are skipped when ``tolerant``."""
         if not entries:
             return []
         buf = self._map()
@@ -726,6 +746,17 @@ class TraceFileReader:
                     f"unknown encoding {entry.encoding!r}; this file was "
                     "written by a newer version of the format"
                 )
+            if entry.encoding == "jsonl":
+                lines = buf[entry.offset : entry.offset + entry.nbytes]
+                records = (
+                    self._parse_line(line, tolerant)
+                    for line in lines.splitlines()
+                    if line.strip()
+                )
+                out.append(ColumnBlock.from_records(
+                    [rec for rec in records if rec is not None]
+                ))
+                continue
             try:
                 if entry.encoding in CODECS_BY_ENCODING or is_compressed_at(
                     buf, entry.offset
@@ -741,6 +772,34 @@ class TraceFileReader:
                 ) from exc
             out.append(block)
         return out
+
+    def _linear_blocks(self, tolerant: bool) -> Iterator[ColumnBlock]:
+        """Every block of a linear walk: the v3 columnar blocks, or
+        v1/v2 record lines parsed in chunks of ``DEFAULT_INDEX_BLOCK``."""
+        if self.version >= 3:
+            return (block for _, _, block in self._iter_v3_blocks(tolerant))
+        records = self.iter_records(tolerant=tolerant)
+        return map(
+            ColumnBlock.from_records,
+            iter(lambda: list(islice(records, DEFAULT_INDEX_BLOCK)), []),
+        )
+
+    def _blocks(
+        self,
+        t_lo: float,
+        t_hi: float,
+        procs: Optional[set[int]],
+        tolerant: bool,
+        use_index: bool,
+    ) -> Iterable[ColumnBlock]:
+        """The blocks a window read masks: those the footer selects, or
+        every block of the linear walk (no footer, or ``use_index``
+        off)."""
+        if self.index is None or not use_index:
+            return self._linear_blocks(tolerant)
+        return self._decode_index_blocks(
+            self.index.select(t_lo, t_hi, procs), tolerant
+        )
 
     # ------------------------------------------------------------------
     # block-granular access (the out-of-core paging substrate)
@@ -763,11 +822,6 @@ class TraceFileReader:
                 "footer; run `python -m repro.trace.tracefile reindex` "
                 "to rebuild it"
             )
-        if self.version < 3:
-            raise TraceFileError(
-                f"{self.path}: block-granular paging requires format v3; "
-                "convert the file first"
-            )
         return [BlockRef(None, entry) for entry in self.index.blocks]
 
     def load_block(self, ref: "BlockRef") -> ColumnBlock:
@@ -777,12 +831,14 @@ class TraceFileReader:
             block = self._shards.load_block(ref)
             self._sync_shard_counters()
             return block
-        return self._decode_index_blocks([ref.entry])[0]
+        return self._decode_index_blocks([ref.entry], tolerant=True)[0]
 
     # ------------------------------------------------------------------
     # linear streaming
     # ------------------------------------------------------------------
-    def _parse_line(self, line: str, tolerant: bool) -> Optional[TraceRecord]:
+    def _parse_line(
+        self, line: Union[str, bytes], tolerant: bool
+    ) -> Optional[TraceRecord]:
         """One line -> record; None for footers and tolerated damage."""
         try:
             data = json.loads(line)
@@ -844,29 +900,11 @@ class TraceFileReader:
                     yield rec
 
     def read_all(self, tolerant: bool = False) -> list[TraceRecord]:
-        """Every record in the file, as a list.
-
-        On an indexed v3 file the footer's blocks are decoded in file
-        order; footerless v3 files and v1/v2 files use the linear path.
-        On a shard manifest every shard is read and the streams are
-        merged in global record order (record-for-record identical to
-        the single-file layout).
-        """
-        if self._shards is not None:
-            out = self._shards.read_all(tolerant)
-            self._sync_shard_counters()
-            return out
-        if self.version < 3:
-            return list(self.iter_records(tolerant=tolerant))
-        self.last_skipped_lines = 0
-        out: list[TraceRecord] = []
-        if self.index is not None:
-            for block in self._decode_index_blocks(self.index.blocks):
-                out.extend(block.to_records())
-            return out
-        for _, _, block in self._iter_v3_blocks(tolerant):
-            out.extend(block.to_records())
-        return out
+        """Every record in the file, as a list in record order: the
+        whole-file :meth:`read_columns`, materialized (strict unless
+        ``tolerant``).  A shard manifest reads every shard, so the result
+        is record-for-record identical to the single-file layout."""
+        return self._window(None, None, None, tolerant, True).to_records()
 
     def read(self, tolerant: bool = False) -> Trace:
         """Load the whole file into a :class:`Trace`."""
@@ -880,7 +918,7 @@ class TraceFileReader:
         return trace, self.last_skipped_lines
 
     # ------------------------------------------------------------------
-    # columnar bulk access (v3 fast path; v1/v2 bridged)
+    # window access (§4.3 rescan, without the full scan)
     # ------------------------------------------------------------------
     def read_columns(
         self,
@@ -889,54 +927,23 @@ class TraceFileReader:
         procs: Optional[set[int]] = None,
         tolerant: bool = True,
     ) -> ColumnBlock:
-        """Load the file (or one window of it) as a single
-        :class:`~repro.trace.columnar.ColumnBlock`.
+        """The file, or one window of it, as a single
+        :class:`~repro.trace.columnar.ColumnBlock` in record order.
 
         This is the bulk-ingest entry point: ``HistoryIndex.extend_columns``,
         ``TraceGraph.from_columns`` and the viz builders consume the
-        returned columns without per-record parsing.  On a v3 file the
-        columns are concatenated zero-copy decodes of the selected
-        blocks; v1/v2 files are bridged through
-        the record path so every consumer sees one API.
+        returned columns without per-record parsing.  Every layout takes
+        one path: the footer selects the blocks that may overlap the
+        window (every block of a footerless file, walked linearly; v1/v2
+        record lines are parsed into blocks), and
+        :func:`~repro.trace.columnar.gather_window` masks them and
+        gathers the kept rows.  With ``tolerant`` damage a linear walk
+        meets (a torn final line or block) is skipped and counted in
+        :attr:`last_skipped_lines`; damage inside a footer-indexed v3
+        block always raises.
         """
-        windowed = t_lo is not None or t_hi is not None or procs is not None
-        lo = -math.inf if t_lo is None else t_lo
-        hi = math.inf if t_hi is None else t_hi
-        if lo > hi or (procs is not None and not procs):
-            return ColumnBlock.empty()
-        if self._shards is not None:
-            block = self._shards.read_columns(
-                lo, hi, procs, windowed, tolerant
-            )
-            self._sync_shard_counters()
-            return block
-        if self.version < 3:
-            if windowed:
-                records = self.seek_window(lo, hi, procs)
-            else:
-                records = list(self.iter_records(tolerant=tolerant))
-            return ColumnBlock.from_records(records)
-        self.last_skipped_lines = 0
-        if self.index is not None:
-            entries = (
-                self.index.select(lo, hi, procs)
-                if windowed
-                else list(self.index.blocks)
-            )
-            blocks = self._decode_index_blocks(entries)
-        else:
-            blocks = [b for _, _, b in self._iter_v3_blocks(tolerant)]
-        if windowed:
-            narrowed: list[ColumnBlock] = []
-            for block in blocks:
-                mask = block.window_mask(lo, hi, procs)
-                narrowed.append(block if mask.all() else block.filter(mask))
-            blocks = narrowed
-        return ColumnBlock.concat(blocks)
+        return self._window(t_lo, t_hi, procs, tolerant, use_index=True)
 
-    # ------------------------------------------------------------------
-    # indexed window access (§4.3 rescan, without the full scan)
-    # ------------------------------------------------------------------
     def seek_window(
         self,
         t_lo: float,
@@ -944,90 +951,47 @@ class TraceFileReader:
         procs: Optional[set[int]] = None,
         use_index: bool = True,
     ) -> list[TraceRecord]:
-        """Records overlapping [t_lo, t_hi] (optionally only some procs).
+        """Records overlapping [t_lo, t_hi] (optionally only some procs),
+        in record order: the window of :meth:`read_columns` (tolerant),
+        materialized.
 
         Window boundaries are inclusive on both sides: a record with
         ``t1 == t_lo`` or ``t0 == t_hi`` is in the window.  A degenerate
         window (``t_lo > t_hi``) or an empty ``procs`` set returns no
         records immediately, without touching the file.
 
-        On an indexed file only the byte ranges of blocks touching the
-        window are read; v1 / unindexed files fall back to a linear scan with
-        the same result.  ``use_index=False`` forces the linear path
-        (benchmarks use it to compare the two).
+        On an indexed file only the blocks touching the window are read;
+        ``use_index=False`` walks every block linearly instead, the
+        reference path the benchmarks compare against.
 
         The paper (Section 4.3): "If the user wants to zoom in on a
         particular event, the required arcs are reconstructed by
         rescanning the appropriate portion of the trace file."
         """
-        if t_lo > t_hi or (procs is not None and not procs):
-            return []
+        return self._window(t_lo, t_hi, procs, True, use_index).to_records()
 
-        if self._shards is not None:
-            out = self._shards.seek_window(t_lo, t_hi, procs)
-            self._sync_shard_counters()
-            return out
-
-        if self.version >= 3:
-            return self._seek_window_v3(t_lo, t_hi, procs, use_index)
-
-        def wanted(r: TraceRecord) -> bool:
-            return (
-                r.t1 >= t_lo
-                and r.t0 <= t_hi
-                and (procs is None or r.proc in procs)
-            )
-
-        if self.index is None or not use_index:
-            return list(self.iter_records(wanted))
-
-        self.last_skipped_lines = 0
-        out: list[TraceRecord] = []
-        with self.path.open("rb") as fh:
-            for block in self.index.select(t_lo, t_hi, procs):
-                fh.seek(block.offset)
-                chunk = fh.read(block.nbytes)
-                self.bytes_read += len(chunk)
-                for raw in chunk.splitlines():
-                    line = raw.decode().strip()
-                    if not line:
-                        continue
-                    rec = self._parse_line(line, tolerant=True)
-                    if rec is not None and wanted(rec):
-                        out.append(rec)
-        return out
-
-    def _seek_window_v3(
+    def _window(
         self,
-        t_lo: float,
-        t_hi: float,
+        t_lo: Optional[float],
+        t_hi: Optional[float],
         procs: Optional[set[int]],
+        tolerant: bool,
         use_index: bool,
-    ) -> list[TraceRecord]:
+    ) -> ColumnBlock:
+        """The one window read behind :meth:`read_columns`,
+        :meth:`seek_window` and :meth:`read_all`."""
         self.last_skipped_lines = 0
-        if self.index is not None and use_index:
-            blocks = self._decode_index_blocks(
-                self.index.select(t_lo, t_hi, procs)
-            )
-        else:
-            blocks = [b for _, _, b in self._iter_v3_blocks(tolerant=True)]
-        out: list[TraceRecord] = []
-        for block in blocks:
-            mask = block.window_mask(t_lo, t_hi, procs)
-            if mask.all():
-                out.extend(block.to_records())
-            elif mask.any():
-                out.extend(block.filter(mask).to_records())
-        return out
-
-    def rescan_window(
-        self,
-        t_lo: float,
-        t_hi: float,
-        procs: Optional[set[int]] = None,
-    ) -> list[TraceRecord]:
-        """Alias of :meth:`seek_window` kept for the §4.3 vocabulary."""
-        return self.seek_window(t_lo, t_hi, procs)
+        lo = -math.inf if t_lo is None else t_lo
+        hi = math.inf if t_hi is None else t_hi
+        if lo > hi or (procs is not None and not procs):
+            return ColumnBlock.empty()
+        if self._shards is None:
+            blocks = self._blocks(lo, hi, procs, tolerant, use_index)
+            return gather_window(blocks, t_lo, t_hi, procs)
+        blocks = self._shards.window_blocks(lo, hi, procs, tolerant, use_index)
+        block = gather_window(blocks, t_lo, t_hi, procs)
+        self._sync_shard_counters()
+        return block
 
 
 def save_trace(
@@ -1156,26 +1120,10 @@ def _info_payload(reader: TraceFileReader) -> dict:
         )
         return payload
     # footerless: one tolerant linear scan, mirroring the text report
-    if reader.version >= 3:
-        count = 0
-        t_min, t_max = math.inf, -math.inf
-        blocks = 0
-        for _, _, block in reader._iter_v3_blocks(tolerant=True):
-            blocks += 1
-            count += len(block)
-            if len(block):
-                t_min = min(t_min, block.t_min)
-                t_max = max(t_max, block.t_max)
-        payload.update(
-            records=count,
-            span=[t_min, t_max] if count else [0.0, 0.0],
-            index=None,
-            scanned_blocks=blocks,
-        )
-    else:
-        count = sum(1 for _ in reader.iter_records(tolerant=True))
-        t_min, t_max = reader.span()
-        payload.update(records=count, span=[t_min, t_max], index=None)
+    count, blocks, t_min, t_max = reader._scan()
+    payload.update(
+        records=count, span=[t_min, t_max], index=None, scanned_blocks=blocks
+    )
     if reader.skipped_lines:
         payload["damage"] = reader.skipped_lines
     return payload
@@ -1239,24 +1187,10 @@ def _cmd_info(args: argparse.Namespace) -> int:
             _print_encoding_stats(idx.blocks)
         return 0
     # footerless: one linear scan
-    if reader.version >= 3:
-        count = 0
-        blocks = 0
-        t_min, t_max = math.inf, -math.inf
-        for _, _, block in reader._iter_v3_blocks(tolerant=True):
-            blocks += 1
-            count += len(block)
-            if len(block):
-                t_min = min(t_min, block.t_min)
-                t_max = max(t_max, block.t_max)
-        span = f"{t_min:.6g} .. {t_max:.6g}" if count else "(empty)"
-        print(f"records : {count} in {blocks} block(s) (linear scan)")
-        print(f"span    : {span}")
-    else:
-        count = sum(1 for _ in reader.iter_records(tolerant=True))
-        t_min, t_max = reader.span()
-        print(f"records : {count} (linear scan)")
-        print(f"span    : {t_min:.6g} .. {t_max:.6g}")
+    count, blocks, t_min, t_max = reader._scan()
+    span = f"{t_min:.6g} .. {t_max:.6g}" if count else "(empty)"
+    print(f"records : {count} in {blocks} block(s) (linear scan)")
+    print(f"span    : {span}")
     print("index   : none (writer not closed cleanly; run `reindex` to repair)")
     if reader.skipped_lines:
         print(f"damage  : {reader.skipped_lines} skipped region(s)/line(s)")

@@ -11,9 +11,10 @@ runs in two modes:
 
 * over an in-memory :class:`TimeSpaceDiagram` (the original form);
 * over a trace *file*, via :meth:`AnimatedView.from_file` -- literally
-  "a window into the trace file": each frame fetches only the window's
-  records through ``TraceFileReader.seek_window``, so scrolling a huge
-  indexed (v2) trace never materializes the whole history.
+  "a window into the trace file": each frame is
+  :func:`~repro.viz.timespace.build_window_diagram` of its window, which
+  reads only the blocks an indexed file's footer selects, so scrolling a
+  huge trace never materializes the whole history.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from .layout import Viewport
-from .timespace import TimeSpaceDiagram, build_diagram, render_ascii
+from .timespace import TimeSpaceDiagram, build_window_diagram, render_ascii
 
 
 class AnimatedView:
@@ -60,7 +61,7 @@ class AnimatedView:
         columns: int = 80,
     ) -> "AnimatedView":
         """A view streaming straight from a ``TraceFileReader`` --
-        frames load only their window's byte ranges on indexed files."""
+        frames load only their window's blocks on indexed files."""
         return cls(window=window, columns=columns, reader=reader)
 
     # ------------------------------------------------------------------
@@ -74,10 +75,9 @@ class AnimatedView:
     def _window_diagram(self) -> TimeSpaceDiagram:
         if self.reader is None:
             return self.diagram
-        records = self.reader.seek_window(
-            self._start, self._start + self.window
+        return build_window_diagram(
+            self.reader, self._start, self._start + self.window
         )
-        return build_diagram(records, nprocs=self.reader.nprocs)
 
     def frame(self) -> str:
         """Render the current window."""

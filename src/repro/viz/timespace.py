@@ -208,9 +208,8 @@ def build_file_diagram(
 ) -> TimeSpaceDiagram:
     """Display model for a trace *file* through the bulk columnar path.
 
-    ``reader`` is a ``TraceFileReader``; a v3 file is decoded
-    column-wise (optionally windowed -- only overlapping blocks are
-    read), v1/v2 files bridge through the record path transparently.
+    ``reader`` is a ``TraceFileReader``; the file, or the window
+    ``[t_lo, t_hi]`` of it, is read column-wise (``read_columns``).
     """
     block = reader.read_columns(t_lo=t_lo, t_hi=t_hi, procs=procs)
     return build_columns_diagram(block, reader.nprocs, kinds=kinds)
@@ -223,18 +222,14 @@ def build_window_diagram(
     procs: Optional[set[int]] = None,
     kinds: Optional[Sequence[EventKind]] = None,
 ) -> TimeSpaceDiagram:
-    """Display model for one window of a trace *file*, loading only the
-    relevant byte ranges of an indexed file -- the NTV zoom without the
-    full-file reload.  On a v3 file the window arrives as decoded
-    columns (``read_columns``); v1/v2 go through ``seek_window``, and
-    v1 files work through the linear fallback.
+    """Display model for one window of a trace *file* (the NTV zoom
+    without the full-file reload): the window arrives as columns from
+    ``reader.read_columns``, which reads only the blocks an indexed
+    file's footer selects, on every format version.
     """
-    if getattr(reader, "version", 0) >= 3:
-        return build_file_diagram(
-            reader, kinds=kinds, t_lo=t_lo, t_hi=t_hi, procs=procs
-        )
-    records = reader.seek_window(t_lo, t_hi, procs=procs)
-    return build_diagram(records, kinds=kinds, nprocs=reader.nprocs)
+    return build_file_diagram(
+        reader, kinds=kinds, t_lo=t_lo, t_hi=t_hi, procs=procs
+    )
 
 
 # ----------------------------------------------------------------------

@@ -237,8 +237,7 @@ class TestFooterSpans:
             assert reader.manifest.span == (-2.2, 0.73)
         history = HistoryIndex.from_file(reader)
         assert history.span == (-2.2, 0.73)
-        if layout != "v2":  # paging needs v3 blocks
-            paged = OutOfCoreIndex(reader)
-            assert paged.span == (-2.2, 0.73)
-            assert [r.index for r in paged.window(*paged.span)] == [0, 1]
+        paged = OutOfCoreIndex(reader)
+        assert paged.span == (-2.2, 0.73)
+        assert [r.index for r in paged.window(*paged.span)] == [0, 1]
         assert [r.index for r in reader.seek_window(*reader.span())] == [0, 1]

@@ -212,14 +212,14 @@ class TestTraceFiles:
         with pytest.raises(TraceFileError, match="bad header"):
             TraceFileReader(p)
 
-    def test_rescan_window(self, tmp_path):
+    def test_seek_window(self, tmp_path):
         tr = make_sample_trace()
         path = tmp_path / "trace.jsonl"
         save_trace(tr, path)
         reader = TraceFileReader(path)
-        got = reader.rescan_window(5.5, 10.0)
+        got = reader.seek_window(5.5, 10.0)
         assert {r.index for r in got} == {1, 2, 4}
-        only_p0 = reader.rescan_window(5.5, 10.0, procs={0})
+        only_p0 = reader.seek_window(5.5, 10.0, procs={0})
         assert {r.index for r in only_p0} == {1, 4}
 
     def test_iter_records_filtered(self, tmp_path):
