@@ -32,9 +32,9 @@ their state is trace-index arrays:
   ``np.maximum`` per join into an int64 table of segment bases; the
   segments between joins are filled by one gather (O(messages*p) array
   work instead of O(n*p) Python iterations);
-* message matching -- one ``np.lexsort`` grouping over the
-  (src, dst, tag, seq) key columns; pairs, the send of each receive,
-  open sends and unmatched receives are int64 arrays;
+* message matching -- :func:`match_messages`, one ``np.lexsort``
+  grouping over the (src, dst, tag, seq) key columns; pairs, the send
+  of each receive, open sends and unmatched receives are int64 arrays;
 * :meth:`window` -- a sorted-t0 interval index answered with
   ``searchsorted`` instead of a full list scan;
 * :meth:`row_table` -- trace indexes grouped by process in program
@@ -934,99 +934,23 @@ class HistoryIndex:
         self._stats.matching_seconds += time.perf_counter() - start
 
     def _match_suffix(self, lo: int, n: int) -> None:
-        """Vectorized kernel: lexsort-group the (src, dst, tag, seq) key
-        columns, pair each group's send with its receive.
-
-        Sends still open from earlier catch-ups join the sort as
-        carried-in events (their trace indexes precede the suffix), so
-        incremental state is exact.  Groups with at most one send and
-        one receive -- every key under MPI non-overtaking -- are paired
-        by pure array ops; pathological duplicate-key groups fall back
-        to a per-group slot walk (the last open send with the key takes
-        the next receive).  Each group leaves at most one open send.
-        """
+        """:func:`match_messages` over the suffix.  Sends still open from
+        earlier catch-ups join it (their trace indexes precede the
+        suffix), so incremental state is exact."""
         cols = self._cols
         kind = cols["kind"][lo:n]
         sends = np.concatenate(
             [self._open_sends, np.flatnonzero(np.isin(kind, SEND_CODES)) + lo]
         )
         recvs = np.flatnonzero(kind == _RECV_CODE) + lo
-        m_s = sends.size
-        evt = np.concatenate([sends, recvs])
-        if evt.size == 0:
-            return
-        src = cols["src"][evt]
-        dst = cols["dst"][evt]
-        tag = cols["tag"][evt]
-        seq = cols["seq"][evt]
-        order = np.lexsort((evt, seq, tag, dst, src))
-        sc, dc, tc, qc = src[order], dst[order], tag[order], seq[order]
-        boundary = np.empty(evt.size, dtype=bool)
-        boundary[0] = True
-        boundary[1:] = (
-            (sc[1:] != sc[:-1])
-            | (dc[1:] != dc[:-1])
-            | (tc[1:] != tc[:-1])
-            | (qc[1:] != qc[:-1])
+        pair_s, pair_r, unmatched, opened = match_messages(
+            sends, recvs, cols["src"], cols["dst"], cols["tag"], cols["seq"]
         )
-        ngroups = int(boundary.sum())
-        gid = np.empty(evt.size, dtype=np.int64)
-        gid[order] = np.cumsum(boundary) - 1
-        send_gid, recv_gid = gid[:m_s], gid[m_s:]
-        s_cnt = np.bincount(send_gid, minlength=ngroups)
-        r_cnt = np.bincount(recv_gid, minlength=ngroups)
-        simple = (s_cnt <= 1) & (r_cnt <= 1)
-        s_of = np.full(ngroups, -1, dtype=np.int64)
-        s_of[send_gid] = sends
-        r_of = np.full(ngroups, -1, dtype=np.int64)
-        r_of[recv_gid] = recvs
-        paired = simple & (s_of >= 0) & (r_of >= 0) & (s_of < r_of)
-        pair_s, pair_r = s_of[paired], r_of[paired]
-        unmatched = r_of[simple & (r_of >= 0) & ~paired]
-        opened = s_of[simple & (s_of >= 0) & ~paired]
-        # duplicate-key groups: slot semantics, per group ---------------
-        cplx = np.nonzero(~simple)[0]
-        if cplx.size:
-            more_pairs: list[tuple[int, int]] = []
-            more_unmatched: list[int] = []
-            more_open: list[int] = []
-            corder = np.lexsort((evt, gid))
-            g_sorted = gid[corder]
-            starts = np.searchsorted(g_sorted, cplx, side="left")
-            ends = np.searchsorted(g_sorted, cplx, side="right")
-            evt_l = evt.tolist()
-            for a, b in zip(starts.tolist(), ends.tolist()):
-                slot = -1
-                for j in corder[a:b].tolist():
-                    e = evt_l[j]
-                    if j >= m_s:  # a receive
-                        if slot >= 0:
-                            more_pairs.append((slot, e))
-                            slot = -1
-                        else:
-                            more_unmatched.append(e)
-                    else:
-                        slot = e
-                if slot >= 0:
-                    more_open.append(slot)
-            if more_pairs:
-                extra = np.asarray(more_pairs, dtype=np.int64)
-                pair_s = np.concatenate([pair_s, extra[:, 0]])
-                pair_r = np.concatenate([pair_r, extra[:, 1]])
-            unmatched = np.concatenate(
-                [unmatched, np.asarray(more_unmatched, dtype=np.int64)]
-            )
-            opened = np.concatenate([opened, np.asarray(more_open, dtype=np.int64)])
-        # fold results into the incremental state ----------------------
-        by_recv = np.argsort(pair_r)
-        pair_s, pair_r = pair_s[by_recv], pair_r[by_recv]
         self._pair_send = np.concatenate([self._pair_send, pair_s])
         self._pair_recv = np.concatenate([self._pair_recv, pair_r])
         self._send_of[pair_r] = pair_s
-        self._open_sends = np.sort(opened)
-        self._unmatched_recvs = np.concatenate(
-            [self._unmatched_recvs, np.sort(unmatched)]
-        )
+        self._open_sends = opened
+        self._unmatched_recvs = np.concatenate([self._unmatched_recvs, unmatched])
 
     def message_pairs(self) -> IndexPairs:
         """All matched (send, recv) pairs, in receive order; each
@@ -1253,6 +1177,86 @@ class HistoryIndex:
     def stats(self) -> IndexStats:
         """A point-in-time copy of the build/extend counters."""
         return self._stats.snapshot()
+
+
+def match_messages(
+    sends: np.ndarray, recvs: np.ndarray,
+    src: np.ndarray, dst: np.ndarray, tag: np.ndarray, seq: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pair sends with receives by their (src, dst, tag, seq) key.
+
+    ``sends`` and ``recvs`` are ascending rows of the key columns, in
+    record order.  Returns ``(pair_send, pair_recv, unmatched_recvs,
+    open_sends)``: pairs in receive order, the rest ascending.
+    One ``np.lexsort`` groups the rows by key.  Groups with at most one
+    send and one receive -- every key under MPI non-overtaking -- are
+    paired by pure array ops (a send pairs only a later receive);
+    duplicate-key groups fall back to a per-group slot walk (the last
+    open send with the key takes the next receive).  Each group leaves
+    at most one open send.
+    """
+    m_s = sends.size
+    evt = np.concatenate([sends, recvs])
+    src, dst, tag, seq = src[evt], dst[evt], tag[evt], seq[evt]
+    order = np.lexsort((evt, seq, tag, dst, src))
+    sc, dc, tc, qc = src[order], dst[order], tag[order], seq[order]
+    boundary = np.ones(evt.size, dtype=bool)
+    boundary[1:] = (
+        (sc[1:] != sc[:-1])
+        | (dc[1:] != dc[:-1])
+        | (tc[1:] != tc[:-1])
+        | (qc[1:] != qc[:-1])
+    )
+    ngroups = int(boundary.sum())
+    gid = np.empty(evt.size, dtype=np.int64)
+    gid[order] = np.cumsum(boundary) - 1
+    send_gid, recv_gid = gid[:m_s], gid[m_s:]
+    s_cnt = np.bincount(send_gid, minlength=ngroups)
+    r_cnt = np.bincount(recv_gid, minlength=ngroups)
+    simple = (s_cnt <= 1) & (r_cnt <= 1)
+    s_of = np.full(ngroups, -1, dtype=np.int64)
+    s_of[send_gid] = sends
+    r_of = np.full(ngroups, -1, dtype=np.int64)
+    r_of[recv_gid] = recvs
+    paired = simple & (s_of >= 0) & (r_of >= 0) & (s_of < r_of)
+    pair_s, pair_r = s_of[paired], r_of[paired]
+    unmatched = r_of[simple & (r_of >= 0) & ~paired]
+    opened = s_of[simple & (s_of >= 0) & ~paired]
+    # duplicate-key groups: slot semantics, per group -------------------
+    cplx = np.nonzero(~simple)[0]
+    if cplx.size:
+        more_pairs: list[tuple[int, int]] = []
+        more_unmatched: list[int] = []
+        more_open: list[int] = []
+        corder = np.lexsort((evt, gid))
+        g_sorted = gid[corder]
+        starts = np.searchsorted(g_sorted, cplx, side="left")
+        ends = np.searchsorted(g_sorted, cplx, side="right")
+        evt_l = evt.tolist()
+        for a, b in zip(starts.tolist(), ends.tolist()):
+            slot = -1
+            for j in corder[a:b].tolist():
+                e = evt_l[j]
+                if j >= m_s:  # a receive
+                    if slot >= 0:
+                        more_pairs.append((slot, e))
+                        slot = -1
+                    else:
+                        more_unmatched.append(e)
+                else:
+                    slot = e
+            if slot >= 0:
+                more_open.append(slot)
+        if more_pairs:
+            extra = np.asarray(more_pairs, dtype=np.int64)
+            pair_s = np.concatenate([pair_s, extra[:, 0]])
+            pair_r = np.concatenate([pair_r, extra[:, 1]])
+        unmatched = np.concatenate(
+            [unmatched, np.asarray(more_unmatched, dtype=np.int64)]
+        )
+        opened = np.concatenate([opened, np.asarray(more_open, dtype=np.int64)])
+    by_recv = np.argsort(pair_r)
+    return pair_s[by_recv], pair_r[by_recv], np.sort(unmatched), np.sort(opened)
 
 
 def _alive(ref: "Optional[weakref.ref]"):

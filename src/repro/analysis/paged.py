@@ -12,12 +12,13 @@ that rescan must not re-materialize everything; it needs exactly what
 * only the trace file's **per-block metadata** stays resident -- one
   :class:`~repro.trace.tracefile.BlockRef` (byte offsets, record count,
   t-span, proc set) per columnar block, a few hundred bytes each;
-* :meth:`window_columns` selects overlapping blocks from that
+* :meth:`read_columns` selects overlapping blocks from that
   metadata, pages the needed :class:`ColumnBlock`\\ s in through the
   reader (decompressing on the fly when the file is compressed), and
   answers with the reader's window kernel
   (:func:`~repro.trace.columnar.gather_window`); :meth:`seek_window`
-  and :meth:`window` are its rows as records;
+  and :meth:`window` are its rows as records, and the zoomed view
+  (``viz.build_window_diagram``) draws from it;
 * decoded blocks live in a **bounded LRU cache**, so a query session's
   resident memory is O(cache), not O(trace), and repeated queries over
   the same region (the zoom pattern: narrow, adjacent windows) hit the
@@ -26,9 +27,9 @@ that rescan must not re-materialize everything; it needs exactly what
 Works identically over an indexed v3 or v2 file and a shard manifest
 (blocks are then paged per shard; a v2 block is its byte range of
 record lines, parsed on load).  The facade is deliberately *not* a full
-``HistoryIndex``: global derivations (vector clocks, matching) need the
-whole history and would defeat the memory bound; build an in-memory
-index (``paged=False``) when you need those.
+``HistoryIndex``: global derivations (vector clocks, whole-trace
+matching) need the whole history and would defeat the memory bound;
+build an in-memory index (``paged=False``) when you need those.
 
 Blocks are read only on demand, when a query needs them: nothing is
 decoded speculatively and no thread is started.  One lock, held across
@@ -42,6 +43,7 @@ Construct directly, or via
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -276,23 +278,25 @@ class OutOfCoreIndex:
         removes it."""
 
     # ------------------------------------------------------------------
-    def window_columns(
+    def read_columns(
         self,
-        t_lo: float,
-        t_hi: float,
+        t_lo: Optional[float] = None,
+        t_hi: Optional[float] = None,
         procs: Optional[set[int]] = None,
     ) -> ColumnBlock:
-        """The window's records as one :class:`ColumnBlock`, in record
-        order: the overlapping blocks, served through the cache, go
-        through the reader's window kernel
-        (:func:`~repro.trace.columnar.gather_window`)."""
+        """The window ``[t_lo, t_hi]`` (the trace when None) as one
+        :class:`ColumnBlock` in record order, as from the reader's
+        ``read_columns``: the overlapping blocks, served through the
+        cache, go through :func:`~repro.trace.columnar.gather_window`."""
         with self._lock:
             self._stats.queries += 1
-        if t_lo > t_hi or (procs is not None and not procs):
+        lo = -math.inf if t_lo is None else t_lo
+        hi = math.inf if t_hi is None else t_hi
+        if lo > hi or (procs is not None and not procs):
             return ColumnBlock.empty()
         blocks = [
             self._load(self._refs[i])
-            for i in self._select_idx(t_lo, t_hi, procs).tolist()
+            for i in self._select_idx(lo, hi, procs).tolist()
         ]
         return gather_window(blocks, t_lo, t_hi, procs)
 
@@ -303,11 +307,11 @@ class OutOfCoreIndex:
         procs: Optional[set[int]] = None,
     ) -> list[TraceRecord]:
         """Records overlapping ``[t_lo, t_hi]`` (inclusive bounds,
-        optional proc filter), in record order: :meth:`window_columns`,
+        optional proc filter), in record order: :meth:`read_columns`,
         materialized.  Same result as ``TraceFileReader.seek_window``,
         but only overlapping blocks are resident, and a repeat of a
         nearby window reuses them."""
-        return self.window_columns(t_lo, t_hi, procs).to_records()
+        return self.read_columns(t_lo, t_hi, procs).to_records()
 
     def window(self, t_lo: float, t_hi: float) -> list[TraceRecord]:
         """``HistoryIndex.window``-compatible query (no proc filter)."""

@@ -544,6 +544,7 @@ class TraceFileReader:
         self.skipped_lines = 0
         self.last_skipped_lines = 0
         self.bytes_read = 0
+        self._mapping: Optional[tuple[tuple, Union[bytes, mmap.mmap]]] = None
         #: sharded fan-out state when ``path`` is a shard manifest
         self._shards = None
         if isinstance(header, dict) and header.get("format") == (
@@ -603,28 +604,14 @@ class TraceFileReader:
     # ------------------------------------------------------------------
     # index loading
     # ------------------------------------------------------------------
-    def _read_last_line(self) -> Optional[bytes]:
-        """The final newline-terminated line, without scanning the file."""
-        with self.path.open("rb") as fh:
-            fh.seek(0, os.SEEK_END)
-            size = fh.tell()
-            if size <= self._data_offset:
-                return None
-            chunk = 4096
-            while True:
-                span = min(size, chunk)
-                fh.seek(size - span)
-                tail = fh.read(span)
-                body = tail[:-1] if tail.endswith(b"\n") else tail
-                nl = body.rfind(b"\n")
-                if nl != -1:
-                    return body[nl + 1 :]
-                if span == size:
-                    return body  # single-line body
-                chunk *= 2
-
     def _load_index(self) -> Optional[TraceIndex]:
-        last = self._read_last_line()
+        """The footer index, if the file's final line is one (read off
+        the mapping, without scanning the file)."""
+        buf = self._map()
+        end = len(buf) - 1 if buf[-1:] == b"\n" else len(buf)
+        if end <= self._data_offset:
+            return None
+        last = bytes(buf[buf.rfind(b"\n", 0, end) + 1 : end])
         if not last or not last.lstrip().startswith(b'{"' + INDEX_KEY.encode()):
             return None
         try:
@@ -671,16 +658,18 @@ class TraceFileReader:
     # v3 block access
     # ------------------------------------------------------------------
     def _map(self) -> Union[bytes, mmap.mmap]:
-        """A read-only mapping of the whole file.
-
-        Never explicitly closed: decoded columns are zero-copy views of
-        the mapping, which is released by refcounting once the last
-        view (or block) is dropped.
-        """
-        with self.path.open("rb") as fh:
-            if os.fstat(fh.fileno()).st_size == 0:
-                return b""
-            return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        """A read-only mapping of the whole file, kept until ``os.stat``
+        reports another inode, size or mtime (a live file grew, or was
+        reindexed or rewritten in place: a stale mapping read past the
+        file's end dies by SIGBUS).  Never explicitly closed: decoded
+        columns are zero-copy views of the mapping."""
+        st = os.stat(self.path)
+        key = (st.st_ino, st.st_size, st.st_mtime_ns)
+        if self._mapping is None or self._mapping[0] != key:
+            with self.path.open("rb") as fh:
+                buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if st.st_size else b""
+            self._mapping = (key, buf)
+        return self._mapping[1]
 
     def _damage(self, tolerant: bool, why: str) -> None:
         if not tolerant:

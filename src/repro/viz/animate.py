@@ -12,14 +12,16 @@ runs in two modes:
 * over an in-memory :class:`TimeSpaceDiagram` (the original form);
 * over a trace *file*, via :meth:`AnimatedView.from_file` -- literally
   "a window into the trace file": each frame is
-  :func:`~repro.viz.timespace.build_window_diagram` of its window, which
-  reads only the blocks an indexed file's footer selects, so scrolling a
-  huge trace never materializes the whole history.
+  :func:`~repro.viz.timespace.build_window_diagram` of its window, read
+  through a paged index (of a footerless file: the reader), so a pan
+  reuses cached blocks and scrolling never loads the whole history.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Optional
+
+from repro.analysis.paged import OutOfCoreIndex
 
 from .layout import Viewport
 from .timespace import TimeSpaceDiagram, build_window_diagram, render_ascii
@@ -39,11 +41,9 @@ class AnimatedView:
         if (diagram is None) == (reader is None):
             raise ValueError("pass exactly one of diagram or reader")
         self.diagram = diagram
-        self.reader = reader
-        if reader is not None:
-            t_lo, t_hi = reader.span()
-        else:
-            t_lo, t_hi = diagram.trace.span
+        t_lo, t_hi = diagram.span if reader is None else reader.span()
+        # file frames are drawn through the paged index (a footerless file: the reader)
+        self.source = OutOfCoreIndex(reader) if reader is not None and reader.has_index else reader
         self._t_lo = t_lo
         self._t_hi = max(t_hi, t_lo + 1.0)
         span = self._t_hi - self._t_lo
@@ -73,10 +73,10 @@ class AnimatedView:
         return Viewport(self._start, self._start + self.window, self.columns)
 
     def _window_diagram(self) -> TimeSpaceDiagram:
-        if self.reader is None:
+        if self.source is None:
             return self.diagram
         return build_window_diagram(
-            self.reader, self._start, self._start + self.window
+            self.source, self._start, self._start + self.window
         )
 
     def frame(self) -> str:

@@ -88,7 +88,7 @@ def render_svg(
     ("Process 0 (at the bottom) distributes pairs of submatrices...").
     """
     if viewport is None:
-        t_lo, t_hi = diagram.trace.span
+        t_lo, t_hi = diagram.span
         viewport = Viewport.fit(t_lo, t_hi, columns=pixel_width)
     nprocs = diagram.nprocs
     height = MARGIN_TOP * 2 + ROW_HEIGHT * nprocs

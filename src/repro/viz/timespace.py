@@ -11,6 +11,10 @@ optional stopline and frontier overlays, and the hit-testing that backs
 "clicking on a bar ... can identify the location of the send or receive
 in the source code".  :func:`render_ascii` draws it in a terminal; the
 SVG renderer lives in :mod:`repro.viz.svg`.
+
+:func:`build_diagram` builds it from an in-memory history;
+:func:`build_window_diagram` from a trace file or one window of it (the
+§4.3 rescan), straight from the window's columns.
 """
 
 from __future__ import annotations
@@ -18,7 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from repro.trace.events import EventKind, TraceRecord
+import numpy as np
+
+from repro.analysis.history import RECV_CODES, SEND_CODES, ensure_index, match_messages
+from repro.trace.columnar import DEFAULT_KIND_TABLE, KIND_CODES, kind_code_lut
+from repro.trace.events import COLLECTIVE_KINDS, RECV_KINDS, SEND_KINDS, EventKind, TraceRecord
 from repro.trace.trace import Trace
 
 from .layout import Viewport
@@ -34,20 +42,19 @@ _GLYPHS = {
 }
 
 
-def _category(kind: EventKind) -> str:
-    from repro.trace.events import COLLECTIVE_KINDS, RECV_KINDS, SEND_KINDS
-
-    if kind in SEND_KINDS:
-        return "send"
-    if kind in RECV_KINDS:
-        return "recv"
-    if kind in COLLECTIVE_KINDS:
-        return "collective"
-    if kind is EventKind.COMPUTE:
-        return "compute"
-    if kind in (EventKind.FUNC_ENTRY, EventKind.FUNC_EXIT):
-        return "func"
-    return "other"
+#: bar category per canonical kind code ("the bar is colored depending
+#: on the type of the construct")
+_CATEGORIES: list[str] = [
+    {
+        **dict.fromkeys(SEND_KINDS, "send"),
+        **dict.fromkeys(RECV_KINDS, "recv"),
+        **dict.fromkeys(COLLECTIVE_KINDS, "collective"),
+        EventKind.COMPUTE: "compute",
+        EventKind.FUNC_ENTRY: "func",
+        EventKind.FUNC_EXIT: "func",
+    }.get(kind, "other")
+    for kind in DEFAULT_KIND_TABLE
+]
 
 
 @dataclass(frozen=True)
@@ -98,7 +105,9 @@ class MessageLine:
 class TimeSpaceDiagram:
     """The display model: rows of bars + message lines + overlays."""
 
-    trace: Trace
+    nprocs: int
+    #: (earliest, latest) time of the history drawn
+    span: tuple[float, float]
     bars: list[Bar] = field(default_factory=list)
     messages: list[MessageLine] = field(default_factory=list)
     #: vertical indicator ("the vertical line near the left side
@@ -107,10 +116,6 @@ class TimeSpaceDiagram:
     #: past/future frontier overlays: proc -> time (Figure 8)
     past_frontier: Optional[dict[int, float]] = None
     future_frontier: Optional[dict[int, float]] = None
-
-    @property
-    def nprocs(self) -> int:
-        return self.trace.nprocs
 
     # ------------------------------------------------------------------
     # interaction
@@ -152,6 +157,19 @@ class TimeSpaceDiagram:
         self.future_frontier = future
 
 
+def _bar_rows(kind: np.ndarray, t0: np.ndarray, t1: np.ndarray, kinds) -> np.ndarray:
+    """Rows that get a bar (canonical kind codes): a kind in ``kinds``
+    (any when None) other than process start/exit, with ``t1 > t0``."""
+    drawn = np.zeros(len(DEFAULT_KIND_TABLE), dtype=bool)
+    drawn[[KIND_CODES[k] for k in (DEFAULT_KIND_TABLE if kinds is None else kinds)]] = True
+    drawn[[KIND_CODES[EventKind.PROC_START], KIND_CODES[EventKind.PROC_EXIT]]] = False
+    return np.flatnonzero(drawn[kind] & (t1 > t0))
+
+
+def _bars(records: Sequence[TraceRecord], kind: np.ndarray) -> list[Bar]:
+    return [Bar(rec, _CATEGORIES[k]) for rec, k in zip(records, kind.tolist())]
+
+
 def build_diagram(
     trace: "Trace | Iterable[TraceRecord]",
     kinds: Optional[Sequence[EventKind]] = None,
@@ -164,71 +182,55 @@ def build_diagram(
     come from the matched pairs).  Zero-duration records (function
     entries) are skipped as bars -- they have no extent to draw.
     """
-    from repro.analysis.history import ensure_index
-
     idx = ensure_index(trace, nprocs=nprocs, index=index)
-    trace = idx.trace
-    diagram = TimeSpaceDiagram(trace=trace)
-    wanted = set(kinds) if kinds is not None else None
-    for rec in trace:
-        if rec.kind in (EventKind.PROC_START, EventKind.PROC_EXIT):
-            continue
-        if wanted is not None and rec.kind not in wanted:
-            continue
-        if rec.t1 <= rec.t0:
-            continue
-        diagram.bars.append(Bar(record=rec, category=_category(rec.kind)))
-    for pair in idx.message_pairs():
-        diagram.messages.append(MessageLine(send=pair.send, recv=pair.recv))
-    return diagram
-
-
-def build_columns_diagram(
-    block,
-    nprocs: int,
-    kinds: Optional[Sequence[EventKind]] = None,
-) -> TimeSpaceDiagram:
-    """Display model from a decoded columnar block (the
-    ``TraceFileReader.read_columns`` feed): the block is bulk-ingested
-    into a fresh :class:`~repro.analysis.history.HistoryIndex` without
-    per-record parsing, then laid out as usual."""
-    from repro.analysis.history import HistoryIndex
-
-    idx = HistoryIndex(nprocs=nprocs)
-    idx.extend_columns(block)
-    return build_diagram(idx.trace, kinds=kinds, index=idx)
-
-
-def build_file_diagram(
-    reader,
-    kinds: Optional[Sequence[EventKind]] = None,
-    t_lo: Optional[float] = None,
-    t_hi: Optional[float] = None,
-    procs: Optional[set[int]] = None,
-) -> TimeSpaceDiagram:
-    """Display model for a trace *file* through the bulk columnar path.
-
-    ``reader`` is a ``TraceFileReader``; the file, or the window
-    ``[t_lo, t_hi]`` of it, is read column-wise (``read_columns``).
-    """
-    block = reader.read_columns(t_lo=t_lo, t_hi=t_hi, procs=procs)
-    return build_columns_diagram(block, reader.nprocs, kinds=kinds)
+    kind = idx.column("kind")
+    rows = _bar_rows(kind, idx.column("t0"), idx.column("t1"), kinds)
+    return TimeSpaceDiagram(
+        nprocs=idx.nprocs,
+        span=idx.span,
+        bars=_bars(idx.records_at(rows), kind[rows]),
+        messages=[MessageLine(p.send, p.recv) for p in idx.message_pairs()],
+    )
 
 
 def build_window_diagram(
-    reader,
-    t_lo: float,
-    t_hi: float,
+    source,
+    t_lo: Optional[float] = None,
+    t_hi: Optional[float] = None,
     procs: Optional[set[int]] = None,
     kinds: Optional[Sequence[EventKind]] = None,
 ) -> TimeSpaceDiagram:
-    """Display model for one window of a trace *file* (the NTV zoom
-    without the full-file reload): the window arrives as columns from
-    ``reader.read_columns``, which reads only the blocks an indexed
-    file's footer selects, on every format version.
+    """Display model for a trace *file*, or the window ``[t_lo, t_hi]``
+    of it (the NTV zoom without the full-file reload).
+
+    ``source`` is a ``TraceFileReader`` or an ``OutOfCoreIndex`` (which
+    serves the window's blocks from its cache); the window is one column
+    block from ``source.read_columns``.  A message gets a line when both
+    its ends lie in the window.  Records, built only for the rows drawn,
+    keep their trace index.
     """
-    return build_file_diagram(
-        reader, kinds=kinds, t_lo=t_lo, t_hi=t_hi, procs=procs
+    block = source.read_columns(t_lo, t_hi, procs)
+    cols = block.columns
+    kind = cols["kind"]
+    if block.kind_table != DEFAULT_KIND_TABLE:  # the file's own kind codes
+        kind = kind_code_lut(block.kind_table)[kind]
+    bar_rows = _bar_rows(kind, cols["t0"], cols["t1"], kinds)
+    pair_s, pair_r, _, _ = match_messages(
+        np.flatnonzero(np.isin(kind, SEND_CODES)),
+        np.flatnonzero(kind == RECV_CODES[0]),
+        cols["src"], cols["dst"], cols["tag"], cols["seq"],
+    )
+    rows = np.unique(np.concatenate([bar_rows, pair_s, pair_r]))
+    records = block.to_records(rows)
+    at = rows.searchsorted
+    return TimeSpaceDiagram(
+        nprocs=source.nprocs,
+        span=(block.t_min, block.t_max),
+        bars=_bars([records[i] for i in at(bar_rows).tolist()], kind[bar_rows]),
+        messages=[
+            MessageLine(records[s], records[r])
+            for s, r in zip(at(pair_s).tolist(), at(pair_r).tolist())
+        ],
     )
 
 
@@ -245,7 +247,7 @@ def render_ascii(
     in the paper's figures), bars as glyph runs, message endpoints as
     ``s``/``r`` on an interleaved lane, the stopline as ``|``."""
     if viewport is None:
-        t_lo, t_hi = diagram.trace.span
+        t_lo, t_hi = diagram.span
         viewport = Viewport.fit(t_lo, t_hi, columns=columns)
     nprocs = diagram.nprocs
     width = viewport.columns

@@ -107,9 +107,9 @@ class TestOutOfCoreIndex:
 
     def test_window_columns_agrees_with_records(self, stores):
         paged = OutOfCoreIndex(TraceFileReader(stores[1]), cache_blocks=4)
-        cols = paged.window_columns(10.0, 30.0, {0, 2})
+        cols = paged.read_columns(10.0, 30.0, {0, 2})
         assert cols.to_records() == paged.seek_window(10.0, 30.0, {0, 2})
-        assert len(paged.window_columns(5.0, 1.0)) == 0
+        assert len(paged.read_columns(5.0, 1.0)) == 0
 
     def test_resident_blocks_stay_bounded(self, stores):
         paged = OutOfCoreIndex(TraceFileReader(stores[0]), cache_blocks=3)

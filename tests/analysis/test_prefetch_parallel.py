@@ -85,7 +85,7 @@ def test_paged_query_session_starts_no_thread(tmp_path):
     paged = HistoryIndex.from_file(TraceFileReader(store), paged=True)
     for k in range(10):
         paged.seek_window(k * 1.2, k * 1.2 + 1.2)
-        paged.window_columns(k * 1.2, k * 1.2 + 1.2, {0, 2})
+        paged.read_columns(k * 1.2, k * 1.2 + 1.2, {0, 2})
     assert paged.stats().block_loads > 0
     assert threading.active_count() == before
 

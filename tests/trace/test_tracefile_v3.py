@@ -8,7 +8,13 @@ Compatibility invariants (v1/v2 behavior unchanged) live in
 from __future__ import annotations
 
 import json
+import mmap
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +30,7 @@ from repro.trace import (
     TraceRecord,
 )
 from repro.trace.tracefile import main as tracefile_main
-from repro.viz.timespace import build_file_diagram, build_window_diagram
+from repro.viz.timespace import build_window_diagram
 
 KINDS = list(EventKind)
 
@@ -340,6 +346,73 @@ class TestReadColumns:
         w.close()
 
 
+#: rewrites a long v3 file in place with a short one under a live
+#: reader; run in its own process, since reading a mapping past the
+#: end of a file that shrank kills the process with SIGBUS
+REWRITE_SHORTER = textwrap.dedent(
+    """
+    import sys
+    from repro.trace import (
+        EventKind, TraceFileError, TraceFileReader, TraceFileWriter, TraceRecord,
+    )
+
+    def write(path, n):
+        records = [
+            TraceRecord(i, i % 4, EventKind.COMPUTE, i / 100, i / 100 + 0.5, i + 1)
+            for i in range(n)
+        ]
+        with TraceFileWriter(path, 4, index_block=64, compression=None) as w:
+            for rec in records:
+                w.write(rec)
+        return records
+
+    path = sys.argv[1]
+    long = write(path, 20000)
+    reader = TraceFileReader(path)
+    assert reader.read_columns().to_records() == long
+    short = write(path, 200)
+    assert list(reader.iter_records()) == short
+    try:
+        got = reader.read_columns().to_records()
+    except TraceFileError:
+        pass
+    else:
+        assert got == short
+    print("ok")
+    """
+)
+
+
+class TestFileMapping:
+    def test_repeated_block_loads_map_the_file_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.trace"
+        batch = make_batch(30, 400)
+        write_v3(path, batch, index_block=32)
+        maps = []
+        real_mmap = mmap.mmap
+
+        def counting_mmap(*args, **kwargs):
+            maps.append(args)
+            return real_mmap(*args, **kwargs)
+
+        monkeypatch.setattr(mmap, "mmap", counting_mmap)
+        reader = TraceFileReader(path)  # maps the file to read its footer
+        refs = reader.block_entries()
+        assert len(refs) > 4
+        blocks = [reader.load_block(ref) for ref in refs + refs]
+        assert len(maps) == 1
+        assert [r for b in blocks[: len(refs)] for r in b.to_records()] == batch
+
+    def test_a_file_rewritten_shorter_is_read_afresh(self, tmp_path):
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", REWRITE_SHORTER, str(tmp_path / "t.trace")],
+            env=env, cwd=root, capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stdout.strip()) == (0, "ok"), done.stderr
+
+
 class TestBulkConsumers:
     def make_file(self, tmp_path, seed=18, n=400):
         batch = make_batch(seed, n)
@@ -382,7 +455,7 @@ class TestBulkConsumers:
     def test_timespace_file_diagram(self, tmp_path):
         path, batch = self.make_file(tmp_path, seed=21)
         reader = TraceFileReader(path)
-        diagram = build_file_diagram(reader)
+        diagram = build_window_diagram(reader)
         from repro.viz.timespace import build_diagram
 
         ref = build_diagram(batch, nprocs=4)

@@ -48,9 +48,11 @@ FOOTER_PREFIX = b'{"__trace_index__'
 def make_records(seed: int, n: int = 300) -> list[TraceRecord]:
     """Seeded records in index order, with message fields, peer
     locations, ``extra`` dicts, zero-length records and a few that end
-    before they start."""
+    before they start.  A receive takes the key of an earlier send still
+    in flight, when there is one; keys never repeat."""
     rng = random.Random(seed)
     kinds = [EventKind.COMPUTE, EventKind.SEND, EventKind.RECV, EventKind.FUNC_ENTRY]
+    in_flight: list[TraceRecord] = []
     out = []
     for i in range(n):
         t0 = round(rng.uniform(0, 100), 3)
@@ -66,8 +68,15 @@ def make_records(seed: int, n: int = 300) -> list[TraceRecord]:
             marker=i + 1,
             location=SourceLocation(f"f{rng.randrange(3)}.py", rng.randrange(1, 40), "fn"),
         )
+        if rec.kind is EventKind.SEND:
+            rec.src, rec.dst, rec.tag, rec.seq = rec.proc, rng.randrange(NPROCS), 7, i
+            in_flight.append(rec)
         if rec.kind is EventKind.RECV:
             rec.src = rng.randrange(NPROCS)
+            if in_flight:
+                send = in_flight.pop(rng.randrange(len(in_flight)))
+                rec.proc, rec.src, rec.dst = send.dst, send.src, send.dst
+                rec.tag, rec.seq = send.tag, send.seq
             rec.peer_location = SourceLocation("peer.py", rng.randrange(1, 9), "send")
         if rng.random() < 0.2:
             rec.extra = {"note": f"x{i}"}
@@ -133,6 +142,8 @@ def oracle(history: HistoryIndex, t_lo, t_hi, procs) -> list[TraceRecord]:
 def test_every_window_path_agrees_with_the_history_index(tmp_path, layout, seed):
     records = make_records(seed)
     history = HistoryIndex.from_trace(Trace(records, NPROCS))
+    pairs = [(p.send, p.recv) for p in history.message_pairs()]
+    assert len(pairs) > 20
     path = tmp_path / "w.trace"
     write_layout(path, layout, records)
     reader = TraceFileReader(path)
@@ -147,14 +158,26 @@ def test_every_window_path_agrees_with_the_history_index(tmp_path, layout, seed)
         assert reader.last_skipped_lines == 0, where
         if paged is not None:
             assert paged.seek_window(t_lo, t_hi, procs) == want, where
-            assert paged.window_columns(t_lo, t_hi, procs).to_records() == want, where
-        # the diagram's history renumbers records; markers are unique here
-        bars = [b.record.marker for b in build_window_diagram(reader, t_lo, t_hi, procs).bars]
-        assert bars == [
-            r.marker
+            assert paged.read_columns(t_lo, t_hi, procs).to_records() == want, where
+        bars = [
+            r
             for r in want
             if r.t1 > r.t0 and r.kind not in (EventKind.PROC_START, EventKind.PROC_EXIT)
-        ], where
+        ]
+        kept = {r.index for r in want}
+        lines = [(s, r) for s, r in pairs if s.index in kept and r.index in kept]
+        for source in (reader, paged) if paged is not None else (reader,):
+            diagram = build_window_diagram(source, t_lo, t_hi, procs)
+            assert [b.record for b in diagram.bars] == bars, where
+            assert [(m.send, m.recv) for m in diagram.messages] == lines, where
+            # a line's ends are the records its bars hold
+            drawn = {id(b.record) for b in diagram.bars}
+            assert all(
+                id(end) in drawn
+                for m in diagram.messages
+                for end in (m.send, m.recv)
+                if end.t1 > end.t0
+            ), where
     assert reader.read_columns().to_records() == records
 
 

@@ -4,17 +4,23 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.history import HistoryIndex
+from repro.analysis.paged import OutOfCoreIndex
 from repro.apps import strassen as st
 from repro.debugger import vertical_stopline_at_time
+from repro.trace import EventKind, TraceFileReader, TraceFileWriter, TraceRecord
 from repro.viz import (
     AnimatedView,
     Viewport,
     build_diagram,
+    build_window_diagram,
     render_ascii,
     render_svg,
     save_svg,
 )
 from tests.conftest import traced_run
+
+FOOTER_PREFIX = b'{"__trace_index__'
 
 
 @pytest.fixture(scope="module")
@@ -199,3 +205,81 @@ class TestAnimatedView:
         assert view.position == tr.span[0]
         view.seek(1e9)
         assert view.position + view.window <= tr.span[1] + 1e-9
+
+
+def write_file(path, records, nprocs, index_block=16):
+    with TraceFileWriter(path, nprocs, index_block=index_block) as w:
+        for rec in records:
+            w.write(rec)
+    return path
+
+
+class TestWindowDiagram:
+    @pytest.fixture
+    def plain_file(self, tmp_path):
+        records = [
+            TraceRecord(i, i % 2, EventKind.COMPUTE, i / 100, i / 100 + 0.5, i + 1)
+            for i in range(2000)
+        ]
+        return write_file(tmp_path / "plain.trace", records, 2, index_block=64)
+
+    def test_window_bars_keep_their_trace_index(self, plain_file):
+        """A click in a zoomed window acts on the record's place in the
+        whole trace, not on its place in the window."""
+        reader = TraceFileReader(plain_file)
+        for source in (reader, OutOfCoreIndex(reader)):
+            diagram = build_window_diagram(source, 10.0, 20.0)
+            assert [b.record for b in diagram.bars] == reader.seek_window(10.0, 20.0)
+            assert diagram.bars[0].record.index == 950
+            hit = diagram.hit_test(1, 15.0)
+            assert (hit.index, hit.marker) == (1499, 1500)
+            assert diagram.span == pytest.approx((9.5, 20.49))
+
+    def test_window_diagram_builds_no_history_index(
+        self, tmp_path, strassen_diagram, monkeypatch
+    ):
+        tr, dia = strassen_diagram
+        path = write_file(tmp_path / "strassen.trace", tr, tr.nprocs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the window view built a HistoryIndex")
+
+        monkeypatch.setattr(HistoryIndex, "__init__", refuse)
+        reader = TraceFileReader(path)
+        for source in (reader, OutOfCoreIndex(reader)):
+            whole = build_window_diagram(source)
+            assert [b.record for b in whole.bars] == [b.record for b in dia.bars]
+            assert [(m.send, m.recv) for m in whole.messages] == [
+                (m.send, m.recv) for m in dia.messages
+            ]
+            assert whole.span == dia.span
+
+    def test_file_view_frames_match_the_window_diagrams(self, tmp_path, strassen_diagram):
+        """The VK view over an indexed file (paged, cached) and over a
+        footerless copy (the reader's linear walk) draw the same frames:
+        each that window's ``build_window_diagram``."""
+        tr, _ = strassen_diagram
+        indexed = write_file(tmp_path / "indexed.trace", tr, tr.nprocs, index_block=8)
+        data = indexed.read_bytes()
+        footerless = tmp_path / "footerless.trace"
+        footerless.write_bytes(data[: data.rindex(FOOTER_PREFIX) - 1])
+        sessions = []
+        for path in (indexed, footerless):
+            reader = TraceFileReader(path)
+            view = AnimatedView.from_file(reader, columns=60)
+            frames = []
+            for move in (
+                view.frame, view.forward, view.forward, view.backward,
+                lambda: view.seek(tr.span[1] / 3), lambda: view.rescale(0.5), view.forward,
+            ):
+                frames.append(move())
+                window = build_window_diagram(
+                    reader, view.position, view.position + view.window
+                )
+                assert frames[-1] == render_ascii(window, view.viewport(), view.columns)
+            sessions.append((frames, view.source))
+        (frames, paged), (frames_linear, linear) = sessions
+        assert frames == frames_linear
+        assert "s" in "".join(frames) and "r" in "".join(frames)
+        assert isinstance(paged, OutOfCoreIndex) and isinstance(linear, TraceFileReader)
+        assert paged.stats().cache_hits > 0
