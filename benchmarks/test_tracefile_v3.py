@@ -19,6 +19,10 @@ The tentpole claims, each asserted and measured on a 200k-event trace:
 (c) **equality**: both decoders and both windowed paths yield the same
     records, so the speed is not bought with fidelity.
 
+The library writes only v3; the v2 file is written by
+``tests.legacy_formats.write_legacy``, byte for byte what the former v2
+writer produced, so only the v3 write is timed.
+
 Results land in ``benchmarks/results/tracefile_v3.txt``.
 """
 
@@ -41,6 +45,7 @@ from repro.trace import (
     TraceFileWriter,
     TraceRecord,
 )
+from tests.legacy_formats import write_legacy
 
 N_EVENTS = 200_000
 NPROCS = 8
@@ -120,17 +125,13 @@ def trace_files(tmp_path_factory):
     records = synthesize_records()
     tmp = tmp_path_factory.mktemp("tracefile_v3")
     p2, p3 = tmp / "trace_v2.jsonl", tmp / "trace_v3.trace"
+    write_legacy(p2, NPROCS, records, 2)
     t0 = time.perf_counter()
-    with TraceFileWriter(p2, nprocs=NPROCS, version=2) as w:
-        for rec in records:
-            w.write(rec)
-    v2_write = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    with TraceFileWriter(p3, nprocs=NPROCS, version=3) as w:
+    with TraceFileWriter(p3, nprocs=NPROCS) as w:
         for rec in records:
             w.write(rec)
     v3_write = time.perf_counter() - t0
-    return records, p2, p3, v2_write, v3_write
+    return records, p2, p3, v3_write
 
 
 def _best_decode_wall(path, repeats: int = 3) -> float:
@@ -156,7 +157,7 @@ def _best_decode_wall(path, repeats: int = 3) -> float:
 
 
 def test_v3_decode_throughput_and_regression_gate(trace_files):
-    records, p2, p3, v2_write, v3_write = trace_files
+    records, p2, p3, v3_write = trace_files
     n = len(records)
 
     # (c) fidelity first, untimed: the speed must buy the same records
@@ -234,8 +235,7 @@ def test_v3_decode_throughput_and_regression_gate(trace_files):
             "",
             f"  file size         : v2 {v2_size / 1e6:7.2f} MB   "
             f"v3 {v3_size / 1e6:7.2f} MB  ({v2_size / v3_size:.1f}x smaller)",
-            f"  write             : v2 {v2_write:7.3f} s    "
-            f"v3 {v3_write:7.3f} s",
+            f"  write             : v3 {v3_write:7.3f} s",
             f"  decode -> records : v2 {v2_wall:7.3f} s    "
             f"v3 {v3_wall:7.3f} s  ({speedup:.1f}x, floor {MIN_SPEEDUP}x)",
             f"  decode -> columns : v3 {v3_cols_wall:7.3f} s  "
@@ -253,7 +253,7 @@ def test_v3_decode_throughput_and_regression_gate(trace_files):
 
 def test_v3_windowed_paths_agree(trace_files):
     """Windowed access: indexed columnar seeks equal the linear filter."""
-    records, _, p3, _, _ = trace_files
+    records, _, p3, _ = trace_files
     reader = TraceFileReader(p3)
     assert reader.has_index
     t_lo, t_hi = 500.0, 600.0

@@ -181,17 +181,12 @@ class TraceRecorder:
         path: Union[str, Path],
         auto_flush_every: Optional[int] = None,
         durable: bool = False,
-        version: Optional[int] = None,
     ) -> TraceFileWriter:
         """Mirror all future records into a trace file (back-filling
-        anything already retained in memory).  ``version`` selects the
-        on-disk format (None = the current default)."""
+        anything already retained in memory)."""
         if self._file_sink is not None:
             raise RuntimeError("a trace file is already attached")
-        sink = FileSink(
-            path, self.nprocs, auto_flush_every, durable=durable,
-            version=version,
-        )
+        sink = FileSink(path, self.nprocs, auto_flush_every, durable=durable)
         self.subscribe(sink, backfill=True)
         self._file_sink = sink
         return sink.writer

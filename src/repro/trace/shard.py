@@ -254,7 +254,6 @@ class TraceShardWriter:
         self.nprocs = nprocs
         self.by = by
         self.nshards = nshards
-        self.version = tracefile.FORMAT_VERSION
         if index_block is None:
             index_block = tracefile.DEFAULT_INDEX_BLOCK
         self._closed = False

@@ -189,12 +189,11 @@ class FileSink(TraceSink):
 
     Accepts either an existing :class:`TraceFileWriter` /
     :class:`~repro.trace.shard.TraceShardWriter` (borrowed: the caller
-    owns closing unless ``own=True``) or a path to create one.
-    ``version`` selects the on-disk format when a writer is created
-    (None = the current default, binary columnar v3); ``compression``
-    selects per-block compression; ``shards`` (a count, or ``"proc"``
-    for one shard per rank) creates a sharded store with a manifest at
-    the given path instead of a single file.
+    owns closing unless ``own=True``) or a path to create one with
+    :func:`~repro.trace.tracefile.open_writer`: ``compression`` selects
+    per-block compression, and ``shards`` (a count, or ``"proc"`` for
+    one shard per rank) creates a sharded store with a manifest at the
+    given path instead of a single file.
     """
 
     def __init__(
@@ -204,44 +203,22 @@ class FileSink(TraceSink):
         auto_flush_every: Optional[int] = None,
         durable: bool = False,
         own: bool = True,
-        version: Optional[int] = None,
         compression: "Union[None, bool, str]" = None,
         shards: "Union[None, int, str]" = None,
     ) -> None:
-        from .tracefile import FORMAT_VERSION, TraceFileWriter
+        from .tracefile import open_writer
 
         if isinstance(writer_or_path, (str, Path)):
             if nprocs is None:
                 raise ValueError("nprocs is required when creating a writer")
-            if shards is not None:
-                from .shard import TraceShardWriter
-
-                if version not in (None, FORMAT_VERSION):
-                    raise ValueError(
-                        "sharded traces are always written in the current "
-                        "format version"
-                    )
-                if shards == "proc":
-                    routing: dict = {"by": "proc"}
-                else:
-                    routing = {"by": "hash", "shards": shards}
-                self.writer = TraceShardWriter(
-                    writer_or_path,
-                    nprocs,
-                    auto_flush_every,
-                    durable=durable,
-                    compression="auto" if compression is None else compression,
-                    **routing,
-                )
-            else:
-                self.writer = TraceFileWriter(
-                    writer_or_path,
-                    nprocs,
-                    auto_flush_every,
-                    durable=durable,
-                    version=FORMAT_VERSION if version is None else version,
-                    compression=compression,
-                )
+            self.writer = open_writer(
+                writer_or_path,
+                nprocs,
+                auto_flush_every,
+                durable=durable,
+                compression=compression,
+                shards=shards,
+            )
         else:
             self.writer = writer_or_path  # type: ignore[assignment]
         self._own = own

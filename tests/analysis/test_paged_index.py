@@ -28,6 +28,7 @@ from repro.trace import (
     TraceRecord,
     TraceShardWriter,
 )
+from tests.legacy_formats import write_legacy
 
 NPROCS = 4
 KINDS = list(EventKind)
@@ -213,10 +214,10 @@ class TestFooterSpans:
     ]
 
     def _write(self, path, layout):
-        if layout == "sharded":
-            writer = TraceShardWriter(path, 2)
-        else:
-            writer = TraceFileWriter(path, 2, version=2 if layout == "v2" else 3)
+        if layout == "v2":
+            write_legacy(path, 2, self.BACKWARDS, 2)
+            return
+        writer = TraceShardWriter(path, 2) if layout == "sharded" else TraceFileWriter(path, 2)
         with writer as w:
             if layout == "columns":
                 from repro.trace.columnar import ColumnBlock

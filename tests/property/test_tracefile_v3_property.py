@@ -19,6 +19,7 @@ from repro.trace import (
     TraceFileWriter,
     TraceRecord,
 )
+from tests.legacy_formats import write_legacy
 
 NPROCS = 4
 KINDS = list(EventKind)
@@ -88,9 +89,10 @@ def batch_strategy(draw, max_size=60):
 
 
 def write_file(path, batch, version, index_block=8):
-    with TraceFileWriter(
-        path, nprocs=NPROCS, version=version, index_block=index_block
-    ) as w:
+    if version == 2:
+        write_legacy(path, NPROCS, batch, 2, index_block)
+        return
+    with TraceFileWriter(path, nprocs=NPROCS, index_block=index_block) as w:
         for rec in batch:
             w.write(rec)
 
@@ -140,7 +142,7 @@ def test_truncated_v3_decodes_to_block_prefix(tmp_path_factory, batch, cut):
     the batch at a block boundary (never scrambled or interleaved)."""
     tmp = tmp_path_factory.mktemp("v3cut")
     path = tmp / "t.trace"
-    w = TraceFileWriter(path, nprocs=NPROCS, version=3, index_block=8)
+    w = TraceFileWriter(path, nprocs=NPROCS, index_block=8)
     for rec in batch:
         w.write(rec)
     w.flush()  # crash before close: no footer

@@ -2,9 +2,10 @@
 
 Arbitrary record batches through ``TraceFileWriter`` then back through
 ``TraceFileReader`` must preserve order, kinds, and payloads -- for the
-current (v3, columnar) format, the v2 indexed JSON-lines format, and
-legacy v1 files, and whether the
-read is a full load, a linear stream, or an indexed window seek.
+current (v3, columnar) format, and for the v2 indexed JSON-lines and
+legacy v1 files the reader still reads (written by
+``tests.legacy_formats``), and whether the read is a full load, a
+linear stream, or an indexed window seek.
 """
 
 from __future__ import annotations
@@ -17,14 +18,12 @@ import pytest
 from repro.mp.datatypes import SourceLocation
 from repro.trace import (
     EventKind,
-    Trace,
     TraceFileReader,
     TraceFileWriter,
     TraceRecord,
-    load_trace,
-    save_trace,
 )
 from repro.trace.tracefile import FORMAT_NAME
+from tests.legacy_formats import write_legacy
 
 KINDS = list(EventKind)
 
@@ -69,9 +68,12 @@ def make_batch(seed: int, n: int, nprocs: int = 4) -> list[TraceRecord]:
 def test_roundtrip_preserves_everything(tmp_path, seed, n, version):
     batch = make_batch(seed, n)
     path = tmp_path / "t.jsonl"
-    with TraceFileWriter(path, nprocs=4, version=version, index_block=64) as w:
-        for rec in batch:
-            w.write(rec)
+    if version == 3:
+        with TraceFileWriter(path, nprocs=4, index_block=64) as w:
+            for rec in batch:
+                w.write(rec)
+    else:
+        write_legacy(path, 4, batch, version, index_block=64)
     back = list(TraceFileReader(path).iter_records())
     assert back == batch  # order, kinds, every payload field
 
@@ -138,29 +140,16 @@ def test_v1_file_backward_compat(tmp_path):
                    if r.t1 >= 5.0 and r.t0 <= 20.0 and r.proc in {0, 1}]
 
 
-def test_v1_writer_option_roundtrip(tmp_path):
-    tr = Trace(make_batch(13, 30), 4)
-    path = tmp_path / "v1.jsonl"
-    save_trace(tr, path, version=1)
-    header = json.loads(path.open().readline())
-    assert header["version"] == 1
-    assert list(load_trace(path)) == list(tr)
-
-
 def test_unclosed_v2_file_falls_back_to_linear(tmp_path):
     """Footer missing (writer never closed / crashed): linear path."""
     batch = make_batch(14, 20)
     path = tmp_path / "t.jsonl"
-    w = TraceFileWriter(path, nprocs=4, version=2)
-    for rec in batch:
-        w.write(rec)
-    w.flush()  # records on disk, but no footer yet
+    write_legacy(path, 4, batch, 2, footer=False)
     reader = TraceFileReader(path)
     assert reader.version == 2
     assert not reader.has_index
     assert list(reader.iter_records()) == batch
     assert reader.seek_window(0.0, 1000.0) == batch
-    w.close()
 
 
 def test_index_survives_tolerant_read(tmp_path):

@@ -42,6 +42,7 @@ from repro.trace.compression import (
 from repro.trace.shard import ShardManifest
 from repro.trace.tracefile import MANIFEST_FORMAT_NAME, main as tracefile_main
 from repro.trace.trace import Trace
+from tests.legacy_formats import write_legacy
 
 KINDS = list(EventKind)
 
@@ -246,20 +247,12 @@ class TestCompression:
         with pytest.raises(TraceFileError, match="unknown compression"):
             TraceFileWriter(tmp_path / "t.trace", 2, compression="brotli")
 
-    def test_compression_requires_v3(self, tmp_path):
-        with pytest.raises(TraceFileError, match="v3"):
-            TraceFileWriter(
-                tmp_path / "t.trace", 2, version=2, compression="zlib"
-            )
-
     def test_v1_v2_files_unchanged_and_readable(self, tmp_path):
         """The pre-columnar formats round-trip exactly as before."""
         batch = make_batch(9, 60)
         for version in (1, 2):
             path = tmp_path / f"v{version}.trace"
-            with TraceFileWriter(path, nprocs=4, version=version) as w:
-                for rec in batch:
-                    w.write(rec)
+            write_legacy(path, 4, batch, version)
             raw = path.read_bytes()
             assert COMPRESSED_MAGIC not in raw and b"RTB3" not in raw
             assert TraceFileReader(path).read_all() == batch

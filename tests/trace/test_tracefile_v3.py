@@ -1,8 +1,9 @@
 """Format v3: binary columnar blocks, bulk column reads, indexed window
 reads, the recovery CLI, and the writer/seek edge-case fixes.
 
-Compatibility invariants (v1/v2 behavior unchanged) live in
-``test_roundtrip_property``; this module covers what v3 adds.
+Compatibility invariants (v1/v2 files still read, written by
+``tests.legacy_formats``) live in ``test_roundtrip_property`` and
+``test_legacy_formats``; this module covers what v3 adds.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from repro.trace import (
 )
 from repro.trace.tracefile import main as tracefile_main
 from repro.viz.timespace import build_window_diagram
+from tests.legacy_formats import write_legacy
 
 KINDS = list(EventKind)
 
@@ -75,6 +77,14 @@ def write_v3(path, batch, nprocs=4, index_block=64, close=True):
     if close:
         writer.close()
     return writer
+
+
+def write_version(path, batch, version, index_block=64):
+    """``batch`` as a v1, v2 (``tests.legacy_formats``) or v3 file."""
+    if version == 3:
+        write_v3(path, batch, index_block=index_block)
+    else:
+        write_legacy(path, 4, batch, version, index_block)
 
 
 class TestV3Format:
@@ -235,10 +245,9 @@ class TestWriterFooterOnException:
         assert reader.index.records == 40
         assert reader.read_all() == batch
 
-    @pytest.mark.parametrize("version", [2, 3])
-    def test_double_close_is_idempotent(self, tmp_path, version):
+    def test_double_close_is_idempotent(self, tmp_path):
         path = tmp_path / "t.trace"
-        w = TraceFileWriter(path, nprocs=2, version=version)
+        w = TraceFileWriter(path, nprocs=2)
         w.write(TraceRecord(index=0, proc=0, kind=EventKind.COMPUTE,
                             t0=0.0, t1=1.0, marker=1))
         w.close()
@@ -261,11 +270,8 @@ class TestSeekWindowEdgeCases:
 
     @pytest.mark.parametrize("version", [1, 2, 3])
     def test_empty_window_returns_nothing_without_io(self, tmp_path, version):
-        batch = make_batch(11, 30)
         path = tmp_path / "t.trace"
-        with TraceFileWriter(path, nprocs=4, version=version) as w:
-            for rec in batch:
-                w.write(rec)
+        write_version(path, make_batch(11, 30), version)
         reader = TraceFileReader(path)
         before = reader.bytes_read
         assert reader.seek_window(5.0, 1.0) == []  # t_lo > t_hi
@@ -273,11 +279,8 @@ class TestSeekWindowEdgeCases:
 
     @pytest.mark.parametrize("version", [1, 2, 3])
     def test_empty_procs_returns_nothing_without_io(self, tmp_path, version):
-        batch = make_batch(12, 30)
         path = tmp_path / "t.trace"
-        with TraceFileWriter(path, nprocs=4, version=version) as w:
-            for rec in batch:
-                w.write(rec)
+        write_version(path, make_batch(12, 30), version)
         reader = TraceFileReader(path)
         before = reader.bytes_read
         assert reader.seek_window(0.0, 100.0, procs=set()) == []
@@ -331,9 +334,7 @@ class TestReadColumns:
     def test_v1_v2_bridge(self, tmp_path, version):
         batch = make_batch(16, 120)
         path = tmp_path / "t.trace"
-        with TraceFileWriter(path, nprocs=4, version=version) as w:
-            for rec in batch:
-                w.write(rec)
+        write_legacy(path, 4, batch, version)
         block = TraceFileReader(path).read_columns()
         assert block.to_records() == batch
 
@@ -477,34 +478,11 @@ class TestBulkConsumers:
         )
 
 
-class TestSinkVersionSelection:
-    def test_filesink_version_parameter(self, tmp_path):
-        from repro.trace import FileSink
-
-        for version in (2, 3):
-            path = tmp_path / f"v{version}.trace"
-            sink = FileSink(path, nprocs=2, version=version)
-            sink.emit(TraceRecord(index=0, proc=0, kind=EventKind.COMPUTE,
-                                  t0=0.0, t1=1.0, marker=1))
-            sink.close()
-            assert TraceFileReader(path).version == version
-
-    def test_recorder_attach_file_version(self, tmp_path):
-        from repro.trace import TraceRecorder
-
-        rec = TraceRecorder(2)
-        path = tmp_path / "t.trace"
-        writer = rec.attach_file(path, version=2)
-        assert writer.version == 2
-        rec.close()
-        assert TraceFileReader(path).version == 2
-
-
 class TestCLI:
-    def make_file(self, tmp_path, n=150, version=3, close=True):
+    def make_file(self, tmp_path, n=150, close=True):
         batch = make_batch(23, n)
         path = tmp_path / "t.trace"
-        w = TraceFileWriter(path, nprocs=4, version=version, index_block=32)
+        w = TraceFileWriter(path, nprocs=4, index_block=32)
         for rec in batch:
             w.write(rec)
         if close:
@@ -526,17 +504,51 @@ class TestCLI:
         assert "linear scan" in out and "reindex" in out
         w.close()
 
-    @pytest.mark.parametrize("src_v,dst_v", [(2, 3), (3, 2), (1, 3), (3, 1)])
+    @pytest.mark.parametrize("src_v,dst_v", [(1, 3), (2, 3), (3, 3)])
     def test_convert_roundtrip(self, tmp_path, capsys, src_v, dst_v):
-        path, batch, _ = self.make_file(tmp_path, version=src_v)
+        """``convert`` rewrites every version as an indexed v3 file."""
+        batch = make_batch(23, 150)
+        path = tmp_path / "t.trace"
+        write_version(path, batch, src_v, index_block=32)
         dst = tmp_path / "out.trace"
-        code = tracefile_main(
-            ["convert", str(path), str(dst), "--to", str(dst_v)]
-        )
-        assert code == 0
+        assert tracefile_main(["convert", str(path), str(dst)]) == 0
         reader = TraceFileReader(dst)
         assert reader.version == dst_v
+        assert reader.has_index
         assert reader.read_all() == batch
+
+    @pytest.mark.parametrize("layout", ["same", "respelled", "shard", "output-shard"])
+    def test_convert_onto_its_source_is_refused(self, tmp_path, capsys, layout):
+        """A ``dst`` that is the source file (however spelled), one of its
+        manifest's shards, or a manifest whose shard files would be the
+        source is refused before any writer truncates it."""
+        from repro.trace import TraceShardWriter
+
+        batch = make_batch(31, 300)
+        src = tmp_path / "a.trace"
+        extra = []
+        if layout == "shard":
+            with TraceShardWriter(src, 4, compression=None) as w:
+                for rec in batch:
+                    w.write(rec)
+            dst = tmp_path / "a-shard0002.trace"
+        elif layout == "output-shard":
+            src = tmp_path / "m-shard0001.trace"
+            write_v3(src, batch)
+            dst, extra = tmp_path / "m.trace", ["--by", "proc"]
+        else:
+            write_v3(src, batch)
+            (tmp_path / "x").mkdir()
+            dst = src if layout == "same" else tmp_path / "x" / ".." / "a.trace"
+
+        def files():
+            return {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+
+        before = files()
+        assert tracefile_main(["convert", str(src), str(dst), *extra]) == 2
+        assert "source" in capsys.readouterr().err
+        assert files() == before
+        assert TraceFileReader(src).read_all() == batch
 
     def test_reindex_recovers_footerless_v3(self, tmp_path, capsys):
         path, batch, w = self.make_file(tmp_path, close=False)
@@ -563,20 +575,6 @@ class TestCLI:
         assert reader.read_all() == batch
         w.close()
 
-    def test_reindex_recovers_footerless_v2(self, tmp_path, capsys):
-        path, batch, w = self.make_file(tmp_path, version=2, close=False)
-        with path.open("a") as fh:
-            fh.write('{"i": 999, "p": 0, "k": "comp')  # torn last line
-        assert tracefile_main(["reindex", str(path), "--index-block", "32"]) == 0
-        reader = TraceFileReader(path)
-        assert reader.has_index
-        assert reader.version == 2
-        assert reader.read_all() == batch
-        assert reader.seek_window(10.0, 30.0) == reader.seek_window(
-            10.0, 30.0, use_index=False
-        )
-        w.close()
-
     def test_reindex_already_indexed_is_noop(self, tmp_path, capsys):
         path, _, _ = self.make_file(tmp_path)
         before = path.read_bytes()
@@ -585,9 +583,18 @@ class TestCLI:
         assert path.read_bytes() == before
 
     def test_reindex_v1_refused(self, tmp_path, capsys):
-        path, _, _ = self.make_file(tmp_path, version=1)
+        path = tmp_path / "t.trace"
+        write_legacy(path, 4, make_batch(23, 50), 1)
         assert tracefile_main(["reindex", str(path)]) == 2
         assert "convert" in capsys.readouterr().err
+
+    def test_reindex_footerless_v2_refused(self, tmp_path, capsys):
+        path = tmp_path / "t.trace"
+        write_legacy(path, 4, make_batch(23, 50), 2, footer=False)
+        before = path.read_bytes()
+        assert tracefile_main(["reindex", str(path)]) == 2
+        assert "convert" in capsys.readouterr().err
+        assert path.read_bytes() == before
 
     def test_missing_file_is_an_error(self, tmp_path, capsys):
         assert tracefile_main(["info", str(tmp_path / "nope.trace")]) == 1

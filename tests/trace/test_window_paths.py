@@ -29,6 +29,7 @@ from repro.trace import (
 from repro.trace.trace import Trace
 from repro.trace.tracefile import main as tracefile_main
 from repro.viz import build_window_diagram
+from tests.legacy_formats import write_legacy
 
 NPROCS = 4
 INDEX_BLOCK = 16
@@ -85,15 +86,17 @@ def make_records(seed: int, n: int = 300) -> list[TraceRecord]:
 
 
 def write_layout(path, layout: str, records) -> None:
+    if layout[:2] in ("v1", "v2"):
+        footer = not layout.endswith("footerless")
+        write_legacy(path, NPROCS, records, int(layout[1]), INDEX_BLOCK, footer)
+        return
     if layout.startswith("sharded"):
         routing = {"by": "proc"} if layout == "sharded-proc" else {"by": "hash", "shards": 3}
         writer = TraceShardWriter(path, NPROCS, index_block=INDEX_BLOCK, **routing)
     else:
-        version = int(layout[1])
         writer = TraceFileWriter(
             path,
             NPROCS,
-            version=version,
             index_block=INDEX_BLOCK,
             compression="zlib" if layout == "v3-zlib" else None,
         )
@@ -102,10 +105,8 @@ def write_layout(path, layout: str, records) -> None:
             w.write(rec)
     if layout.endswith("footerless"):
         data = path.read_bytes()
-        cut = data.rindex(FOOTER_PREFIX)
-        # v3 writes a newline before its footer; v2's footer is the
-        # last line
-        path.write_bytes(data[: cut - 1] if layout.startswith("v3") else data[:cut])
+        # v3 writes a newline before its footer
+        path.write_bytes(data[: data.rindex(FOOTER_PREFIX) - 1])
 
 
 def windows(seed: int, records) -> list[tuple[float, float, object]]:
