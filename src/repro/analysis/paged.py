@@ -171,7 +171,8 @@ class OutOfCoreIndex:
     reader:
         An indexed :class:`~repro.trace.tracefile.TraceFileReader`
         (a v2 or v3 file, or a shard manifest).  Footerless files must be
-        ``reindex``\\ ed first -- paging needs the per-block metadata.
+        ``reindex``\\ ed (v3) or ``convert``\\ ed (v1/v2) first -- paging
+        needs the per-block metadata.
     cache_blocks / cache_bytes:
         The LRU bound: at most ``cache_blocks`` decoded blocks resident,
         additionally capped at ``cache_bytes`` decoded column bytes when
