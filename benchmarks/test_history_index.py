@@ -182,16 +182,15 @@ def test_history_index_session_and_regression_gate(lu8_trace):
 
 
 def test_incremental_equals_batch_200k():
-    """(b): the sink-fed index equals batch derivation on a 200k-event
-    stream, with catch-up queries interleaved mid-stream."""
+    """(b): the incrementally appended index equals the scalar oracles'
+    batch derivation on a 200k-event stream, with catch-up queries
+    interleaved mid-stream."""
     records = list(synthesize_matched_records())
     n = len(records)
-    batch_trace = Trace(records, NPROCS)
     start = time.perf_counter()
-    batch_clocks = oracles.clocks(
-        records, NPROCS, oracles.match(records).send_of_recv
-    )
-    batch_pairs = batch_trace.message_pairs()
+    batch = oracles.match(records)
+    batch_clocks = oracles.clocks(records, NPROCS, batch.send_of_recv)
+    batch_pairs = batch.pairs
     batch_wall = time.perf_counter() - start
 
     index = HistoryIndex(nprocs=NPROCS)
@@ -205,15 +204,11 @@ def test_incremental_equals_batch_200k():
     inc_wall = time.perf_counter() - start
 
     np.testing.assert_array_equal(index.clocks, batch_clocks)
-    assert [(p.send.index, p.recv.index) for p in index.message_pairs()] == [
-        (p.send.index, p.recv.index) for p in batch_pairs
-    ]
-    assert sorted(r.index for r in index.unmatched_sends()) == sorted(
-        r.index for r in batch_trace.unmatched_sends()
-    )
-    assert [r.index for r in index.unmatched_recvs()] == [
-        r.index for r in batch_trace.unmatched_recvs()
-    ]
+    assert [
+        (p.send.index, p.recv.index) for p in index.message_pairs()
+    ] == batch_pairs
+    assert [r.index for r in index.unmatched_sends()] == batch.unmatched_sends
+    assert [r.index for r in index.unmatched_recvs()] == batch.unmatched_recvs
     stats = index.stats()
     assert stats.clock_builds == 1
     assert stats.matching_builds == 1
@@ -221,7 +216,7 @@ def test_incremental_equals_batch_200k():
     # the stream must actually exercise matching: most receives pair up,
     # and the dropped receives leave their sends unmatched
     assert len(batch_pairs) > n // 4
-    assert len(batch_trace.unmatched_sends()) > 0
+    assert len(batch.unmatched_sends) > 0
 
     write_artifact(
         "history_index_200k.txt",

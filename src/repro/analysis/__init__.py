@@ -17,7 +17,6 @@
 from .causality import CausalOrder, check_trace_causality, compute_causal_order
 from .history import (
     HistoryIndex,
-    IndexSink,
     IndexStats,
     StaleIndexError,
     ensure_index,
@@ -71,7 +70,6 @@ __all__ = [
     "CommMatrix",
     "CriticalPath",
     "HistoryIndex",
-    "IndexSink",
     "IndexStats",
     "BlockCache",
     "OutOfCoreIndex",

@@ -10,18 +10,20 @@ Okita et al.'s scalable trace analysis both argue the opposite
 structure: *one* incrementally-maintained derived-state container that
 all debugging activities consume.  That container is this class.
 
-Storage is **columnar**, and the column store is the only in-memory
-form of the history: the fixed-width fields
+Storage is **columnar**: the fixed-width fields
 (``index/proc/kind/src/dst/tag/seq/t0/t1/marker/size``) are
-incrementally-grown numpy arrays (amortized doubling), appended per
-record in :meth:`extend` and bulk-copied from a decoded
-:class:`~repro.trace.columnar.ColumnBlock` in :meth:`extend_columns`,
-which also keeps the block for the fields the store does not hold
-(locations, peer fields, ``extra``).  A
+incrementally-grown numpy arrays (amortized doubling).  A live
+execution's :class:`~repro.trace.recorder.TraceRecorder` owns its index
+and appends each record with :meth:`extend`, an O(1) append to the row
+list; the columns catch up over the new rows in one batched pass per
+field on the first query after they arrived.  A decoded
+:class:`~repro.trace.columnar.ColumnBlock` is bulk-copied in by
+:meth:`extend_columns`, which also keeps the block for the fields the
+store does not hold (locations, peer fields, ``extra``), and a
 :class:`~repro.trace.events.TraceRecord` is built only for a row a
-caller reads -- ``trace[i]``, ``records``, ``by_proc``,
-``window``, the members of pairs, unmatched lists, races, paths and
-frontiers -- and memoized, so a second read returns the same object;
+caller reads -- ``trace[i]``, ``records``, ``by_proc``, ``window``,
+the members of pairs, unmatched lists, races, paths and frontiers --
+and memoized, so a second read returns the same object;
 ``stats().records_built`` counts them.  Records fed through
 :meth:`extend` are kept as they arrive.
 
@@ -47,16 +49,12 @@ the property suite (``tests/property/test_analysis_kernels_properties``)
 checks these kernels equal to them, and
 ``benchmarks/test_analysis_kernels.py`` gates the speedup over them.
 
-Maintenance is incremental with a lazy catch-up discipline:
-
-* :meth:`extend` (fed by an :class:`IndexSink` on the TraceBus) appends
-  the record and updates the O(1) components eagerly -- the columns
-  and the span;
-* the expensive components -- vector clocks, message matching, the
-  window index, the row table -- keep a high-water mark and, on first
-  access after new records arrived, fold in only the suffix.  They are
-  never rebuilt from scratch once built, which is what
-  ``stats().clock_builds == 1`` asserts.
+Maintenance is incremental with a lazy catch-up discipline: every
+derived component -- the columns and span, vector clocks, message
+matching, the window index, the row table -- keeps a high-water mark
+and, on first access after new rows arrived, folds in only the suffix.
+The expensive ones are never rebuilt from scratch once built, which is
+what ``stats().clock_builds == 1`` asserts.
 
 Generation discipline: an index belongs to one execution.  When
 ``DebugSession.replay()``/``undo()`` discards an execution it calls
@@ -64,17 +62,16 @@ Generation discipline: an index belongs to one execution.  When
 every query (raising :class:`StaleIndexError`) so analyses can never
 silently read the previous execution's history.
 
-Sharing discipline: :func:`ensure_index` memoizes the index on the
-:class:`~repro.trace.trace.Trace` itself, so consumers that still take
-a bare trace (the pre-index call signatures all still work) share one
-index per trace without threading any argument.
+Every :class:`~repro.trace.trace.Trace` is a view answered by one index:
+its recorder's while that index is live and holds exactly the trace's
+rows, else one it builds once over its own rows; :func:`ensure_index`
+hands any history-shaped argument that index.
 
 Incremental matching assumes trace causality (a receive record never
 precedes its matching send record -- the recording order is a causal
 linearization, the same §4.1 property stoplines rest on).  A trace that
 violates it -- see :func:`~repro.analysis.causality.check_trace_causality`
--- would list such receives as unmatched where the batch two-pass
-matcher pairs them.
+-- lists such receives as unmatched.
 """
 
 from __future__ import annotations
@@ -90,7 +87,6 @@ import numpy as np
 
 from repro.trace.columnar import DEFAULT_KIND_TABLE, KIND_CODES, kind_code_lut
 from repro.trace.events import RECV_KINDS, SEND_KINDS, EventKind, TraceRecord
-from repro.trace.sinks import TraceSink
 from repro.trace.trace import MessagePair, Trace, ensure_trace
 
 from .causality import CausalOrder, RowTable
@@ -132,6 +128,12 @@ RECV_CODES: np.ndarray = np.array(
     sorted(KIND_CODES[k] for k in RECV_KINDS), dtype=np.uint8
 )
 _RECV_CODE = int(RECV_CODES[0])  # RECV is the single receive-side kind
+
+#: record fields copied into the store column of the same name
+_RECORD_FIELDS: tuple[tuple[str, "operator.attrgetter"], ...] = tuple(
+    (name, operator.attrgetter(name))
+    for name, _ in STORE_SPEC if name not in ("index", "kind")
+)
 
 
 @dataclass
@@ -342,17 +344,17 @@ class HistoryIndex:
     * ``span`` / ``record_at_marker()`` / ``window()`` and the
       per-process time searches -- span, marker and time lookup;
     * ``column(name)`` / ``columns`` -- the structure-of-arrays store
-      every kernel runs on (and the only in-memory form of a row);
+      every kernel runs on;
     * ``blocked`` -- the runtime's blocked-wait snapshot, when supplied.
 
     A :class:`~repro.trace.events.TraceRecord` exists only for a row a
     caller reads (``records``, ``trace[i]``, ``by_proc``, ``window``,
     the members of pairs, unmatched lists, races, paths and frontiers);
-    it is built from the columns on first read and memoized.  Records
-    fed through :meth:`extend` are kept as they arrive.
+    it is built from its kept block on first read and memoized.
+    Records fed through :meth:`extend` are kept as they arrive.
 
     ``trace`` is an immutable :class:`~repro.trace.trace.Trace` over
-    these rows that answers its whole-trace queries from the index.
+    these rows that answers its queries from the index.
     """
 
     def __init__(
@@ -372,7 +374,9 @@ class HistoryIndex:
         self.generation = generation
         self._stale = False
         self._n = 0
-        # column store (structure of arrays, amortized doubling) --------
+        # column store (structure of arrays, amortized doubling); rows
+        # [_stored, _n) were appended by extend() and are not in it yet
+        self._stored = 0
         self._cap = 0
         self._cols: dict[str, np.ndarray] = {
             name: np.empty(0, dtype=dt) for name, dt in STORE_SPEC
@@ -413,7 +417,7 @@ class HistoryIndex:
         self._order: Optional[weakref.ref[CausalOrder]] = None
         self._pairs: Optional[weakref.ref[IndexPairs]] = None
         self._blocked: Optional[list["WaitInfo"]] = None
-        self._stats = IndexStats(generation=generation)
+        self._stats = IndexStats()
         if records is not None:
             self.extend_many(records)
 
@@ -424,20 +428,12 @@ class HistoryIndex:
     def from_trace(cls, trace: Trace, generation: int = 0) -> "HistoryIndex":
         """Index an existing immutable trace (the batch entry point).
 
-        When the trace's record indexes are already positional the trace
-        object itself becomes the index's trace view, so trace-level
-        caches are shared rather than duplicated.  The positional check
-        rides along the single ingest pass.
+        The trace object itself becomes the index's trace view (its
+        records are positional), so the two answer alike.
         """
-        index = cls(nprocs=trace.nprocs, generation=generation)
-        positional = True
-        for pos, rec in enumerate(trace):
-            if positional and rec.index != pos:
-                positional = False
-            index.extend(rec)
-        if positional:
-            index._trace = weakref.ref(trace)
-            index._stats.trace_snapshots += 1
+        index = cls(trace, nprocs=trace.nprocs, generation=generation)
+        index._trace = weakref.ref(trace)
+        index._stats.trace_snapshots += 1
         return index
 
     @classmethod
@@ -509,11 +505,6 @@ class HistoryIndex:
                 "generation's index"
             )
 
-    def answers_for(self, trace: Trace) -> bool:
-        """Is ``trace`` this live index's trace view, at full length?
-        Such a trace answers its whole-trace queries from the index."""
-        return not self._stale and _alive(self._trace) is trace and len(trace) == self._n
-
     # ------------------------------------------------------------------
     # column store plumbing
     # ------------------------------------------------------------------
@@ -521,12 +512,40 @@ class HistoryIndex:
         if need <= self._cap:
             return
         new_cap = max(64, need, 2 * self._cap)
-        n = self._n
+        n = self._stored
         for name, dt in STORE_SPEC:
             buf = np.empty(new_cap, dtype=dt)
             buf[:n] = self._cols[name][:n]
             self._cols[name] = buf
         self._cap = new_cap
+
+    def _store(self) -> dict[str, np.ndarray]:
+        """The column store, caught up: the rows :meth:`extend` appended
+        since the last query are written in one batched pass per field
+        (and fold into the span)."""
+        lo, n = self._stored, self._n
+        if lo < n:
+            self._grow(n)
+            cols = self._cols
+            rows = self._built[lo:n]
+            m = n - lo
+            cols["index"][lo:n] = np.arange(lo, n, dtype=np.int64)
+            cols["kind"][lo:n] = np.fromiter(
+                (KIND_CODES[rec.kind] for rec in rows), np.uint8, m
+            )
+            for name, get in _RECORD_FIELDS:
+                cols[name][lo:n] = np.fromiter(map(get, rows), cols[name].dtype, m)
+            self._stored = n
+            self._widen_span(cols["t0"][lo:n], cols["t1"][lo:n])
+        return self._cols
+
+    def _widen_span(self, t0: np.ndarray, t1: np.ndarray) -> None:
+        t_lo = float(min(t0.min(), t1.min()))
+        t_hi = float(max(t0.max(), t1.max()))
+        if self._t_lo is None or t_lo < self._t_lo:
+            self._t_lo = t_lo
+        if self._t_hi is None or t_hi > self._t_hi:
+            self._t_hi = t_hi
 
     def column(self, name: str) -> np.ndarray:
         """One column of the store, trimmed to the indexed length.
@@ -536,14 +555,14 @@ class HistoryIndex:
         ``kind`` holds :data:`~repro.trace.columnar.KIND_CODES` codes.
         """
         self._check_live()
-        return self._cols[name][: self._n]
+        return self._store()[name][: self._n]
 
     @property
     def columns(self) -> dict[str, np.ndarray]:
         """All store columns, trimmed to the indexed length."""
         self._check_live()
-        n = self._n
-        return {name: self._cols[name][:n] for name, _ in STORE_SPEC}
+        cols, n = self._store(), self._n
+        return {name: cols[name][:n] for name, _ in STORE_SPEC}
 
     # ------------------------------------------------------------------
     # rows as records (built on first read, then memoized)
@@ -617,11 +636,11 @@ class HistoryIndex:
         return out
 
     # ------------------------------------------------------------------
-    # extension (the IndexSink feed)
+    # extension (the recorder's feed)
     # ------------------------------------------------------------------
     def extend(self, record: TraceRecord) -> None:
-        """Fold one record in: O(1) now, amortized O(p) once the clock
-        and matching components catch up to it.
+        """Append one record: O(1) now; the columns and the derived
+        components catch up to it on the next query.
 
         Raises :class:`ValueError` for a record whose ``proc`` falls
         outside ``[0, nprocs)`` -- such a record would silently vanish
@@ -637,32 +656,10 @@ class HistoryIndex:
         if record.index != pos:
             # windowed / ring-buffer streams have sparse global indexes;
             # positional invariants (clock rows, path DP) need re-indexed
-            # copies, same as ensure_trace.
+            # copies, same as a Trace's
             record = replace(record, index=pos)
-        if self._cap <= pos:
-            self._grow(pos + 1)
         self._built.append(record)
-        cols = self._cols
-        cols["index"][pos] = pos
-        cols["proc"][pos] = record.proc
-        cols["kind"][pos] = KIND_CODES[record.kind]
-        cols["src"][pos] = record.src
-        cols["dst"][pos] = record.dst
-        cols["tag"][pos] = record.tag
-        cols["seq"][pos] = record.seq
-        cols["t0"][pos] = record.t0
-        cols["t1"][pos] = record.t1
-        cols["marker"][pos] = record.marker
-        cols["size"][pos] = record.size
         self._n = pos + 1
-        t_lo, t_hi = record.t0, record.t1
-        if t_hi < t_lo:
-            t_lo, t_hi = t_hi, t_lo
-        if self._t_lo is None or t_lo < self._t_lo:
-            self._t_lo = t_lo
-        if self._t_hi is None or t_hi > self._t_hi:
-            self._t_hi = t_hi
-        self._stats.records = self._n
 
     def extend_many(self, records: Iterable[TraceRecord]) -> int:
         n = 0
@@ -695,10 +692,10 @@ class HistoryIndex:
                 f"column block contains proc {culprit} outside "
                 f"[0, {nprocs}); the index cannot place it"
             )
+        cols = self._store()
         pos = self._n
         # columns: one vectorized copy per field --------------------------
         self._grow(pos + n)
-        cols = self._cols
         sl = slice(pos, pos + n)
         cols["index"][sl] = np.arange(pos, pos + n, dtype=np.int64)
         kind_codes = bcols["kind"]
@@ -709,7 +706,7 @@ class HistoryIndex:
         for name in ("proc", "src", "dst", "tag", "seq", "t0", "t1",
                      "marker", "size"):
             cols[name][sl] = bcols[name]
-        self._n = pos + n
+        self._n = self._stored = pos + n
         if not all(col.flags.owndata for col in bcols.values()):
             # a decoded block may view its file's mapping; the kept block
             # must not change if that file is rewritten later
@@ -719,13 +716,7 @@ class HistoryIndex:
         self._payloads.append(_Payload(pos, pos + n, block))
         self._built.extend([None] * n)
         self._unbuilt += n
-        t_lo = float(min(bcols["t0"].min(), bcols["t1"].min()))
-        t_hi = float(max(bcols["t0"].max(), bcols["t1"].max()))
-        if self._t_lo is None or t_lo < self._t_lo:
-            self._t_lo = t_lo
-        if self._t_hi is None or t_hi > self._t_hi:
-            self._t_hi = t_hi
-        self._stats.records = self._n
+        self._widen_span(bcols["t0"], bcols["t1"])
         return n
 
     def __len__(self) -> int:
@@ -736,10 +727,6 @@ class HistoryIndex:
         """Every indexed row as a lazy record sequence."""
         self._check_live()
         return IndexRows(self, None, self._n)
-
-    def sink(self) -> "IndexSink":
-        """A bus sink feeding this index (attach to a recorder)."""
-        return IndexSink(self)
 
     # ------------------------------------------------------------------
     # whole-trace queries (what a Trace view answers from the index)
@@ -761,6 +748,7 @@ class HistoryIndex:
         so ``window(*span)`` returns every record.
         """
         self._check_live()
+        self._store()
         if self._t_lo is None or self._t_hi is None:
             return (0.0, 0.0)
         return (self._t_lo, self._t_hi)
@@ -769,7 +757,7 @@ class HistoryIndex:
         """First record of ``proc`` carrying ``marker``."""
         self._check_live()
         rows = self._proc_rows(proc)
-        hit = np.flatnonzero(self._cols["marker"][rows] == marker)
+        hit = np.flatnonzero(self._store()["marker"][rows] == marker)
         return self._records_at(rows[hit[:1]])[0] if hit.size else None
 
     def _row_search(
@@ -779,7 +767,7 @@ class HistoryIndex:
         at the insertion point of ``t`` (or just before it)."""
         self._check_live()
         rows = self._proc_rows(proc)
-        i = int(np.searchsorted(self._cols[name][rows], t, side=side))
+        i = int(np.searchsorted(self._store()[name][rows], t, side=side))
         if before:
             i -= 1
         return self._records_at(rows[i:i + 1])[0] if 0 <= i < rows.size else None
@@ -811,6 +799,12 @@ class HistoryIndex:
             for code, c in enumerate(counts.tolist()) if c
         }
 
+    def of_kind(self, *kinds: EventKind) -> list[TraceRecord]:
+        """Records of the given kinds, in trace order."""
+        self._check_live()
+        codes = [KIND_CODES[k] for k in kinds]
+        return self._records_at(np.flatnonzero(np.isin(self.column("kind"), codes)))
+
     def _proc_counts(self, mask: np.ndarray) -> dict[int, int]:
         counts = np.bincount(self.column("proc")[mask], minlength=self.nprocs)
         return dict(enumerate(counts.tolist()))
@@ -834,9 +828,9 @@ class HistoryIndex:
             self._stats.hit("window")
             return
         self._stats.miss("window")
+        t0 = self._store()["t0"]
         start = time.perf_counter()
         lo = self._window_upto
-        t0 = self._cols["t0"]
         if self._t0_order is None or lo == 0:
             self._stats.window_builds += 1
             order = np.argsort(t0[:n], kind="stable").astype(np.int64)
@@ -871,7 +865,7 @@ class HistoryIndex:
             return []
         k = int(np.searchsorted(self._t0_sorted, t_hi, side="right"))
         cand = self._t0_order[:k]
-        sel = cand[self._cols["t1"][cand] >= t_lo]
+        sel = cand[self._store()["t1"][cand] >= t_lo]
         return self._records_at(np.sort(sel))
 
     # ------------------------------------------------------------------
@@ -891,9 +885,9 @@ class HistoryIndex:
             self._stats.hit("rows")
             return self._row_table
         self._stats.miss("rows")
+        proc = self._store()["proc"][self._row_upto:n]
         start = time.perf_counter()
         lo = self._row_upto
-        proc = self._cols["proc"][lo:n]
         suffix = _argsort_procs(proc, self.nprocs) + lo
         counts = np.bincount(proc, minlength=self.nprocs).astype(np.int64)
         old = self._row_table
@@ -920,6 +914,7 @@ class HistoryIndex:
             self._stats.hit("matching")
             return
         self._stats.miss("matching")
+        self._store()  # the columns catch up outside the kernel's time
         start = time.perf_counter()
         if self._matched_upto == 0:
             self._stats.matching_builds += 1
@@ -1126,7 +1121,7 @@ class HistoryIndex:
                 trace=trace,
                 clocks=self._clocks[:n],
                 index=self,
-                procs=self._cols["proc"][:n],
+                procs=self._store()["proc"][:n],
             )
             self._order = weakref.ref(order)
         else:
@@ -1176,6 +1171,8 @@ class HistoryIndex:
     # ------------------------------------------------------------------
     def stats(self) -> IndexStats:
         """A point-in-time copy of the build/extend counters."""
+        self._stats.generation = self.generation
+        self._stats.records = self._n
         return self._stats.snapshot()
 
 
@@ -1271,23 +1268,6 @@ def _argsort_procs(proc: np.ndarray, nprocs: int) -> np.ndarray:
     return np.argsort(key, kind="stable").astype(np.int64)
 
 
-class IndexSink(TraceSink):
-    """Feeds a :class:`HistoryIndex` from a TraceBus as records stream
-    in -- the streaming half of the shared substrate."""
-
-    def __init__(self, index: HistoryIndex) -> None:
-        self.index = index
-
-    def emit(self, record: TraceRecord) -> None:
-        self.index.extend(record)
-
-
-def bind_trace_index(trace: Trace, index: HistoryIndex) -> None:
-    """Memoize ``index`` on ``trace`` so every consumer handed the bare
-    trace shares the same derived state (the back-compat seam)."""
-    trace._history_index = index
-
-
 def ensure_index(
     source: "HistoryIndex | Trace | Iterable[TraceRecord]",
     nprocs: Optional[int] = None,
@@ -1296,19 +1276,13 @@ def ensure_index(
     """Coerce anything history-shaped into a shared :class:`HistoryIndex`.
 
     Precedence: an explicitly passed ``index`` wins; an index argument
-    passes through; a :class:`Trace` gets an index memoized *on the
-    trace object*, so repeated analyses over the same trace share one
-    derivation; any other record iterable is materialized first.
+    passes through; a :class:`Trace` answers with the index it is a view
+    of (:meth:`Trace.history_index`), so repeated analyses over the same
+    trace share one derivation; any other record iterable becomes a
+    trace first.
     """
     if index is not None:
         return index
     if isinstance(source, HistoryIndex):
         return source
-    if not isinstance(source, Trace):
-        source = ensure_trace(source, nprocs=nprocs)
-    cached = getattr(source, "_history_index", None)
-    if cached is not None and not cached.stale:
-        return cached
-    built = HistoryIndex.from_trace(source)
-    bind_trace_index(source, built)
-    return built
+    return ensure_trace(source, nprocs=nprocs).history_index()

@@ -110,9 +110,6 @@ class DebugSession:
         self._execution: ReplayExecution = build_execution(self.spec)
         self.breakpoints = BreakpointManager(self.runtime)
         self._last_report: Optional[RunReport] = None
-        #: this generation's shared analysis substrate (lazily attached
-        #: to the live stream; invalidated and rebuilt across replays)
-        self._index: Optional[HistoryIndex] = None
         #: an out-of-core paged index over an on-disk trace, when the
         #: user is debugging against a recorded file (``stats`` folds
         #: its cache counters into the report)
@@ -136,24 +133,20 @@ class DebugSession:
     def index(self) -> HistoryIndex:
         """The shared analysis substrate for the current generation.
 
-        Built on first demand: an :class:`~repro.analysis.history.IndexSink`
-        is attached to the live trace stream (with backfill), so the
-        index tracks the execution incrementally from then on.  All
-        session analyses (stoplines, matching/deadlock reports, the
+        This is the recorder's own history index, which the execution
+        appends to as it runs, and which :meth:`trace` is a view of.
+        All session analyses (stoplines, matching/deadlock reports, the
         ``stats`` command) consume this one index; vector clocks and
-        matching are derived exactly once per generation.  After
-        :meth:`replay`/:meth:`undo` the old index is invalidated and a
-        fresh one is bound to the new execution on next demand.
+        matching are derived exactly once per generation, then caught up
+        as the execution goes on.  After :meth:`replay`/:meth:`undo` the
+        old index is invalidated and the new execution's is used.
         """
-        if self._index is None or self._index.stale:
-            self._index = HistoryIndex(
-                nprocs=self.nprocs, generation=self.generation
-            )
-            self._execution.recorder.subscribe(self._index.sink(), backfill=True)
+        index = self._execution.recorder.history
+        assert index is not None  # a session's recorder keeps its history
         # refresh the §4.4 blocked-wait snapshot for missed-message and
         # deadlock diagnoses
-        self._index.set_blocked(self.runtime.blocked_waits())
-        return self._index
+        index.set_blocked(self.runtime.blocked_waits())
+        return index
 
     def attach_paged_index(self, paged) -> None:
         """Bind an :class:`~repro.analysis.paged.OutOfCoreIndex` so the
@@ -405,13 +398,13 @@ class DebugSession:
         self._execution.recorder.close()
         # The outgoing generation's history no longer describes any
         # execution: refuse every future query against it.
-        if self._index is not None:
-            self._index.invalidate()
-            self._index = None
+        self._execution.recorder.history.invalidate()
         self.generation += 1
-        # Re-attach user subscriptions before the replay runs, so the
-        # sinks observe the re-execution's records live.
+        # Stamp the new history with its generation, and re-attach user
+        # subscriptions before the replay runs, so the sinks observe the
+        # re-execution's records live.
         def _resubscribe(execution: ReplayExecution) -> None:
+            execution.recorder.history.generation = self.generation
             for sink in self._streaming_sinks:
                 execution.recorder.subscribe(sink, backfill=True)
 

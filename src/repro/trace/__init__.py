@@ -31,15 +31,12 @@ from .sinks import (
     CallbackSink,
     FileSink,
     GraphSink,
-    MemorySink,
-    RingBufferSink,
     TraceBus,
     TraceSink,
-    pump,
 )
 from .columnar import ColumnBlock, ColumnDecodeError
 from .shard import ShardManifest, TraceShardWriter
-from .trace import MessagePair, Trace, ensure_trace, merge_traces
+from .trace import MessagePair, Trace, ensure_trace
 from .tracefile import (
     FORMAT_VERSION,
     TraceFileError,
@@ -59,15 +56,12 @@ __all__ = [
     "Divergence",
     "FileSink",
     "GraphSink",
-    "MemorySink",
-    "RingBufferSink",
     "ShardManifest",
     "TraceBus",
     "TraceDiff",
     "TraceSink",
     "diff_traces",
     "ensure_trace",
-    "pump",
     "record_signature",
     "verify_replay_prefix",
     "EventKind",
@@ -86,6 +80,5 @@ __all__ = [
     "TraceRecorder",
     "TraceShardWriter",
     "load_trace",
-    "merge_traces",
     "save_trace",
 ]

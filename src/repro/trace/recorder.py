@@ -9,11 +9,14 @@ toggling the collection on and off in the monitor" -- see
 index, and publishes each surviving record once to a
 :class:`~repro.trace.sinks.TraceBus`.
 
-Consumers are bus sinks (see :mod:`repro.trace.sinks`): by default a
-:class:`~repro.trace.sinks.MemorySink` materializes the classic
-:class:`Trace` snapshot; a trace file, a bounded ring buffer, an
-incremental trace graph, or arbitrary analysis callbacks can be attached
-at any time and observe the same live stream.
+The recorder owns its execution's history: each surviving record is
+appended to the recorder's :class:`~repro.analysis.history.HistoryIndex`
+before it is published, and :meth:`TraceRecorder.snapshot` is that
+index's :class:`Trace` view -- the only copy of the history a live
+execution keeps.  Under a ``memory_limit`` only a bounded tail is kept
+instead.  Other consumers are bus sinks (see :mod:`repro.trace.sinks`):
+a trace file, an incremental trace graph, or arbitrary analysis
+callbacks can be attached at any time and observe the same live stream.
 
 Thread-safety: records are only appended by the process thread holding
 the scheduler token, and read by the controller thread while no process
@@ -22,22 +25,19 @@ runs, so no locking is required -- a property of the cooperative runtime.
 
 from __future__ import annotations
 
+from collections import deque
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence, Union
 
 from repro.mp.datatypes import SourceLocation
 
 from .events import EventKind, TraceRecord
-from .sinks import (
-    CallbackSink,
-    FileSink,
-    MemorySink,
-    RingBufferSink,
-    TraceBus,
-    TraceSink,
-)
+from .sinks import CallbackSink, FileSink, TraceBus, TraceSink
 from .trace import Trace
 from .tracefile import TraceFileWriter
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (analysis -> trace)
+    from repro.analysis.history import HistoryIndex
 
 
 class TraceRecorder:
@@ -51,9 +51,9 @@ class TraceRecorder:
         If given, only these event kinds are recorded (selective
         construct instrumentation).
     memory_limit:
-        If given, in-memory retention is a ring buffer of this many
-        records (bounded memory for long runs); :meth:`snapshot` then
-        covers only the retained tail.  None keeps the full history.
+        If given, in-memory retention is the last this many records
+        (bounded memory for long runs), and :meth:`snapshot` covers only
+        that tail.  None keeps the full history in :attr:`history`.
     """
 
     def __init__(
@@ -62,14 +62,22 @@ class TraceRecorder:
         kinds: Optional[Iterable[EventKind]] = None,
         memory_limit: Optional[int] = None,
     ) -> None:
+        from repro.analysis.history import HistoryIndex
+
         self.nprocs = nprocs
         self.bus = TraceBus()
-        self._memory: "MemorySink | RingBufferSink" = (
-            RingBufferSink(memory_limit) if memory_limit is not None else MemorySink()
-        )
-        self.bus.attach(self._memory)
+        #: this execution's history index (None under a memory_limit)
+        self.history: "Optional[HistoryIndex]" = None
+        self._tail: "Optional[deque[TraceRecord]]" = None
+        if memory_limit is None:
+            self.history = HistoryIndex(nprocs=nprocs)
+            self._keep = self.history.extend
+        else:
+            if memory_limit < 1:
+                raise ValueError(f"memory_limit must be >= 1, got {memory_limit}")
+            self._tail = deque(maxlen=memory_limit)
+            self._keep = self._tail.append
         self._next_index = 0
-        self._recorded = 0
         self._enabled_global = True
         self._enabled_proc = [True] * nprocs
         self._kind_filter: Optional[frozenset[EventKind]] = (
@@ -126,7 +134,7 @@ class TraceRecorder:
             **fields,
         )
         self._next_index += 1
-        self._recorded += 1
+        self._keep(rec)
         self.bus.publish(rec)
         return rec
 
@@ -134,21 +142,28 @@ class TraceRecorder:
     # reading
     # ------------------------------------------------------------------
     def snapshot(self) -> Trace:
-        """A consistent Trace over the retained history (everything, or
-        the ring-buffer tail under a ``memory_limit``)."""
-        return self._memory.snapshot(self.nprocs)
+        """A consistent Trace over the retained history: the history
+        index's trace view, or a trace over the tail under a
+        ``memory_limit``."""
+        if self.history is not None:
+            return self.history.trace
+        return Trace(self._tail, self.nprocs)
 
     def __len__(self) -> int:
-        return len(self._memory)
+        return len(self.history if self.history is not None else self._tail)
 
     @property
-    def records(self) -> tuple[TraceRecord, ...]:
-        return self._memory.records
+    def records(self) -> Sequence[TraceRecord]:
+        """The retained records: the history index's lazy rows, or the
+        tail (with its global indexes) under a ``memory_limit``."""
+        if self.history is not None:
+            return self.history.records
+        return tuple(self._tail)
 
     @property
     def total_recorded(self) -> int:
         """Records published over the recorder's lifetime (>= retained)."""
-        return self._recorded
+        return self._next_index
 
     # ------------------------------------------------------------------
     # pluggable sinks (the streaming pipeline surface)
@@ -158,7 +173,7 @@ class TraceRecorder:
         the retained in-memory history into it so a late subscriber
         still sees the full prefix."""
         if backfill:
-            for rec in self._memory.records:
+            for rec in self.records:
                 sink.emit(rec)
         return self.bus.attach(sink)
 

@@ -5,10 +5,11 @@ trace information on demand", Section 2.1), and the tracer-driver line
 of work (Langevine & Ducassé) generalizes that into a trace *flow* that
 several dynamic analyses observe simultaneously.  This module is that
 seam: instrumentation publishes each :class:`TraceRecord` once to a
-:class:`TraceBus`, and any number of sinks -- the in-memory
-:class:`~repro.trace.trace.Trace` materializer, a trace file, a bounded
-ring buffer, an incremental trace-graph builder, arbitrary analysis
-callbacks -- consume it live.
+:class:`TraceBus`, and any number of sinks -- a trace file, a trace
+graph grown record by record, arbitrary analysis callbacks -- consume
+it live.  The in-memory history is not a sink: the recorder appends
+each record to its :class:`~repro.analysis.history.HistoryIndex` before
+publishing it.
 
 Sinks never see a record the filters dropped (the recorder applies the
 Section 3 size-control knobs before publishing), and the bus preserves
@@ -21,12 +22,10 @@ controller thread while no process runs, so no locking is required.
 
 from __future__ import annotations
 
-from collections import deque
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from .events import TraceRecord
-from .trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (graphs -> trace)
     from repro.graphs.tracegraph import TraceGraph
@@ -54,8 +53,9 @@ class TraceBus:
     """Ordered fan-out of trace records to attached sinks.
 
     A sink attached mid-execution observes only records published after
-    attachment; use :meth:`replay_into` to back-fill from another sink's
-    history (the recorder does this when a file is attached late).
+    attachment; the recorder's ``subscribe(sink, backfill=True)`` first
+    replays its retained history into the sink (it does this when a file
+    is attached late).
     """
 
     def __init__(self) -> None:
@@ -100,61 +100,6 @@ class TraceBus:
 # ----------------------------------------------------------------------
 # concrete sinks
 # ----------------------------------------------------------------------
-class MemorySink(TraceSink):
-    """Materializes the full stream in memory (the classic `Trace`)."""
-
-    def __init__(self) -> None:
-        self._records: list[TraceRecord] = []
-
-    def emit(self, record: TraceRecord) -> None:
-        self._records.append(record)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    @property
-    def records(self) -> tuple[TraceRecord, ...]:
-        return tuple(self._records)
-
-    def iter_records(self) -> Iterable[TraceRecord]:
-        return iter(self._records)
-
-    def snapshot(self, nprocs: int) -> Trace:
-        return Trace(list(self._records), nprocs)
-
-
-class RingBufferSink(TraceSink):
-    """Keeps only the most recent ``capacity`` records (bounded memory).
-
-    The tail of history is exactly what a live debugger needs for "what
-    just happened" displays; older records are counted in ``evicted`` so
-    consumers can tell the window is partial.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._ring: deque[TraceRecord] = deque(maxlen=capacity)
-        #: records that fell off the front of the ring
-        self.evicted = 0
-
-    def emit(self, record: TraceRecord) -> None:
-        if len(self._ring) == self.capacity:
-            self.evicted += 1
-        self._ring.append(record)
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    @property
-    def records(self) -> tuple[TraceRecord, ...]:
-        return tuple(self._ring)
-
-    def snapshot(self, nprocs: int) -> Trace:
-        return Trace(list(self._ring), nprocs)
-
-
 class CallbackSink(TraceSink):
     """Invokes ``fn(record)`` per event -- the analysis-subscriber shim."""
 
@@ -259,16 +204,3 @@ class GraphSink(TraceSink):
 
     def emit(self, record: TraceRecord) -> None:
         self.graph.add_record(record)
-
-
-def pump(records: Iterable[TraceRecord], *sinks: TraceSink) -> int:
-    """Feed an existing record stream through sinks (batch -> streaming
-    bridge); returns how many records were delivered."""
-    n = 0
-    for rec in records:
-        for sink in sinks:
-            sink.emit(rec)
-        n += 1
-    for sink in sinks:
-        sink.flush()
-    return n

@@ -159,9 +159,10 @@ def test_index_from_stream_without_trace():
 # satellite: Trace.span caching
 # ----------------------------------------------------------------------
 def test_trace_span_cached(ring_trace):
-    first = ring_trace.span
-    assert ring_trace._span == first
-    assert ring_trace.span is ring_trace.span  # same tuple object
+    # the span is the index's, folded in once as the rows were stored
+    index = ring_trace.history_index()
+    assert ring_trace.span == index.span == oracles.span(list(ring_trace))
+    assert ring_trace.history_index() is index
     empty = type(ring_trace)([], 2)
     assert empty.span == (0.0, 0.0)
 

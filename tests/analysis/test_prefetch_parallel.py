@@ -12,9 +12,10 @@ Contracts:
   ``by="hash"`` shards or a zlib-compressed file is *exactly*
   ``HistoryIndex.from_trace`` of the same batch: same columns, records,
   span, matching, clocks and windows.
-* On every layout, the ``Trace`` view of such an index answers every
-  ``Trace`` query exactly as a bare ``Trace`` of the records does, and
-  a repeated read of a row returns the identical record object.
+* On every layout, the ``Trace`` view of such an index, and a bare
+  ``Trace`` of the records, answer every ``Trace`` query exactly as the
+  record walks of ``tests/oracles.py`` do, and a repeated read of a row
+  returns the identical record object.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import random
 import sys
 import tempfile
 import threading
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +41,7 @@ from repro.trace import (
     TraceFileWriter,
     TraceShardWriter,
 )
+from tests import oracles
 
 NPROCS = 4
 KINDS = list(EventKind)
@@ -266,7 +267,7 @@ class TestFromFileLayouts:
     @settings(max_examples=6, deadline=None)
     @given(seed=hst.integers(0, 10**6), n=hst.integers(40, 250))
     def test_property_trace_view_answers_like_bare_trace(self, seed, n):
-        batch = well_formed(make_batch(seed, n))
+        batch = make_batch(seed, n)
         bare = Trace(batch, NPROCS)
         rng = random.Random(seed)
         times = [rng.uniform(-5, 105) for _ in range(4)]
@@ -274,11 +275,15 @@ class TestFromFileLayouts:
         times += [r.t1 for r in rng.sample(batch, 3)]
         windows = list(zip(times, reversed(times)))  # half of them inverted
         markers = [r.marker for r in rng.sample(batch, 4)] + [0, n + 5]
+        assert_answers_like_oracles(batch, bare, times, windows, markers)
         with tempfile.TemporaryDirectory() as tmp:
             for name, write in LAYOUTS.items():
                 path = write(Path(tmp) / f"{name}.trace", batch)
-                view = HistoryIndex.from_file(TraceFileReader(path)).trace
-                assert_same_trace(bare, view, times, windows, markers)
+                idx = HistoryIndex.from_file(TraceFileReader(path))
+                view = idx.trace
+                assert view.history_index() is idx  # queries go to the index
+                assert_answers_like_oracles(batch, view, times, windows, markers)
+                assert_rows_built_once(view, windows)
 
     def test_deferred_records_survive_file_rewrite(self, tmp_path):
         # a one-block file decodes to views of its mapping; the index's
@@ -291,52 +296,34 @@ class TestFromFileLayouts:
         assert list(idx.records) == batch
 
 
-def well_formed(batch):
-    """Give ``make_batch``'s message records unambiguous keys.
-
-    Its sends and receives all share the key (-1, -1, -1, -1), on which
-    a bare ``Trace``'s two-pass matcher and the index's causal matcher
-    legitimately differ.  Here every send gets a key of its own, most
-    receives take the key of the oldest still-open earlier send, and
-    the rest a key no send has.
-    """
-    out, open_sends = [], []
-    for rec in batch:
-        if rec.is_send:
-            rec = replace(rec, src=rec.proc, dst=(rec.proc + 1) % NPROCS,
-                          tag=rec.index % 3, seq=rec.index)
-            open_sends.append(rec)
-        elif rec.is_recv:
-            if open_sends and rec.index % 4:
-                s = open_sends.pop(0)
-                rec = replace(rec, src=s.src, dst=s.dst, tag=s.tag, seq=s.seq)
-            else:
-                rec = replace(rec, src=0, dst=rec.proc, tag=9, seq=-2 - rec.index)
-        out.append(rec)
-    return out
-
-
-def assert_same_trace(bare, view, times, windows, markers):
-    assert view.history_index().answers_for(view)  # queries go to the index
-    assert len(view) == len(bare)
+def assert_answers_like_oracles(batch, trace, times, windows, markers):
+    """Every ``Trace`` query of ``trace`` equals the record walk of
+    ``tests/oracles.py`` over ``batch``."""
+    assert list(trace) == batch
+    rows = oracles.by_proc(batch, NPROCS)
     for p in range(NPROCS):
-        assert list(view.by_proc(p)) == list(bare.by_proc(p))
+        assert list(trace.by_proc(p)) == rows[p]
         for m in markers:
-            assert view.record_at_marker(p, m) == bare.record_at_marker(p, m)
+            assert trace.record_at_marker(p, m) == oracles.record_at_marker(rows[p], m)
         for t in times:
             for query in ("first_at_or_after", "first_ending_after", "last_before"):
-                got = getattr(view, query)(p, t)
-                assert got == getattr(bare, query)(p, t), (query, p, t)
+                got = getattr(trace, query)(p, t)
+                assert got == getattr(oracles, query)(rows[p], t), (query, p, t)
     for lo, hi in windows:
-        assert view.window(lo, hi) == bare.window(lo, hi), (lo, hi)
-    assert view.span == bare.span
-    for query in ("final_markers", "counts_by_kind", "recv_counts", "send_counts"):
-        assert getattr(view, query)() == getattr(bare, query)(), query
-    assert list(view.message_pairs()) == list(bare.message_pairs())
-    assert view.unmatched_sends() == bare.unmatched_sends()
-    assert view.unmatched_recvs() == bare.unmatched_recvs()
-    # every read of a row returns the one record built for it
-    assert list(view) == list(bare)
+        assert trace.window(lo, hi) == oracles.window(batch, lo, hi), (lo, hi)
+    assert trace.span == oracles.span(batch)
+    assert trace.final_markers() == oracles.final_markers(batch)
+    assert trace.counts_by_kind() == oracles.counts_by_kind(batch)
+    assert trace.recv_counts() == oracles.recv_counts(batch, NPROCS)
+    assert trace.send_counts() == oracles.send_counts(batch, NPROCS)
+    want = oracles.match(batch)
+    assert [(p.send.index, p.recv.index) for p in trace.message_pairs()] == want.pairs
+    assert [r.index for r in trace.unmatched_sends()] == want.unmatched_sends
+    assert [r.index for r in trace.unmatched_recvs()] == want.unmatched_recvs
+
+
+def assert_rows_built_once(view, windows):
+    """Every read of a row returns the one record built for it."""
     for i in range(len(view)):
         assert view[i] is view[i]
     for p in range(NPROCS):

@@ -10,7 +10,10 @@ checks exact equality on random traces, and
 Every function is pure and takes a positional record list
 (``records[i].index == i``), plus whatever derived state it consumes
 (the send-of-receive map, the clock matrix, the matched pairs) -- the
-same inputs the production kernel reads from the index.  :func:`frontiers` and
+same inputs the production kernel reads from the index.  :func:`by_proc`,
+:func:`span`, the per-process marker and time searches and the counts
+are the record walks every ``Trace`` query is checked against.
+:func:`frontiers` and
 :func:`cut_is_consistent` are the full-scan and set-based forms of the
 row-table frontier, stopline and cut queries.  :func:`caller_location`
 is the uncached stack walk the runtime's memoized one must agree with.
@@ -18,6 +21,7 @@ is the uncached stack walk the runtime's memoized one must agree with.
 
 from __future__ import annotations
 
+import bisect
 import sys
 from dataclasses import dataclass
 
@@ -28,7 +32,7 @@ from repro.analysis.matching import IntertwinedPair
 from repro.analysis.races import MessageRace
 from repro.mp.datatypes import ANY_SOURCE, ANY_TAG, SourceLocation
 from repro.mp.locutil import is_infrastructure_file
-from repro.trace.events import TraceRecord
+from repro.trace.events import EventKind, TraceRecord
 
 
 @dataclass
@@ -161,6 +165,82 @@ def window(
     if t_lo > t_hi:
         return []
     return [r for r in records if r.t1 >= t_lo and r.t0 <= t_hi]
+
+
+def by_proc(records: list[TraceRecord], nprocs: int) -> list[list[TraceRecord]]:
+    """Each process's records in program order, by one pass."""
+    rows: list[list[TraceRecord]] = [[] for _ in range(nprocs)]
+    for rec in records:
+        rows[rec.proc].append(rec)
+    return rows
+
+
+def span(records: list[TraceRecord]) -> tuple[float, float]:
+    """(earliest, latest) over every t0 and t1; (0, 0) if empty."""
+    if not records:
+        return (0.0, 0.0)
+    return (
+        min(min(r.t0, r.t1) for r in records),
+        max(max(r.t0, r.t1) for r in records),
+    )
+
+
+def record_at_marker(row: list[TraceRecord], marker: int) -> TraceRecord | None:
+    """The first record of one process's ``row`` carrying ``marker``."""
+    return next((rec for rec in row if rec.marker == marker), None)
+
+
+def first_at_or_after(row: list[TraceRecord], t: float) -> TraceRecord | None:
+    """Earliest record of ``row`` starting at or after ``t`` (a binary
+    search over its start times, which program order keeps sorted)."""
+    i = bisect.bisect_left([r.t0 for r in row], t)
+    return row[i] if i < len(row) else None
+
+
+def first_ending_after(row: list[TraceRecord], t: float) -> TraceRecord | None:
+    """Earliest record of ``row`` completing strictly after ``t``."""
+    i = bisect.bisect_right([r.t1 for r in row], t)
+    return row[i] if i < len(row) else None
+
+
+def last_before(row: list[TraceRecord], t: float) -> TraceRecord | None:
+    """Latest record of ``row`` starting strictly before ``t``."""
+    i = bisect.bisect_left([r.t0 for r in row], t)
+    return row[i - 1] if i > 0 else None
+
+
+def final_markers(records: list[TraceRecord]) -> dict[int, int]:
+    """Rank -> highest marker seen (ranks with a marker above -1)."""
+    out: dict[int, int] = {}
+    for rec in records:
+        if rec.marker > out.get(rec.proc, -1):
+            out[rec.proc] = rec.marker
+    return out
+
+
+def counts_by_kind(records: list[TraceRecord]) -> dict[EventKind, int]:
+    out: dict[EventKind, int] = {}
+    for rec in records:
+        out[rec.kind] = out.get(rec.kind, 0) + 1
+    return out
+
+
+def recv_counts(records: list[TraceRecord], nprocs: int) -> dict[int, int]:
+    """Rank -> number of completed receives."""
+    out = {p: 0 for p in range(nprocs)}
+    for rec in records:
+        if rec.is_recv:
+            out[rec.proc] += 1
+    return out
+
+
+def send_counts(records: list[TraceRecord], nprocs: int) -> dict[int, int]:
+    """Rank -> number of sends."""
+    out = {p: 0 for p in range(nprocs)}
+    for rec in records:
+        if rec.is_send:
+            out[rec.proc] += 1
+    return out
 
 
 def intertwined(

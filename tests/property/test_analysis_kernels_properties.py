@@ -320,8 +320,8 @@ def assert_frontiers_equal_oracle(idx, order, e, clocks, procs, markers):
 @settings(max_examples=40, deadline=None)
 @given(trace_records(), hst.integers(0, 17), hst.booleans())
 def test_frontiers_equal_oracle(tr, chunk, start_markers):
-    """Every event, batch (``chunk == 0``) or streamed through an
-    IndexSink in chunks: each chunk's events are queried as they arrive
+    """Every event, batch (``chunk == 0``) or appended to the index in
+    chunks: each chunk's events are queried as they arrive
     (row-table catch-up), an order held from before the chunk still
     answers for its snapshot, and every event is queried at the end."""
     nprocs, records = tr
@@ -338,11 +338,10 @@ def test_frontiers_equal_oracle(tr, chunk, start_markers):
 
     idx = HistoryIndex(nprocs=nprocs)
     if chunk:
-        sink = idx.sink()
         for lo in range(0, len(records), chunk):
             held = idx.order if lo else None
             for rec in records[lo:lo + chunk]:
-                sink.emit(rec)
+                idx.extend(rec)
             hi = len(idx)
             if held is not None:
                 check(idx, held, lo - 1, lo)

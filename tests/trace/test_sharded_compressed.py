@@ -13,6 +13,7 @@ import importlib.abc
 import json
 import random
 import sys
+import zlib
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.trace import (
     load_trace,
     save_trace,
 )
+from repro.trace import compression
 from repro.trace.compression import (
     COMPRESSED_HEADER,
     COMPRESSED_MAGIC,
@@ -242,6 +244,44 @@ class TestCompression:
         finally:
             sys.meta_path.remove(finder)
         assert attempts == []
+
+    def test_zstd_codec_with_a_stand_in_module(self, tmp_path, monkeypatch):
+        """Codec code 2 end to end, through a zlib-backed stand-in for
+        the two ``zstandard`` calls the codec makes."""
+
+        class StandInZstd:
+            class ZstdCompressor:
+                def compress(self, data):
+                    return zlib.compress(data)
+
+            class ZstdDecompressor:
+                def decompress(self, payload, max_output_size):
+                    raw = zlib.decompress(payload)
+                    assert len(raw) <= max_output_size
+                    return raw
+
+        monkeypatch.delenv(NO_ZSTD_ENV, raising=False)
+        compression._import_zstd.cache_clear()
+        monkeypatch.setattr(compression, "_import_zstd", lambda: StandInZstd)
+        batch = make_batch(5, 300)
+        path = tmp_path / "zstd.trace"
+        write_single(path, batch, index_block=64, compression="auto")
+        reader = TraceFileReader(path)
+        assert {b.encoding for b in reader.index.blocks} == {"columnar+zstd"}
+        assert reader.read_all() == batch
+        assert reader.read_columns().to_records() == batch
+        # the no-zstd lever degrades auto to zlib even with the package
+        monkeypatch.setenv(NO_ZSTD_ENV, "1")
+        fallback = tmp_path / "zlib.trace"
+        write_single(fallback, batch, compression="auto")
+        assert {b.encoding for b in TraceFileReader(fallback).index.blocks} == {
+            "columnar+zlib"
+        }
+        # a zstd file read where the package is absent names the package
+        monkeypatch.delenv(NO_ZSTD_ENV)
+        monkeypatch.setattr(compression, "_import_zstd", lambda: None)
+        with pytest.raises(TraceFileError, match="zstandard"):
+            TraceFileReader(path).read_all()
 
     def test_unknown_compression_name_refuses(self, tmp_path):
         with pytest.raises(TraceFileError, match="unknown compression"):

@@ -12,13 +12,10 @@ from repro.trace import (
     CallbackSink,
     EventKind,
     GraphSink,
-    MemorySink,
-    RingBufferSink,
     TraceBus,
     TraceFileReader,
     TraceRecord,
     TraceRecorder,
-    pump,
 )
 
 
@@ -27,41 +24,47 @@ def rec(index, t, proc=0, kind=EventKind.COMPUTE):
                        t0=t, t1=t + 1, marker=index + 1)
 
 
+def collector() -> tuple[list[TraceRecord], CallbackSink]:
+    """A sink that keeps what it is sent, and the list it keeps it in."""
+    seen: list[TraceRecord] = []
+    return seen, CallbackSink(seen.append)
+
+
 class TestTraceBus:
     def test_fanout_preserves_order(self):
         bus = TraceBus()
-        a, b = MemorySink(), MemorySink()
-        bus.attach(a)
-        bus.attach(b)
+        (a, sink_a), (b, sink_b) = collector(), collector()
+        bus.attach(sink_a)
+        bus.attach(sink_b)
         for i in range(5):
             bus.publish(rec(i, float(i)))
-        assert [r.index for r in a.records] == list(range(5))
-        assert a.records == b.records
+        assert [r.index for r in a] == list(range(5))
+        assert a == b
         assert bus.published == 5
 
     def test_double_attach_rejected(self):
         bus = TraceBus()
-        sink = MemorySink()
+        _, sink = collector()
         bus.attach(sink)
         with pytest.raises(ValueError, match="already attached"):
             bus.attach(sink)
 
     def test_detach_stops_delivery(self):
         bus = TraceBus()
-        sink = MemorySink()
+        seen, sink = collector()
         bus.attach(sink)
         bus.publish(rec(0, 0.0))
         bus.detach(sink)
         bus.publish(rec(1, 1.0))
-        assert len(sink) == 1
+        assert len(seen) == 1
 
     def test_late_subscriber_misses_prefix(self):
         bus = TraceBus()
-        early = MemorySink()
-        bus.attach(early)
+        early, early_sink = collector()
+        bus.attach(early_sink)
         bus.publish(rec(0, 0.0))
-        late = MemorySink()
-        bus.attach(late)
+        late, late_sink = collector()
+        bus.attach(late_sink)
         bus.publish(rec(1, 1.0))
         assert len(early) == 2
         assert len(late) == 1
@@ -69,14 +72,19 @@ class TestTraceBus:
 
 class TestSinks:
     def test_ring_buffer_bounds_memory(self):
-        sink = RingBufferSink(capacity=3)
+        recorder = TraceRecorder(nprocs=1, memory_limit=3)
         for i in range(10):
-            sink.emit(rec(i, float(i)))
-        assert len(sink) == 3
-        assert [r.index for r in sink.records] == [7, 8, 9]
-        assert sink.evicted == 7
-        snap = sink.snapshot(nprocs=1)
+            recorder.record(0, EventKind.COMPUTE, float(i), i + 1.0, i + 1)
+        assert len(recorder) == 3
+        assert [r.index for r in recorder.records] == [7, 8, 9]
+        assert recorder.total_recorded == 10
+        snap = recorder.snapshot()
         assert len(snap) == 3
+        # the snapshot re-indexes positional copies of the tail
+        assert [r.index for r in snap] == [0, 1, 2]
+        assert [r.marker for r in snap] == [8, 9, 10]
+        with pytest.raises(ValueError, match="memory_limit"):
+            TraceRecorder(nprocs=1, memory_limit=0)
 
     def test_callback_sink_counts(self):
         seen = []
@@ -92,7 +100,8 @@ class TestSinks:
                            t0=0, t1=1, marker=1, src=0, dst=1, tag=7, seq=0)
         recv = TraceRecord(index=1, proc=1, kind=EventKind.RECV,
                            t0=0, t1=2, marker=1, src=0, dst=1, tag=7, seq=0)
-        pump([send, recv], sink)
+        sink.emit(send)
+        sink.emit(recv)
         assert sink.graph.events_consumed == 2
         assert len(sink.graph.channel_nodes()) == 1
 
@@ -127,8 +136,8 @@ class TestRecorderPipeline:
     def test_backfill_subscription(self):
         recorder = TraceRecorder(nprocs=1)
         recorder.record(0, EventKind.COMPUTE, 0.0, 1.0, 1)
-        late = MemorySink()
-        recorder.subscribe(late, backfill=True)
+        late, sink = collector()
+        recorder.subscribe(sink, backfill=True)
         recorder.record(0, EventKind.COMPUTE, 1.0, 2.0, 2)
         assert len(late) == 2
 

@@ -15,7 +15,6 @@ from repro.trace import (
     TraceFileWriter,
     TraceRecord,
     load_trace,
-    merge_traces,
     save_trace,
 )
 
@@ -122,12 +121,34 @@ class TestTraceQueries:
         assert tr.final_markers() == {0: 3, 1: 2}
         assert tr.counts_by_kind()[EventKind.SEND] == 2
 
-    def test_merge(self):
-        tr = make_sample_trace()
-        a = Trace(list(tr.records)[:3], 2)
-        b = Trace(list(tr.records)[3:], 2)
-        merged = merge_traces([a, b])
-        assert [r.index for r in merged] == [0, 1, 2, 3, 4]
+    def test_repeated_key_pairs_each_send_once(self):
+        # send, recv, send, recv on one (src, dst, tag, seq) key: each
+        # receive takes the latest earlier send, and no send is lost
+        key = dict(src=0, dst=1, tag=7, seq=0)
+        records = [
+            rec(0, 0, EventKind.SEND, 0.0, 1.0, 1, **key),
+            rec(1, 1, EventKind.RECV, 0.0, 2.0, 1, **key),
+            rec(2, 0, EventKind.SEND, 2.0, 3.0, 2, **key),
+            rec(3, 1, EventKind.RECV, 2.0, 4.0, 2, **key),
+        ]
+        tr = Trace(records, 2)
+        pairs = [(p.send.index, p.recv.index) for p in tr.message_pairs()]
+        assert pairs == [(0, 1), (2, 3)]
+        paired = [s for s, _ in pairs]
+        unmatched = [r.index for r in tr.unmatched_sends()]
+        sends = [r.index for r in tr if r.is_send]
+        assert sorted(paired + unmatched) == sends
+        assert tr.unmatched_recvs() == []
+
+    def test_records_are_positional(self):
+        # a window cut from the middle of a trace keeps positional copies,
+        # so trace[i] is the record the queries return
+        cut = list(make_sample_trace().records)[2:]
+        tr = Trace(cut, 2)
+        assert [r.index for r in tr] == [0, 1, 2]
+        assert [r.index for r in cut] == [2, 3, 4]  # originals untouched
+        assert tr.by_proc(1)[0] is tr[0]
+        assert tr.unmatched_recvs() == [tr[0]]
 
 
 class TestMarkers:
