@@ -15,6 +15,9 @@ then the speedups are gated:
   frontier masks, and
 * critical path:     >= 2x (absolute floor),
 
+a memory gate on the compact vector clocks -- the index's clock state
+(``IndexStats.clock_bytes``) must hold less than half of the (n, p)
+int64 matrix it replaces --
 plus a >2x regression gate against the committed baseline in
 ``benchmarks/results/analysis_kernels_baseline.json`` (same pattern as
 the tracefile-v3 decode gate wired into the CI benchmark smoke job).
@@ -60,6 +63,8 @@ MIN_STOPLINE_SPEEDUP = 20.0
 MIN_CRITICAL_PATH_SPEEDUP = 2.0
 #: stopline anchors, spread over the trace
 STOPLINE_ANCHORS = 16
+#: the clock state may hold at most this share of the (n, p) int64 matrix
+MAX_CLOCK_MATRIX_SHARE = 0.5
 
 
 def synthesize_records(n: int = N_EVENTS):
@@ -118,9 +123,14 @@ def test_vectorized_kernels_speedup_and_regression_gate():
         idx = HistoryIndex(nprocs=NPROCS)
         idx.extend_many(records)
         idx.message_pairs()  # forces (and times) the matching kernel
-        _ = idx.clocks  # forces (and times) the clock kernel
+        _ = idx.order  # forces (and times) the clock kernel
         stats = idx.stats()
         vec_cm = min(vec_cm, stats.clock_seconds + stats.matching_seconds)
+    matrix_bytes = n * NPROCS * 8
+    assert stats.clock_bytes < MAX_CLOCK_MATRIX_SHARE * matrix_bytes, (
+        f"clock state holds {stats.clock_bytes} bytes, over "
+        f"{MAX_CLOCK_MATRIX_SHARE:.0%} of the {matrix_bytes}-byte matrix"
+    )
 
     # -- equality first: speed means nothing on different answers ------
     np.testing.assert_array_equal(ref_clocks, idx.clocks)
@@ -309,6 +319,10 @@ def test_vectorized_kernels_speedup_and_regression_gate():
                 f"{kernel_walls['path_python'] * 1e3:8.1f} ms | numpy "
                 f"{kernel_walls['path_numpy'] * 1e3:8.1f} ms | "
                 f"{path_speedup:6.1f}x (floor {MIN_CRITICAL_PATH_SPEEDUP}x)",
+                f"  clock state     : {stats.clock_rows} table rows, "
+                f"{stats.clock_bytes / 1e6:.2f} MB | (n, p) matrix "
+                f"{matrix_bytes / 1e6:.2f} MB "
+                f"(ceiling {MAX_CLOCK_MATRIX_SHARE:.0%})",
                 "  equality: clocks, pairs, unmatched, windows, races,",
                 "            stoplines, critical path identical to",
                 "            tests/oracles.py",

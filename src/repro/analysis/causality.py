@@ -11,13 +11,18 @@ the causality of communications in the trace file, i.e., no message was
 received before it was sent."
 
 The clocks live in the shared
-:class:`~repro.analysis.history.HistoryIndex` as an ``(n_events,
-nprocs)`` NumPy array (O(1) comparisons).  Closures are answered from
-the index's :class:`RowTable` rather than by scanning the matrix:
-``VC[e][q]`` counts q's events in e's past, so the past of ``e`` on
-row q is the first ``VC[e][q]`` entries, and its future on row q is
-the suffix where ``VC[.][proc(e)]`` -- nondecreasing along every row --
-reaches ``VC[e][proc(e)]``.  A query is O(p log n + output).
+:class:`~repro.analysis.history.HistoryIndex` in compact form, a
+:class:`ClockTable`: a process's clock changes its other components
+only at receive joins, so event i's clock is a table row (its segment
+base, ``seg[i]``) with its own-process count ``own[i]`` written at
+``proc(i)``.  The table holds one row per matched join plus a zero
+row -- O(joins * p + n) memory instead of an (n, p) matrix -- and each
+comparison stays O(1).  Closures are answered from the index's
+:class:`RowTable` rather than by scanning clocks: ``VC[e][q]`` counts
+q's events in e's past, so the past of ``e`` on row q is the first
+``VC[e][q]`` entries, and its future on row q is the suffix where
+``VC[.][proc(e)]`` -- nondecreasing along every row -- reaches
+``VC[e][proc(e)]``.  A query is O(p log n + output).
 """
 
 from __future__ import annotations
@@ -85,6 +90,44 @@ class RowTable:
             hi[rows] = np.where(below, b, mid)
 
 
+@dataclass(frozen=True)
+class ClockTable:
+    """Vector clocks of n events in compact form.
+
+    The clock of event i is ``table[seg[i]]`` with ``own[i]`` written at
+    ``procs[i]``: row 0 of ``table`` is the zero clock (the base of every
+    process before its first join), and every other row is the clock
+    after one matched receive join.  Component q != procs[i] of event
+    i's clock is therefore ``table[seg[i], q]``.  A join's row holds the
+    receive's own count on its own process, so for a join r and an
+    event x of the same process, ``table[seg[x], procs[r]] < own[r]``
+    exactly when x precedes r.  The arrays are never written after
+    creation (a grown index appends rows past this view).
+    """
+
+    table: np.ndarray  # (1 + joins, nprocs) int64
+    seg: np.ndarray  # (n,) int64: each event's table row
+    own: np.ndarray  # (n,) int64: each event's own-process count
+    procs: np.ndarray  # (n,) process of each event
+
+    def __len__(self) -> int:
+        return int(self.seg.size)
+
+    def row(self, i: int) -> np.ndarray:
+        """Event ``i``'s clock (a fresh (nprocs,) array)."""
+        out = self.table[self.seg[i]].copy()
+        out[self.procs[i]] = self.own[i]
+        return out
+
+    def rows(self, idx: np.ndarray) -> np.ndarray:
+        """The clocks of events ``idx`` as a fresh (k, nprocs) array:
+        O(k * p), for small selections."""
+        idx = np.asarray(idx, dtype=np.int64)
+        out = self.table[self.seg[idx]]
+        out[np.arange(idx.size), self.procs[idx]] = self.own[idx]
+        return out
+
+
 class EventCones:
     """The past and future of one event as slices of the row table.
 
@@ -95,7 +138,7 @@ class EventCones:
     """
 
     def __init__(
-        self, table: RowTable, ends: np.ndarray, clocks: np.ndarray, e: int, pe: int
+        self, table: RowTable, ends: np.ndarray, clocks: ClockTable, e: int, pe: int
     ) -> None:
         self.table = table
         self.starts = table.offsets[:-1]
@@ -103,7 +146,7 @@ class EventCones:
         self.event = e
         self.proc = pe
         self._clocks = clocks
-        self.past_end = self.starts + clocks[e]
+        self.past_end = self.starts + clocks.row(e)
         self.past_end[pe] -= 1  # e counts itself; its past does not
         # the first position after the past that is not e itself
         self.after = self.past_end.copy()
@@ -111,13 +154,22 @@ class EventCones:
 
     @cached_property
     def future_start(self) -> np.ndarray:
+        """Per row, the first position in e's future.  Every later event
+        of e's own process is in it, so only the other rows are
+        searched; on those, component ``proc(e)`` of a clock is its
+        segment's table entry."""
         clocks, members, pe = self._clocks, self.table.members, self.proc
-        return self.table.bisect(
-            lambda pos: clocks[members[pos], pe],
-            self.after,
+        col, seg = clocks.table[:, pe], clocks.seg
+        lo = self.after.copy()
+        lo[pe] = self.ends[pe]  # nothing to search on e's own row
+        start = self.table.bisect(
+            lambda pos: col[seg[members[pos]]],
+            lo,
             self.ends,
-            clocks[self.event, pe],
+            clocks.own[self.event],
         )
+        start[pe] = self.after[pe]
+        return start
 
     def past(self) -> np.ndarray:
         return self.table.gather(self.starts, self.past_end)
@@ -146,18 +198,17 @@ class EventCones:
 class CausalOrder:
     """Vector clocks plus comparison/closure queries for one trace.
 
-    ``clocks[i]`` is the vector clock of the record with trace index
+    ``clocks.row(i)`` is the vector clock of the record with trace index
     ``i`` (component p = count of events of process p in that record's
-    causal past, inclusive).  ``trace``, ``clocks`` and ``procs`` (the
-    process column) are a snapshot of ``index``; closures read the
-    index's row table and stay answers for the snapshot after the index
-    grows.  No query builds a record.
+    causal past, inclusive), held as a compact :class:`ClockTable`.
+    ``trace`` and ``clocks`` are a snapshot of ``index``; closures read
+    the index's row table and stay answers for the snapshot after the
+    index grows.  No query builds a record.
     """
 
     trace: Trace
-    clocks: np.ndarray  # (n_events, nprocs), dtype int64
+    clocks: ClockTable
     index: "HistoryIndex"
-    procs: np.ndarray  # (n_events,) process of each event
 
     # ------------------------------------------------------------------
     # pairwise relations
@@ -167,12 +218,18 @@ class CausalOrder:
 
         Standard vector-clock test: since every record increments its own
         process component, ``a -> b`` iff b's clock has seen a's own
-        component: ``VC[a][proc(a)] <= VC[b][proc(a)]``.
+        component: ``VC[a][proc(a)] <= VC[b][proc(a)]``.  On one process
+        that is trace order; across processes b's component is its
+        segment's table entry.
         """
         if a == b:
             return False
-        pa = self.procs[a]
-        return bool(self.clocks[a, pa] <= self.clocks[b, pa])
+        c = self.clocks
+        procs = c.procs
+        pa = procs[a]
+        if pa == procs[b]:
+            return a < b
+        return bool(c.own[a] <= c.table[c.seg[b], pa])
 
     def concurrent(self, a: int, b: int) -> bool:
         """Neither ordered: the pair lies in each other's concurrency
@@ -192,7 +249,7 @@ class CausalOrder:
         if table.members.size > n:  # the index grew past this snapshot
             members = table.members
             ends = table.bisect(lambda pos: members[pos], table.offsets[:-1], ends, n)
-        return EventCones(table, ends, self.clocks, e, int(self.procs[e]))
+        return EventCones(table, ends, self.clocks, e, int(self.clocks.procs[e]))
 
     def past(self, e: int) -> np.ndarray:
         """Trace indexes of all events that happen before ``e``.

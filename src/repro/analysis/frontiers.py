@@ -186,21 +186,21 @@ def is_antichain(
     """Literal reading of the paper's definition: "a set of events in
     which no event happens before another".
 
-    One vectorized clock-matrix comparison over the k selected events:
-    ``a -> b`` iff ``VC[a][proc(a)] <= VC[b][proc(a)]``, so gathering
-    each member's own clock component and comparing against the k x k
-    matrix of those components answers every pair at once.
+    One vectorized comparison over the k selected events' clocks (a
+    (k, nprocs) expansion of their rows of the compact clock table):
+    ``a -> b`` iff ``VC[a][proc(a)] <= VC[b][proc(a)]``, so comparing
+    each member's own count against the k x k matrix of the members'
+    components on each other's processes answers every pair at once.
     """
     from .history import ensure_index
 
-    idx = ensure_index(trace, index=index)
     sel = np.asarray(list(indexes), dtype=np.int64)
-    k = len(sel)
-    if k < 2:
+    if len(sel) < 2:
         return True
-    procs = idx.column("proc")[sel]
-    clocks = idx.clocks[sel]  # (k, nprocs)
-    own = clocks[np.arange(k), procs]  # own component of each member
+    vc = ensure_index(trace, index=index).order.clocks
+    procs = vc.procs[sel]
+    clocks = vc.rows(sel)  # (k, nprocs)
+    own = vc.own[sel]  # own component of each member
     # hb[b, a] <=> member a happens before member b (a's own component
     # is visible in b's clock).
     hb = own[None, :] <= clocks[:, procs]

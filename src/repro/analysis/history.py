@@ -30,10 +30,13 @@ and memoized, so a second read returns the same object;
 The hot kernels run on the columns as batched array operations, and
 their state is trace-index arrays:
 
-* vector clocks -- only receive-join events are touched in Python, one
-  ``np.maximum`` per join into an int64 table of segment bases; the
-  segments between joins are filled by one gather (O(messages*p) array
-  work instead of O(n*p) Python iterations);
+* vector clocks -- kept compact as a
+  :class:`~repro.analysis.causality.ClockTable`: an int64 table of
+  segment bases (a zero row, then one row per matched receive join)
+  plus each row's segment and own count, O(joins*p + n) memory where
+  the full matrix is O(n*p).  Only receive-join events are touched in
+  Python, one ``np.maximum`` per join into its table row; every query
+  (happens-before, frontiers, races, steering) reads the table;
 * message matching -- :func:`match_messages`, one ``np.lexsort``
   grouping over the (src, dst, tag, seq) key columns; pairs, the send
   of each receive, open sends and unmatched receives are int64 arrays;
@@ -89,7 +92,7 @@ from repro.trace.columnar import DEFAULT_KIND_TABLE, KIND_CODES, kind_code_lut
 from repro.trace.events import RECV_KINDS, SEND_KINDS, EventKind, TraceRecord
 from repro.trace.trace import MessagePair, Trace, ensure_trace
 
-from .causality import CausalOrder, RowTable
+from .causality import CausalOrder, ClockTable, RowTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mp.process import WaitInfo
@@ -149,7 +152,9 @@ class IndexStats:
     consume the index without owning state in it (race detection,
     critical path), keyed by kernel name.  ``records_built`` counts the
     column-ingested rows turned into record objects because a caller
-    read them.
+    read them.  ``clock_rows`` is the compact clock table's row count
+    (1 + matched joins folded) and ``clock_bytes`` the bytes the clock
+    state holds (table, per-row segment and own count).
     """
 
     generation: int = 0
@@ -157,6 +162,8 @@ class IndexStats:
     clock_builds: int = 0
     clock_extends: int = 0
     clock_seconds: float = 0.0
+    clock_rows: int = 0
+    clock_bytes: int = 0
     matching_builds: int = 0
     matching_extends: int = 0
     matching_seconds: float = 0.0
@@ -199,6 +206,8 @@ class IndexStats:
             f"  vector clocks : {self.clock_builds} build(s), "
             f"{self.clock_extends} record(s) folded, "
             f"{self.clock_seconds * 1e3:.2f} ms",
+            f"  clock state   : {self.clock_rows} table row(s), "
+            f"{self.clock_bytes} bytes",
             f"  matching      : {self.matching_builds} build(s), "
             f"{self.matching_extends} record(s) folded, "
             f"{self.matching_seconds * 1e3:.2f} ms",
@@ -335,7 +344,7 @@ class HistoryIndex:
 
     Components (each computed once, then extended):
 
-    * ``order`` -- vector clocks as a :class:`CausalOrder`;
+    * ``order`` -- compact vector clocks as a :class:`CausalOrder`;
     * ``message_pairs()`` / ``pair_indexes()`` / ``matched_sends()`` /
       ``unmatched_sends()`` / ``unmatched_recvs()`` / ``send_of_recv``
       -- send/receive matching, held as trace-index arrays;
@@ -397,13 +406,20 @@ class HistoryIndex:
         self._unmatched_recvs = np.zeros(0, dtype=np.int64)
         self._send_of_recv: Optional[dict[int, int]] = None
         # vector clocks (lazy catch-up) -----------------------------------
+        # (a compact ClockTable: the zero row, then one row per matched
+        # join; per row, its segment and own count)
         self._clocked_upto = 0
-        self._clocks = np.zeros((0, self.nprocs), dtype=np.int64)
-        self._current = np.zeros((self.nprocs, self.nprocs), dtype=np.int64)
+        self._table = np.zeros((1, self.nprocs), dtype=np.int64)
+        self._rows = 1  # rows of _table in use
+        self._seg = np.zeros(0, dtype=np.int64)
+        self._own = np.zeros(0, dtype=np.int64)
+        self._base = np.zeros(self.nprocs, dtype=np.int64)  # per process
+        self._count = np.zeros(self.nprocs, dtype=np.int64)  # per process
         # window interval index (lazy catch-up) ---------------------------
         self._window_upto = 0
         self._t0_order: Optional[np.ndarray] = None
         self._t0_sorted: Optional[np.ndarray] = None
+        self._t1_runmax: Optional[np.ndarray] = None  # t1 in t0 order
         # row table (lazy catch-up) -----------------------------------------
         self._row_upto = 0
         self._row_table = RowTable(
@@ -412,7 +428,7 @@ class HistoryIndex:
         )
         # memoized views, held weakly: each view holds the index, so a
         # strong memo would form a cycle keeping a dropped index (and its
-        # clock matrix) alive until the next GC pass -------------------
+        # clock table) alive until the next GC pass --------------------
         self._trace: Optional[weakref.ref[Trace]] = None
         self._order: Optional[weakref.ref[CausalOrder]] = None
         self._pairs: Optional[weakref.ref[IndexPairs]] = None
@@ -828,7 +844,8 @@ class HistoryIndex:
             self._stats.hit("window")
             return
         self._stats.miss("window")
-        t0 = self._store()["t0"]
+        cols = self._store()
+        t0 = cols["t0"]
         start = time.perf_counter()
         lo = self._window_upto
         if self._t0_order is None or lo == 0:
@@ -845,6 +862,7 @@ class HistoryIndex:
             at = np.searchsorted(self._t0_sorted, suf_sorted, side="right")
             self._t0_order = np.insert(self._t0_order, at, suf_order)
             self._t0_sorted = np.insert(self._t0_sorted, at, suf_sorted)
+        self._t1_runmax = np.maximum.accumulate(cols["t1"][self._t0_order])
         self._window_upto = n
         self._stats.window_extends += n - lo
         self._stats.window_seconds += time.perf_counter() - start
@@ -855,7 +873,11 @@ class HistoryIndex:
 
         Served from a sorted-t0 interval index: ``searchsorted`` bounds
         the candidates with ``t0 <= t_hi``, one vectorized compare keeps
-        those with ``t1 >= t_lo``.  Only the returned rows are built.
+        those with ``t1 >= t_lo``.  The running max of ``t1`` in that
+        order skips the leading rows that all end before ``t_lo``, so a
+        window scans from its first possible overlap, not from the
+        trace's start (a record spanning the trace makes it a full
+        scan, still exact).  Only the returned rows are built.
         """
         self._check_live()
         if t_lo > t_hi:
@@ -864,7 +886,8 @@ class HistoryIndex:
         if self._n == 0:
             return []
         k = int(np.searchsorted(self._t0_sorted, t_hi, side="right"))
-        cand = self._t0_order[:k]
+        j = int(np.searchsorted(self._t1_runmax[:k], t_lo, side="left"))
+        cand = self._t0_order[j:k]
         sel = cand[self._store()["t1"][cand] >= t_lo]
         return self._records_at(np.sort(sel))
 
@@ -1008,11 +1031,10 @@ class HistoryIndex:
         start = time.perf_counter()
         if self._clocked_upto == 0:
             self._stats.clock_builds += 1
-        if self._clocks.shape[0] < n:
-            cap = max(64, n, 2 * self._clocks.shape[0])
-            grown = np.zeros((cap, self.nprocs), dtype=np.int64)
-            grown[: self._clocks.shape[0]] = self._clocks
-            self._clocks = grown
+        if self._seg.size < n:
+            cap = max(n, 2 * self._seg.size)
+            self._seg = _grown(self._seg, cap)
+            self._own = _grown(self._own, cap)
         lo = self._clocked_upto
         self._clocks_suffix(lo, n)
         self._clocked_upto = n
@@ -1025,89 +1047,89 @@ class HistoryIndex:
         A process's clock changes its *own* component at every event but
         its other components only at receive joins, so each per-process
         row splits into segments delimited by joins: within a segment
-        every clock row equals the segment base except the own column,
-        which is a running count.  The bases live in one int64 table:
-        row p is p's base carried in from the last catch-up, row
-        ``nprocs + t`` the base after the suffix's t-th join (trace
-        order).  Every suffix row's segment is known up front (the
-        latest join of its process at or before it, by a running max),
-        so the join loop does one ``np.maximum`` per join into its table
-        row; the clock matrix is then one ``take`` from the table plus
-        one scatter of the own-component counters.
+        every clock equals the segment base except the own component,
+        which is a running count.  The bases live in one int64 table,
+        ``self._table``: row 0 is the zero clock (every process's base
+        before its first join), and each matched join appends one row,
+        in trace order.  Every suffix row's segment and own count are
+        known up front (:meth:`_segments`), so the join loop does one
+        ``np.maximum`` per join into its table row: the receiver's base
+        joined with the send's clock, which is the send's segment row
+        with its own count written in -- for a send clocked in an
+        earlier catch-up as for one in the suffix.  No (n, p) matrix is
+        ever formed.
 
-        ``self._current`` carries the state between catch-ups: row p is
-        the clock after p's last indexed event.
+        ``self._base`` and ``self._count`` carry the state between
+        catch-ups: each process's current base row and own count.
         """
-        nprocs = self.nprocs
-        clocks = self._clocks
-        current = self._current
+        joins = self._segments(lo, n)
+        base, k = self._rows, joins.size
+        if self._table.shape[0] < base + k:
+            self._table = _grown(self._table, max(base + k, 2 * self._table.shape[0]))
+        table, seg, own = self._table, self._seg, self._own
+        proc = self._cols["proc"]
+        sends = self._send_of[joins]
+        cur = self._base.tolist()  # table row of each process's base
+        for t, (p, own_i, sr, q, own_s) in enumerate(zip(
+                proc[joins].tolist(), own[joins].tolist(),
+                seg[sends].tolist(), proc[sends].tolist(),
+                own[sends].tolist()), base):
+            row = table[t]
+            # the send's clock: its segment base with its own count
+            np.maximum(table[cur[p]], table[sr], out=row)
+            if own_s > row[q]:
+                row[q] = own_s
+            row[p] = own_i
+            cur[p] = t
+        self._rows = base + k
+        self._base[:] = cur
+
+    def _segments(self, lo: int, n: int) -> np.ndarray:
+        """Write the own count and segment row of rows ``[lo, n)`` into
+        ``self._own`` and ``self._seg``, and fold their counts into
+        ``self._count``.  Returns the suffix's matched joins (trace
+        indexes, ascending); the t-th of them fills table row
+        ``self._rows + t``."""
         m = n - lo
         proc_sub = self._cols["proc"][lo:n]
-        order = _argsort_procs(proc_sub, nprocs)
-        counts = np.bincount(proc_sub, minlength=nprocs)
+        order = _argsort_procs(proc_sub, self.nprocs)
+        at = order + lo  # the suffix rows, grouped by process in program order
+        counts = np.bincount(proc_sub, minlength=self.nprocs)
         first = np.cumsum(counts) - counts
-        rank = np.empty(m, dtype=np.int64)
-        rank[order] = np.arange(m, dtype=np.int64) - np.repeat(first, counts)
-        counts0 = current.diagonal().copy()
-        own = counts0[proc_sub] + rank + 1
-        # the suffix's matched joins, in trace order
-        send = self._send_of[lo:n]
-        joins = np.flatnonzero(send >= 0)
+        # own count: the count carried in plus the rank in the group
+        self._own[at] = np.arange(1, m + 1) - np.repeat(first - self._count, counts)
+        self._count += counts
+        joins = np.flatnonzero(self._send_of[lo:n] >= 0)
         k = joins.size
-        join_id = np.full(m, -1, dtype=np.int64)
-        join_id[joins] = np.arange(k, dtype=np.int64)
-        # segment of every row: its process's latest join at or before
-        # it (a running max over the process-sorted rows, offset per
-        # process so it never crosses a row boundary), else the base
-        # carried in
-        p_sorted = proc_sub[order].astype(np.int64)
-        shift = p_sorted * (k + 1)
-        latest = np.maximum.accumulate(join_id[order] + shift) - shift
-        seg = np.empty(m, dtype=np.int64)
-        seg[order] = np.where(latest < 0, p_sorted, nprocs + latest)
-        table = np.empty((nprocs + k, nprocs), dtype=np.int64)
-        table[:nprocs] = current
-        s_abs = send[joins]
-        in_suffix = s_abs >= lo
-        s_rel = np.where(in_suffix, s_abs - lo, 0)
-        s_seg = np.where(in_suffix, seg[s_rel], -1)
-        cur = list(range(nprocs))  # table row of each process's base
-        for t, (p, own_i, sr, q, own_s, s) in enumerate(zip(
-                proc_sub[joins].tolist(), own[joins].tolist(),
-                s_seg.tolist(), proc_sub[s_rel].tolist(),
-                own[s_rel].tolist(), s_abs.tolist())):
-            row = table[nprocs + t]
-            if sr >= 0:
-                # the send's clock: its segment base with its own count
-                np.maximum(table[cur[p]], table[sr], out=row)
-                if own_s > row[q]:
-                    row[q] = own_s
-            else:
-                # prior-batch send: its clock row is already final
-                np.maximum(table[cur[p]], clocks[s], out=row)
-            row[p] = own_i
-            cur[p] = nprocs + t
-        # seg is in [0, len(table)) by construction; "clip" skips the
-        # bounds pass, and writing straight into the matrix avoids a
-        # second (n x p)-sized temporary
-        table.take(seg, axis=0, mode="clip", out=clocks[lo:n])
-        clocks[np.arange(lo, n), proc_sub] = own
-        current[:] = table[cur]
-        np.fill_diagonal(current, counts0 + counts)
+        # segment: the process's latest join at or before the row (a
+        # running max over the groups, offset per process so it never
+        # crosses a group boundary), else the base carried in
+        latest = np.full(m, -1, dtype=np.int64)
+        latest[joins] = np.arange(self._rows, self._rows + k)
+        latest = latest[order]
+        shift = np.repeat(
+            np.arange(self.nprocs, dtype=np.int64) * (self._rows + k + 1), counts
+        )
+        latest += shift
+        np.maximum.accumulate(latest, out=latest)
+        latest -= shift
+        self._seg[at] = np.where(latest < 0, np.repeat(self._base, counts), latest)
+        return joins + lo
 
     @property
     def clocks(self) -> np.ndarray:
-        """The (n_records, nprocs) vector-clock matrix (read-only view)."""
-        self._check_live()
-        self._ensure_clocks()
-        return self._clocks[: self._n]
+        """The (n_records, nprocs) vector-clock matrix, expanded from the
+        compact table on every access: O(n * p) time and memory, for
+        tests and oracle comparisons.  Analyses read :attr:`order`."""
+        clocks = self.order.clocks
+        return clocks.rows(np.arange(len(clocks)))
 
     @property
     def order(self) -> CausalOrder:
         """Happens-before queries over the indexed history.
 
         The returned :class:`CausalOrder` is a zero-copy view of the
-        incrementally-maintained clock matrix; accessing it never
+        incrementally-maintained compact clock table; accessing it never
         re-derives clocks already computed.
         """
         self._check_live()
@@ -1119,9 +1141,13 @@ class HistoryIndex:
             n = self._n
             order = CausalOrder(
                 trace=trace,
-                clocks=self._clocks[:n],
+                clocks=ClockTable(
+                    table=self._table[: self._rows],
+                    seg=self._seg[:n],
+                    own=self._own[:n],
+                    procs=self._store()["proc"][:n],
+                ),
                 index=self,
-                procs=self._store()["proc"][:n],
             )
             self._order = weakref.ref(order)
         else:
@@ -1173,6 +1199,10 @@ class HistoryIndex:
         """A point-in-time copy of the build/extend counters."""
         self._stats.generation = self.generation
         self._stats.records = self._n
+        self._stats.clock_rows = self._rows
+        self._stats.clock_bytes = (
+            self._table.nbytes + self._seg.nbytes + self._own.nbytes
+        )
         return self._stats.snapshot()
 
 
@@ -1259,6 +1289,14 @@ def match_messages(
 def _alive(ref: "Optional[weakref.ref]"):
     """The object behind a weak memo (None if unset or collected)."""
     return None if ref is None else ref()
+
+
+def _grown(arr: np.ndarray, cap: int) -> np.ndarray:
+    """``arr`` copied into the head of an uninitialized array of ``cap``
+    rows (amortized growth: callers double the capacity)."""
+    out = np.empty((cap,) + arr.shape[1:], dtype=arr.dtype)
+    out[: arr.shape[0]] = arr
+    return out
 
 
 def _argsort_procs(proc: np.ndarray, nprocs: int) -> np.ndarray:

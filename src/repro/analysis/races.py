@@ -97,9 +97,9 @@ def detect_races(
     nothing is derived twice either way.
 
     One candidate mask over the send (dst, src, tag) columns per
-    wildcard receive; happens-before for *all* sends at once against the
-    clock matrix.  Wall-clock goes into the index's per-kernel stats
-    (``races``).
+    wildcard receive; happens-before for the surviving sends at once
+    against the compact clock table.  Wall-clock goes into the index's
+    per-kernel stats (``races``).
     """
     from .history import ensure_index
 
@@ -123,15 +123,19 @@ def _detect_races(
     process ``pr``, the racing-send set is one boolean mask over the
     send columns: ``dst == pr`` (narrowed by the posted source/tag when
     not wildcarded), minus the matched send, intersected with NOT
-    ``r -> s2``.  The happens-before test for all sends at once is the
-    standard vector-clock comparison against row ``pr`` of the clock
-    matrix: ``r -> s2`` iff ``clocks[r, pr] <= clocks[s2, pr]``, so the
-    *negation* is a single ``<`` over the precomputed send-clock column.
-    Records are built only for the races found.
+    ``r -> s2``.  The happens-before test runs only on the sends the
+    masks keep: the standard vector-clock comparison ``r -> s2`` iff
+    ``VC[r][pr] <= VC[s2][pr]``, where ``VC[r][pr]`` is r's own count
+    and ``VC[s2][pr]`` is s2's segment entry in the compact clock table
+    -- for a send on ``pr`` too, since ``r`` is a join (see
+    :class:`~repro.analysis.causality.ClockTable`) -- so the *negation*
+    is a single ``<`` over a gather of the surviving sends.  Records
+    are built only for the races found.
     """
     from .history import RECV_CODES, SEND_CODES
 
-    clocks = idx.clocks
+    clocks = idx.order.clocks
+    table, seg, own = clocks.table, clocks.seg, clocks.own
     cols = idx.columns
     kind = cols["kind"]
     recv_idx = np.flatnonzero(kind == RECV_CODES[0])
@@ -154,7 +158,6 @@ def _detect_races(
     s_src = cols["src"][send_idx]
     s_dst = cols["dst"][send_idx]
     s_tag = cols["tag"][send_idx]
-    send_clocks = clocks[send_idx]
     proc = cols["proc"]
     races: list[MessageRace] = []
     for k in chosen.tolist():
@@ -167,8 +170,8 @@ def _detect_races(
         if ptag[k] != ANY_TAG:
             mask &= s_tag == ptag[k]
         mask &= send_idx != s
-        mask &= send_clocks[:, pr] < clocks[r, pr]
         alt = send_idx[mask]
+        alt = alt[table[seg[alt], pr] < own[r]]
         if alt.size:
             recs = idx.records_at(np.concatenate([[r, s], alt]))
             races.append(MessageRace(
@@ -215,7 +218,6 @@ def steer_to_alternative(
     if order is None:
         order = idx.order
 
-    rank = race.recv.proc
     alt_env = Envelope(
         src=alternative.src,
         dst=alternative.dst,
@@ -231,6 +233,9 @@ def steer_to_alternative(
     table = idx.row_table()
     is_recv = idx.column("kind") == RECV_CODES[0]
     target = race.recv.index
+    # the forced prefix: on row r, the first VC[target][r] events happen
+    # before the target (on its own row, the target itself is last)
+    prefix = order.clocks.row(target).tolist()
     steered = CommLog()
     race_entry_key = None
     for r in range(trace.nprocs):
@@ -240,7 +245,8 @@ def steer_to_alternative(
             if rr == r
         )
         row = table.members[table.offsets[r]: table.offsets[r + 1]]
-        recvs = row[is_recv[row]].tolist()
+        at = np.flatnonzero(is_recv[row])
+        recvs = row[at].tolist()
         if len(entries) != len(recvs):
             raise ValueError(
                 f"forcing-log/trace misalignment on rank {r}: the base log "
@@ -249,10 +255,11 @@ def steer_to_alternative(
                 "come from the same execution (blocking receives, completion "
                 "order == post order) for steering to align them"
             )
-        for (post_idx, env), i in zip(entries, recvs):
+        bound = prefix[r]
+        for (post_idx, env), i, k in zip(entries, recvs, at.tolist()):
             if i == target:
                 race_entry_key = (r, post_idx)
-            elif order.happens_before(i, target):
+            elif k < bound:
                 steered.recv_matches[(r, post_idx)] = env
     if race_entry_key is None:
         raise ValueError(

@@ -16,6 +16,8 @@ Covers the tentpole invariants:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -276,6 +278,40 @@ def test_window_index_is_incremental(ring_trace):
     stats = index.stats()
     assert stats.window_builds == 1  # extension merged, not rebuilt
     assert stats.window_extends == len(ring_trace)
+
+
+def test_window_with_a_record_spanning_the_trace(ring_trace):
+    """A record open over the whole trace overlaps every window; the
+    running t1 max then starts every scan at the first row, and the
+    answer is still exact."""
+    records = list(ring_trace)
+    t_lo, t_hi = ring_trace.span
+    records[0] = replace(records[0], t0=t_lo - 1.0, t1=t_hi + 1.0)
+    index = HistoryIndex(records, nprocs=ring_trace.nprocs)
+    mid = (t_lo + t_hi) / 2
+    for lo, hi in ((t_lo, t_hi), (mid, mid), (t_hi, t_hi + 0.5),
+                   (t_lo - 0.5, t_lo), (mid - 0.1, mid + 0.1)):
+        got = [r.index for r in index.window(lo, hi)]
+        assert got == [r.index for r in oracles.window(records, lo, hi)]
+        assert got[0] == 0
+
+
+def test_window_equals_full_scan_after_chunked_catchups(ring_trace):
+    """Windows queried between chunked extensions (each one a merge into
+    the t0 order and a rebuilt t1 running max) equal the full scan."""
+    records = list(ring_trace)
+    index = HistoryIndex(nprocs=ring_trace.nprocs)
+    rng = np.random.default_rng(3)
+    for lo in range(0, len(records), 7):
+        index.extend_many(records[lo:lo + 7])
+        seen = records[:len(index)]
+        t_lo, t_hi = index.span
+        for a, b in rng.uniform(t_lo - 0.1, t_hi + 0.1, (6, 2)).tolist():
+            a, b = min(a, b), max(a, b)
+            assert [r.index for r in index.window(a, b)] == [
+                r.index for r in oracles.window(seen, a, b)
+            ]
+    assert index.stats().window_builds == 1
 
 
 def test_row_table_is_incremental(ring_trace):

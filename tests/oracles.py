@@ -9,8 +9,11 @@ checks exact equality on random traces, and
 
 Every function is pure and takes a positional record list
 (``records[i].index == i``), plus whatever derived state it consumes
-(the send-of-receive map, the clock matrix, the matched pairs) -- the
-same inputs the production kernel reads from the index.  :func:`by_proc`,
+(the send-of-receive map, the full (n, p) clock matrix of
+:func:`clocks`, the matched pairs) -- the same inputs the production
+kernel reads from the index, where clocks are a compact table.
+:func:`steer_to_alternative` is the per-receive happens-before form of
+the steering prefix rule.  :func:`by_proc`,
 :func:`span`, the per-process marker and time searches and the counts
 are the record walks every ``Trace`` query is checked against.
 :func:`frontiers` and
@@ -29,9 +32,11 @@ import numpy as np
 
 from repro.analysis.critical_path import ZERO_WEIGHT_KINDS, CriticalPath
 from repro.analysis.matching import IntertwinedPair
-from repro.analysis.races import MessageRace
+from repro.analysis.races import MessageRace, UnsteerableAlternativeError
 from repro.mp.datatypes import ANY_SOURCE, ANY_TAG, SourceLocation
 from repro.mp.locutil import is_infrastructure_file
+from repro.mp.message import Envelope
+from repro.mp.record import CommLog
 from repro.trace.events import EventKind, TraceRecord
 
 
@@ -314,6 +319,54 @@ def detect_races(
                 )
             )
     return races
+
+
+def steer_to_alternative(
+    base_log: CommLog,
+    records: list[TraceRecord],
+    nprocs: int,
+    race: MessageRace,
+    alternative: TraceRecord,
+    vclocks: np.ndarray,
+) -> CommLog:
+    """The forcing log that steers ``race``'s receive to ``alternative``,
+    by one happens-before test per receive: each rank's base-log
+    entries (by post index) align with its receives in program order,
+    and an entry stays forced iff its receive happens before the racing
+    one.  Raises ``ValueError`` on a misaligned log and
+    :class:`UnsteerableAlternativeError` when the forced prefix already
+    delivers the alternative."""
+
+    def happens_before(a: int, b: int) -> bool:
+        pa = records[a].proc
+        return a != b and bool(vclocks[a, pa] <= vclocks[b, pa])
+
+    target = race.recv.index
+    steered = CommLog()
+    race_key = None
+    for r, row in enumerate(by_proc(records, nprocs)):
+        entries = sorted(
+            (post, env) for (rr, post), env in base_log.recv_matches.items()
+            if rr == r
+        )
+        recvs = [rec.index for rec in row if rec.is_recv]
+        if len(entries) != len(recvs):
+            raise ValueError(f"forcing-log/trace misalignment on rank {r}")
+        for (post, env), i in zip(entries, recvs):
+            if i == target:
+                race_key = (r, post)
+            elif happens_before(i, target):
+                steered.recv_matches[(r, post)] = env
+    if race_key is None:
+        raise ValueError("the racing receive's matching is not in the base log")
+    alt_env = Envelope(
+        src=alternative.src, dst=alternative.dst, tag=alternative.tag,
+        seq=alternative.seq, comm_id=alternative.extra.get("comm", 0),
+    )
+    if alt_env in steered.recv_matches.values():
+        raise UnsteerableAlternativeError(f"{alt_env} is already delivered")
+    steered.recv_matches[race_key] = alt_env
+    return steered
 
 
 def critical_path(
