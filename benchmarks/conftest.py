@@ -12,6 +12,7 @@ default ``simtime`` execution backend, the one the debugger drives.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -22,10 +23,17 @@ from repro.instrument import Uinst, WrapperLibrary, lifecycle_wrapper
 from repro.trace import TraceRecorder
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
+REPO_ROOT = RESULTS_DIR.parent.parent
 
 
 def write_artifact(name: str, content: str) -> Path:
-    """Persist a reproduction artifact; also echo it for ``-s`` runs."""
+    """Persist a reproduction artifact; also echo it for ``-s`` runs.
+
+    Paths under the repository root (the source locations records
+    carry) are written relative to it, so an artifact reads the same
+    from every checkout.
+    """
+    content = content.replace(f"{REPO_ROOT}{os.sep}", "")
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / name
     path.write_text(content if content.endswith("\n") else content + "\n")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.debugger import vertical_stopline_at_time
 from repro.viz import Viewport, build_diagram, render_ascii, render_svg
 
-from .conftest import RESULTS_DIR, write_artifact
+from .conftest import write_artifact
 
 
 def test_fig2_ntv_view(benchmark, strassen8_trace):
@@ -33,7 +33,7 @@ def test_fig2_ntv_view(benchmark, strassen8_trace):
         "fig2_ntv_view.txt",
         ascii_view + "\n\n" + stopline.describe(),
     )
-    (RESULTS_DIR / "fig2_ntv_view.svg").write_text(svg)
+    write_artifact("fig2_ntv_view.svg", svg)
 
     # --- display shape ----------------------------------------------------
     lines = ascii_view.splitlines()

@@ -15,7 +15,7 @@ from repro.trace import TraceRecorder
 from repro.instrument import WrapperLibrary
 from repro.viz import build_diagram, render_ascii
 
-from .conftest import RESULTS_DIR, write_artifact
+from .conftest import write_artifact
 
 
 def run_buggy():
@@ -42,7 +42,7 @@ def test_fig5_deadlock(benchmark):
     )
     from repro.viz import render_svg
 
-    (RESULTS_DIR / "fig5_deadlock.svg").write_text(render_svg(diagram))
+    write_artifact("fig5_deadlock.svg", render_svg(diagram))
 
     # --- the figure's claim -------------------------------------------------
     assert outcome is mp.RunOutcome.DEADLOCK

@@ -22,7 +22,7 @@ from repro.analysis import (
 from repro.apps import LUConfig, lu_program
 from repro.viz import build_diagram, render_ascii, render_svg
 
-from .conftest import RESULTS_DIR, write_artifact
+from .conftest import write_artifact
 from .conftest import traced_run
 
 NPROCS = 8
@@ -57,7 +57,7 @@ def test_fig8_frontiers(benchmark):
     rows.append("")
     rows.append(render_ascii(diagram, columns=100))
     write_artifact("fig8_frontiers.txt", "\n".join(rows))
-    (RESULTS_DIR / "fig8_frontiers.svg").write_text(render_svg(diagram))
+    write_artifact("fig8_frontiers.svg", render_svg(diagram))
 
     # --- frontier correctness ---------------------------------------------------
     assert is_consistent_frontier(

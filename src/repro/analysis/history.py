@@ -589,14 +589,19 @@ class HistoryIndex:
         before an invalidation stay readable."""
         if isinstance(rows, np.ndarray):
             rows = rows.tolist()
+        elif not isinstance(rows, (list, tuple, range)):
+            rows = list(rows)  # read twice below
         built = self._built
-        out = [built[i] for i in rows]
         if self._unbuilt:
-            missing = [i for i, rec in zip(rows, out) if rec is None]
+            missing = [i for i in rows if built[i] is None]
             if missing:
-                self._build(np.unique(np.asarray(missing, dtype=np.int64)))
-                out = [built[i] for i in rows]
-        return out
+                need = np.asarray(missing, dtype=np.int64)
+                # rows in trace order (a window) are already distinct
+                # and ascending; anything else is sorted and deduped
+                if not (need[1:] > need[:-1]).all():
+                    need = np.unique(need)
+                self._build(need)
+        return [built[i] for i in rows]
 
     def _payload_groups(self, rows: np.ndarray):
         """(payload, mask over ``rows``) for each ingested block holding

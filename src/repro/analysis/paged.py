@@ -68,7 +68,9 @@ class PagedStats:
 
     ``block_loads`` counts blocks decoded off disk, ``cache_hits``
     block accesses served from the LRU, ``evictions`` blocks dropped to
-    stay inside the bound, and ``queries`` window queries answered.
+    stay inside the bound, ``queries`` window queries answered, and
+    ``records_built`` the records :meth:`OutOfCoreIndex.seek_window`
+    (and ``window``) materialized (``read_columns`` builds none).
 
     ``prefetch_loads`` and ``prefetch_hits`` always read 0: ``bench/``
     still reads them, and the next benchmark change removes them.
@@ -78,6 +80,7 @@ class PagedStats:
     cache_hits: int = 0
     evictions: int = 0
     queries: int = 0
+    records_built: int = 0
     prefetch_loads: int = 0
     prefetch_hits: int = 0
 
@@ -100,6 +103,7 @@ class PagedStats:
             f"  cache hits   : {self.cache_hits} "
             f"(hit rate {self.hit_rate:.1%})",
             f"  evictions    : {self.evictions}",
+            f"  records built: {self.records_built}",
         ]
         return "\n".join(lines)
 
@@ -312,7 +316,10 @@ class OutOfCoreIndex:
         materialized.  Same result as ``TraceFileReader.seek_window``,
         but only overlapping blocks are resident, and a repeat of a
         nearby window reuses them."""
-        return self.read_columns(t_lo, t_hi, procs).to_records()
+        records = self.read_columns(t_lo, t_hi, procs).to_records()
+        with self._lock:
+            self._stats.records_built += len(records)
+        return records
 
     def window(self, t_lo: float, t_hi: float) -> list[TraceRecord]:
         """``HistoryIndex.window``-compatible query (no proc filter)."""

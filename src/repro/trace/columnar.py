@@ -50,10 +50,12 @@ v3 header line), so files survive future ``EventKind`` reordering;
 
 from __future__ import annotations
 
+import gc
 import json
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -114,6 +116,44 @@ def kind_code_lut(kind_table: Sequence[EventKind]) -> "np.ndarray":
     than the writer default.
     """
     return np.array([KIND_CODES[k] for k in kind_table], dtype=np.uint8)
+
+
+@contextmanager
+def _quiet_collector(burst: int) -> Iterator[None]:
+    """Pause automatic cyclic garbage collection over an allocation
+    burst of ``burst`` objects (the rows a record build turns into
+    :class:`TraceRecord` objects).
+
+    Without it, a burst of N tracked objects fires about
+    N / ``gc.get_threshold()[0]`` young collections, every tenth of them
+    a middle-generation one, each traversing the burst built so far and
+    the records built before it.  Records are acyclic (a record points
+    only to its interned locations, kind and ``extra`` dict), so pausing
+    misses no garbage and the memory bound is unchanged.
+
+    The pause is taken only when the burst has at least
+    ``gc.get_threshold()[0]`` rows and automatic collection is on
+    (enabled, threshold not 0); otherwise the collector is not touched.
+    When it pauses, it collects the young generation (``gc.collect(0)``)
+    before re-enabling, so that generation is settled inside the build
+    and not in the caller's next operation, and it re-enables on every
+    exit, an exception included.
+
+    The collector is process-global: a thread that disables it while
+    another thread's burst is in flight gets it re-enabled when that
+    burst ends, and a burst that finds it already off (another burst in
+    flight, or a caller that switched it off) leaves it off.
+    """
+    threshold = gc.get_threshold()[0]
+    if not threshold or burst < threshold or not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.collect(0)
+        gc.enable()
 
 
 @dataclass
@@ -207,7 +247,10 @@ class ColumnBlock:
         comprehension each, and one ``map`` over the columns calls the
         slotted record constructor positionally.  Location objects are
         the interned per-block instances; a row without ``extra`` gets a
-        fresh ``{}`` of its own.
+        fresh ``{}`` of its own.  The build runs inside
+        :func:`_quiet_collector`, so a burst of at least a young
+        generation's worth of records is not traversed by the cyclic
+        collector while it is being built.
         """
         cols = self.columns
         if rows is not None:
@@ -216,26 +259,27 @@ class ColumnBlock:
         locations = self.locations
         peer_locations = self.peer_locations
         extras = self.extras
-        return list(map(
-            TraceRecord,
-            cols["index"].tolist(),
-            cols["proc"].tolist(),
-            [kinds[k] for k in cols["kind"].tolist()],
-            cols["t0"].tolist(),
-            cols["t1"].tolist(),
-            cols["marker"].tolist(),
-            [locations[i] for i in cols["loc"].tolist()],
-            cols["src"].tolist(),
-            cols["dst"].tolist(),
-            cols["tag"].tolist(),
-            cols["size"].tolist(),
-            cols["seq"].tolist(),
-            [peer_locations[i] if i >= 0 else None for i in cols["ploc"].tolist()],
-            cols["peer_marker"].tolist(),
-            cols["peer_time"].tolist(),
-            cols["construct_id"].tolist(),
-            [extras[i] if i >= 0 else {} for i in cols["extra"].tolist()],
-        ))
+        with _quiet_collector(len(cols["index"])):
+            return list(map(
+                TraceRecord,
+                cols["index"].tolist(),
+                cols["proc"].tolist(),
+                [kinds[k] for k in cols["kind"].tolist()],
+                cols["t0"].tolist(),
+                cols["t1"].tolist(),
+                cols["marker"].tolist(),
+                [locations[i] for i in cols["loc"].tolist()],
+                cols["src"].tolist(),
+                cols["dst"].tolist(),
+                cols["tag"].tolist(),
+                cols["size"].tolist(),
+                cols["seq"].tolist(),
+                [peer_locations[i] if i >= 0 else None for i in cols["ploc"].tolist()],
+                cols["peer_marker"].tolist(),
+                cols["peer_time"].tolist(),
+                cols["construct_id"].tolist(),
+                [extras[i] if i >= 0 else {} for i in cols["extra"].tolist()],
+            ))
 
     # ------------------------------------------------------------------
     # columnar operations

@@ -25,7 +25,12 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from repro.analysis.history import RECV_CODES, SEND_CODES, ensure_index, match_messages
-from repro.trace.columnar import DEFAULT_KIND_TABLE, KIND_CODES, kind_code_lut
+from repro.trace.columnar import (
+    DEFAULT_KIND_TABLE,
+    KIND_CODES,
+    _quiet_collector,
+    kind_code_lut,
+)
 from repro.trace.events import COLLECTIVE_KINDS, RECV_KINDS, SEND_KINDS, EventKind, TraceRecord
 from repro.trace.trace import Trace
 
@@ -207,7 +212,9 @@ def build_window_diagram(
     serves the window's blocks from its cache); the window is one column
     block from ``source.read_columns``.  A message gets a line when both
     its ends lie in the window.  Records, built only for the rows drawn,
-    keep their trace index.
+    keep their trace index.  Records, bars and message lines are built
+    as one burst with the cyclic collector paused (see
+    :func:`~repro.trace.columnar._quiet_collector`).
     """
     block = source.read_columns(t_lo, t_hi, procs)
     cols = block.columns
@@ -221,16 +228,20 @@ def build_window_diagram(
         cols["src"], cols["dst"], cols["tag"], cols["seq"],
     )
     rows = np.unique(np.concatenate([bar_rows, pair_s, pair_r]))
-    records = block.to_records(rows)
     at = rows.searchsorted
+    # records, bars and message lines are one burst of acyclic objects
+    with _quiet_collector(rows.size + bar_rows.size + pair_s.size):
+        records = block.to_records(rows)
+        bars = _bars([records[i] for i in at(bar_rows).tolist()], kind[bar_rows])
+        messages = [
+            MessageLine(records[s], records[r])
+            for s, r in zip(at(pair_s).tolist(), at(pair_r).tolist())
+        ]
     return TimeSpaceDiagram(
         nprocs=source.nprocs,
         span=(block.t_min, block.t_max),
-        bars=_bars([records[i] for i in at(bar_rows).tolist()], kind[bar_rows]),
-        messages=[
-            MessageLine(records[s], records[r])
-            for s, r in zip(at(pair_s).tolist(), at(pair_r).tolist())
-        ],
+        bars=bars,
+        messages=messages,
     )
 
 

@@ -143,6 +143,18 @@ class TestOutOfCoreIndex:
         assert after.cache_hits > 0
         assert 0.0 < after.hit_rate <= 1.0
 
+    def test_records_built_counts_materialized_records(self, stores):
+        paged = OutOfCoreIndex(TraceFileReader(stores[0]), cache_blocks=4)
+        assert paged.stats().records_built == 0
+        paged.read_columns(10.0, 30.0)  # columns only: no record built
+        assert paged.stats().records_built == 0
+        first = paged.window(10.0, 20.0)
+        second = paged.seek_window(50.0, 50.5, {1, 3})
+        stats = paged.stats()
+        assert len(first) > 0 and len(second) > 0
+        assert stats.records_built == len(first) + len(second)
+        assert f"records built: {stats.records_built}" in stats.as_text()
+
     def test_from_file_paged_returns_out_of_core(self, stores):
         reader = TraceFileReader(stores[2])
         paged = HistoryIndex.from_file(reader, paged=True, cache_blocks=5)
