@@ -95,6 +95,23 @@ def test_window_builds_its_distinct_rows_once(halo_store):
     assert idx.trace[3] is first
 
 
+def test_unordered_and_repeated_rows_build_once(halo_store):
+    path, records = halo_store
+    idx = HistoryIndex.from_file(TraceFileReader(path))
+    rows = [40, 7, 40, 7]
+    got = idx.records_at(rows)
+    assert got == [records[i] for i in rows]
+    assert got[0] is got[2] and got[1] is got[3]
+    assert idx.stats().records_built == 2
+    rows = [8, 8, 9, 9, 40]  # ascending, not distinct
+    assert idx.records_at(rows) == [records[i] for i in rows]
+    assert idx.stats().records_built == 4
+    assert idx.records_at(i for i in (50, 51, 50)) == [records[50], records[51], records[50]]
+    assert idx.stats().records_built == 6
+    assert list(idx.trace) == records
+    assert idx.stats().records_built == len(records)
+
+
 def test_rows_stay_readable_after_invalidation(halo_store):
     path, records = halo_store
     idx = HistoryIndex.from_file(TraceFileReader(path))
